@@ -16,6 +16,7 @@ import time
 
 from . import __version__
 from .charts import big_cell_chart, sl_entry_big_cell, specialization_family
+from .poly import _is_prime
 from .rootdata import FAMILY_A, FAMILY_C, FAMILY_D, build_group_datum
 from .sections import build_sigma_pair, equivariance_suite
 from .splitting import (
@@ -66,8 +67,8 @@ class SuiteConfig:
         elif r is not None:
             raise ConfigError("--r is only meaningful for family sl")
         for p in primes:
-            if p < 3 or p % 2 == 0:
-                raise ConfigError(f"primes must be odd and >= 3, got {p}")
+            if p < 3 or not _is_prime(p):
+                raise ConfigError(f"primes must be odd primes >= 3, got {p}")
         checks = list(checks) if checks is not None else list(CHECK_SEQUENCE)
         for c in checks:
             if c not in CHECK_SEQUENCE:

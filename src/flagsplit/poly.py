@@ -2,14 +2,35 @@
 
 Coefficients live in one of three rings: arbitrary-precision integers,
 rationals, or integers mod an odd prime.  Polynomials are kept in canonical
-form at all times (no zero coefficients, no zero exponents), so equality is
-plain dict equality and every operation is deterministic.
+form at all times (no zero coefficients, and a layout holding exactly the
+variables that occur), so equality is a layout identity test plus dict
+equality, and every operation is deterministic.
+
+Terms are stored with packed exponent vectors, after Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors" (CASC 2007).  Each polynomial has a layout: the sorted tuple of its
+variable names.  Over a layout of n names a monomial is one int of n + 1
+fields of FIELD_BITS bits each.  Field 0, the most significant, holds the
+total degree; field i + 1 holds the exponent of the i-th name.  The top bit
+of every field is a guard bit that stays clear, so a product of monomials is
+one int addition and a divisibility test is one subtraction (a field that
+borrows clears its guard bit).  Exponents and total degrees are limited to
+MAX_DEGREE; a product that would pass it raises DegreeOverflowError before
+any key is formed, so a carry never reaches the neighbouring field.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
+from functools import reduce
+from operator import or_
+
+FIELD_BITS = 16
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+_GUARD_BIT = 1 << (FIELD_BITS - 1)
 
 
 class RingMismatchError(ValueError):
@@ -22,6 +43,17 @@ class NotDivisibleError(ArithmeticError):
     def __init__(self, monomial):
         self.monomial = monomial
         super().__init__(f"monomial {monomial!r} not divisible by divisor")
+
+
+class DegreeOverflowError(ArithmeticError):
+    """A total degree or exponent too large for a packed field."""
+
+    def __init__(self, degree):
+        self.degree = degree
+        super().__init__(
+            f"total degree {degree} exceeds the packed-exponent limit "
+            f"{MAX_DEGREE}"
+        )
 
 
 class CoefficientRing:
@@ -140,25 +172,6 @@ class Monomial:
                 return e
         return 0
 
-    def __mul__(self, other):
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial._raw(tuple(sorted(merged.items())))
-
-    def divide(self, other):
-        """Return self/other, or None if not divisible."""
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            r = merged.get(v, 0) - e
-            if r < 0:
-                return None
-            if r:
-                merged[v] = r
-            else:
-                merged.pop(v, None)
-        return Monomial._raw(tuple(sorted(merged.items())))
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
 
@@ -175,19 +188,169 @@ class Monomial:
         return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
 
 
-_ONE = Monomial()
+class Layout:
+    """Field positions of packed monomials over one sorted tuple of names.
+
+    Obtain layouts through `layout_of`, which interns them: polynomials over
+    the same names share one Layout, so aligning them is an identity test.
+    A field's position depends on the names alone, never on what else the
+    process has seen.  Each layout caches its unions with other layouts and
+    the moves that repack keys between them.
+    """
+
+    __slots__ = ("names", "fields", "shifts", "degree_shift", "guard",
+                 "_unions", "_moves")
+
+    def __init__(self, names):
+        n = len(names)
+        self.names = names
+        # (name, shift) from the most significant name field down
+        self.fields = tuple(
+            (v, FIELD_BITS * (n - 1 - i)) for i, v in enumerate(names)
+        )
+        self.shifts = dict(self.fields)
+        self.degree_shift = FIELD_BITS * n
+        self.guard = sum(_GUARD_BIT << (FIELD_BITS * j) for j in range(n + 1))
+        self._unions = {}
+        self._moves = {}
+
+    def pack(self, exps):
+        """Key of a monomial given as (name, exponent) pairs, or None when
+        it uses a name outside the layout."""
+        degree = sum(e for _, e in exps)
+        if degree > MAX_DEGREE:
+            raise DegreeOverflowError(degree)
+        key = degree << self.degree_shift
+        shifts = self.shifts
+        for v, e in exps:
+            s = shifts.get(v)
+            if s is None:
+                return None
+            key |= e << s
+        return key
+
+    def monomial(self, key):
+        return Monomial._raw(tuple(
+            (v, e) for v, s in self.fields if (e := (key >> s) & _FIELD)
+        ))
+
+    def union(self, other):
+        """(layout of both name sets, moves for self's keys, moves for
+        other's keys)."""
+        joined = self._unions.get(other)
+        if joined is None:
+            union = layout_of(sorted(set(self.names).union(other.names)))
+            joined = (union, self.moves_to(union), other.moves_to(union))
+            self._unions[other] = joined
+        return joined
+
+    def moves_to(self, target):
+        """Block moves (source shift, mask, target shift) that repack this
+        layout's keys into `target`; None when target is this layout.  A key
+        may use only names that target holds."""
+        if target is self:
+            return None
+        moves = self._moves.get(target)
+        if moves is None:
+            # (source field, target field) pairs, counted from the least
+            # significant field, most significant pair first
+            pairs = [(len(self.names), len(target.names))] + [
+                (s // FIELD_BITS, target.shifts[v] // FIELD_BITS)
+                for v, s in self.fields if v in target.shifts
+            ]
+            runs = []
+            for src, dst in pairs:
+                if runs and runs[-1][0] == src + 1 and runs[-1][1] == dst + 1:
+                    runs[-1] = [src, dst, runs[-1][2] + 1]
+                else:
+                    runs.append([src, dst, 1])
+            moves = tuple(
+                (FIELD_BITS * src, (1 << (FIELD_BITS * width)) - 1,
+                 FIELD_BITS * dst)
+                for src, dst, width in runs
+            )
+            self._moves[target] = moves
+        return moves
+
+
+_LAYOUTS = {}
+
+
+def layout_of(names):
+    """The interned Layout of a sorted sequence of names."""
+    names = tuple(names)
+    layout = _LAYOUTS.get(names)
+    if layout is None:
+        layout = _LAYOUTS[names] = Layout(names)
+    return layout
+
+
+EMPTY_LAYOUT = layout_of(())
+
+
+def _repack(packed, moves):
+    if moves is None:
+        return packed
+    if len(moves) == 1:
+        ((s, mask, t),) = moves
+        return {((k >> s) & mask) << t: c for k, c in packed.items()}
+    out = {}
+    for k, c in packed.items():
+        moved = 0
+        for s, mask, t in moves:
+            moved |= ((k >> s) & mask) << t
+        out[moved] = c
+    return out
+
+
+class _Terms(Mapping):
+    """Read-only Monomial -> coefficient view of a polynomial's terms."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly.packed)
+
+    def __iter__(self):
+        return map(self._poly.layout.monomial, self._poly.packed)
+
+    def __getitem__(self, mono):
+        try:
+            return self._poly.packed[self._poly._key(mono)]
+        except KeyError:
+            raise KeyError(mono) from None
+
+    def items(self):
+        return _TermItems(self)
+
+
+class _TermItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        poly = self._mapping._poly
+        monomial = poly.layout.monomial
+        for k, c in poly.packed.items():
+            yield monomial(k), c
 
 
 class Polynomial:
-    """Sparse multivariate polynomial over an explicit coefficient ring."""
+    """Sparse multivariate polynomial over an explicit coefficient ring.
 
-    __slots__ = ("ring", "terms")
+    `packed` maps packed monomials over `layout` to nonzero coefficients;
+    `terms` is the same as a Monomial -> coefficient view.
+    """
+
+    __slots__ = ("ring", "layout", "packed")
 
     def __init__(self, ring, terms=None):
         self.ring = ring
         canonical = {}
         if terms:
-            for mono, c in (terms.items() if isinstance(terms, dict) else terms):
+            for mono, c in (terms.items() if isinstance(terms, Mapping) else terms):
                 if not isinstance(mono, Monomial):
                     mono = Monomial(mono)
                 c = ring.normalize(c)
@@ -203,60 +366,84 @@ class Polynomial:
                             canonical[mono] = acc
                         else:
                             del canonical[mono]
-        self.terms = canonical
+        self.layout = layout_of(sorted({v for m in canonical for v, _ in m.exps}))
+        self.packed = {self.layout.pack(m.exps): c for m, c in canonical.items()}
 
     @classmethod
-    def _raw(cls, ring, terms):
+    def _raw(cls, ring, layout, packed):
         p = object.__new__(cls)
         p.ring = ring
-        p.terms = terms
+        p.layout = layout
+        p.packed = packed
         return p
 
     @classmethod
+    def _trimmed(cls, ring, layout, packed):
+        """A polynomial over the names of `layout` that `packed` uses."""
+        if not packed:
+            return cls._raw(ring, EMPTY_LAYOUT, packed)
+        used = reduce(or_, packed)
+        names = tuple(v for v, s in layout.fields if (used >> s) & _FIELD)
+        if len(names) < len(layout.names):
+            target = layout_of(names)
+            packed = _repack(packed, layout.moves_to(target))
+            layout = target
+        return cls._raw(ring, layout, packed)
+
+    @classmethod
     def zero(cls, ring):
-        return cls._raw(ring, {})
+        return cls._raw(ring, EMPTY_LAYOUT, {})
 
     @classmethod
     def constant(cls, ring, c):
         c = ring.normalize(c)
-        return cls._raw(ring, {_ONE: c} if c else {})
+        return cls._raw(ring, EMPTY_LAYOUT, {0: c} if c else {})
 
     @classmethod
     def variable(cls, ring, var):
-        return cls._raw(ring, {Monomial(((var, 1),)): ring.one})
+        return cls._raw(ring, layout_of((var,)), {(1 << FIELD_BITS) | 1: ring.one})
 
     @classmethod
     def one(cls, ring):
         return cls.constant(ring, 1)
 
+    @property
+    def terms(self):
+        return _Terms(self)
+
+    def _key(self, mono):
+        """Packed key of a monomial in this layout, or None if no term of
+        this polynomial can have it."""
+        if not isinstance(mono, Monomial):
+            mono = Monomial(mono)
+        try:
+            return self.layout.pack(mono.exps)
+        except DegreeOverflowError:
+            return None
+
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and _ONE in self.terms)
+        return self.layout is EMPTY_LAYOUT
 
     def constant_value(self):
-        return self.terms.get(_ONE, self.ring.zero)
+        return self.packed.get(0, self.ring.zero)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(m.degree() for m in self.terms)
+        return max(self.packed) >> self.layout.degree_shift
 
     def variables(self):
-        seen = set()
-        for m in self.terms:
-            seen.update(m.variables())
-        return sorted(seen)
+        return list(self.layout.names)
 
     def coeff_of(self, mono):
-        if not isinstance(mono, Monomial):
-            mono = Monomial(mono)
-        return self.terms.get(mono, self.ring.zero)
+        return self.packed.get(self._key(mono), self.ring.zero)
 
     def _check_ring(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
 
     def _wrap(self, other):
@@ -264,14 +451,31 @@ class Polynomial:
             return other
         return Polynomial.constant(self.ring, other)
 
+    def _aligned(self, other):
+        """(layout, self's keys, other's keys) over one common layout; O(1)
+        when both share a layout or one is constant (its only key, 0, means
+        1 in every layout)."""
+        a, b = self.layout, other.layout
+        if a is b or b is EMPTY_LAYOUT:
+            return a, self.packed, other.packed
+        if a is EMPTY_LAYOUT:
+            return b, self.packed, other.packed
+        union, moves_a, moves_b = a.union(b)
+        return union, _repack(self.packed, moves_a), _repack(other.packed, moves_b)
+
     def __add__(self, other):
         other = self._wrap(other)
         self._check_ring(other)
-        a, b = self.terms, other.terms
+        if not other.packed:
+            return self
+        if not self.packed:
+            return other
+        layout, a, b = self._aligned(other)
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
-        modp = self.ring.p if self.ring.kind == CoefficientRing.MOD else None
+        modp = self.ring.p
+        cancelled = False
         for m, c in b.items():
             acc = out.get(m)
             if acc is None:
@@ -284,15 +488,20 @@ class Polynomial:
                     out[m] = acc
                 else:
                     del out[m]
-        return Polynomial._raw(self.ring, out)
+                    cancelled = True
+        if cancelled:
+            return Polynomial._trimmed(self.ring, layout, out)
+        return Polynomial._raw(self.ring, layout, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        modp = self.ring.p if self.ring.kind == CoefficientRing.MOD else None
+        modp = self.ring.p
         if modp:
-            return Polynomial._raw(self.ring, {m: (-c) % modp for m, c in self.terms.items()})
-        return Polynomial._raw(self.ring, {m: -c for m, c in self.terms.items()})
+            out = {m: (-c) % modp for m, c in self.packed.items()}
+        else:
+            out = {m: -c for m, c in self.packed.items()}
+        return Polynomial._raw(self.ring, self.layout, out)
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
@@ -301,29 +510,39 @@ class Polynomial:
         return self._wrap(other) - self
 
     def __mul__(self, other):
+        # Every ring here is an integral domain, so a nonzero product keeps
+        # every variable of both factors and the union layout stays exact.
         other = self._wrap(other)
         self._check_ring(other)
-        out = {}
-        modp = self.ring.p if self.ring.kind == CoefficientRing.MOD else None
-        a, b = self.terms, other.terms
+        layout, a, b = self._aligned(other)
+        if not a or not b:
+            return Polynomial.zero(self.ring)
+        top = layout.degree_shift
+        degree = (max(a) >> top) + (max(b) >> top)
+        if degree > MAX_DEGREE:
+            raise DegreeOverflowError(degree)
         if len(a) > len(b):
             a, b = b, a
+        modp = self.ring.p
+        if len(a) == 1:
+            # one term shifts every key of b by the same amount: no collisions
+            ((m1, c1),) = a.items()
+            if modp:
+                out = {m1 + m2: c1 * c2 % modp for m2, c2 in b.items()}
+            else:
+                out = {m1 + m2: c1 * c2 for m2, c2 in b.items()}
+            return Polynomial._raw(self.ring, layout, out)
+        out = {}
+        get = out.get
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = m1 * m2
-                c = c1 * c2
-                acc = out.get(m)
-                if acc is None:
-                    acc = c
-                else:
-                    acc = acc + c
-                if modp:
-                    acc %= modp
-                if acc:
-                    out[m] = acc
-                else:
-                    out.pop(m, None)
-        return Polynomial._raw(self.ring, out)
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        if modp:
+            out = {m: c % modp for m, c in out.items() if c % modp}
+        else:
+            out = {m: c for m, c in out.items() if c}
+        return Polynomial._raw(self.ring, layout, out)
 
     __rmul__ = __mul__
 
@@ -347,26 +566,28 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self.layout is other.layout
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.layout.names, frozenset(self.packed.items())))
 
     def substitute(self, assignment):
         """Substitute polynomials (or ring constants) for variables."""
-        out = Polynomial.zero(self.ring)
+        ring = self.ring
+        out = Polynomial.zero(ring)
         for m, c in self.terms.items():
-            term = Polynomial.constant(self.ring, c)
+            term = Polynomial._raw(ring, EMPTY_LAYOUT, {0: c})
             for v, e in m.exps:
                 if v in assignment:
                     rep = assignment[v]
                     if not isinstance(rep, Polynomial):
-                        rep = Polynomial.constant(self.ring, rep)
+                        rep = Polynomial.constant(ring, rep)
                     term = term * rep**e
                 else:
                     term = term * Polynomial._raw(
-                        self.ring, {Monomial(((v, e),)): self.ring.one}
+                        ring, layout_of((v,)), {(e << FIELD_BITS) | e: ring.one}
                     )
             out = out + term
         return out
@@ -384,13 +605,11 @@ class Polynomial:
         return total
 
     def homogeneous_part(self, d):
-        return Polynomial._raw(
-            self.ring, {m: c for m, c in self.terms.items() if m.degree() == d}
+        top = self.layout.degree_shift
+        return Polynomial._trimmed(
+            self.ring, self.layout,
+            {m: c for m, c in self.packed.items() if m >> top == d},
         )
-
-    def map_ring(self, ring):
-        """Reinterpret coefficients in another ring (e.g. reduce mod p)."""
-        return Polynomial(ring, self.terms)
 
     def __repr__(self):
         return f"Polynomial({poly_to_string(self)!r})"
@@ -432,7 +651,8 @@ def order_at_origin(a):
     """Minimum total degree of the stored monomials; INFINITE_ORDER for 0."""
     if a.is_zero():
         return INFINITE_ORDER
-    return min(m.degree() for m in a.terms)
+    # the degree is the most significant field, so the least key has it
+    return min(a.packed) >> a.layout.degree_shift
 
 
 def zero_out_and_divide(a, zeroed, divisor):
@@ -445,18 +665,24 @@ def zero_out_and_divide(a, zeroed, divisor):
     """
     if divisor in zeroed:
         raise ValueError("divisor must not be among the zeroed variables")
-    div_mono = Monomial(((divisor, 1),))
+    layout = a.layout
+    zero_mask = 0
+    for v in zeroed:
+        if v in layout.shifts:
+            zero_mask |= _FIELD << layout.shifts[v]
+    shift = layout.shifts.get(divisor)
+    if shift is not None:
+        step = (1 << shift) | (1 << layout.degree_shift)
     out = {}
-    for m, c in a.terms.items():
-        if any(m.exponent(v) for v in zeroed):
+    for m, c in a.packed.items():
+        if m & zero_mask:
             continue
-        q = m.divide(div_mono)
-        if q is None:
-            raise NotDivisibleError(m)
-        out[q] = c
+        if shift is None or not (m >> shift) & _FIELD:
+            raise NotDivisibleError(layout.monomial(m))
+        out[m - step] = c
     if not out:
         return None
-    return Polynomial._raw(a.ring, out)
+    return Polynomial._trimmed(a.ring, layout, out)
 
 
 def line_restrict(a, direction, line_variable="s"):
@@ -465,25 +691,16 @@ def line_restrict(a, direction, line_variable="s"):
     `direction` maps every variable of interest to a ring element.  The
     result is univariate in `line_variable`.
     """
-    out = {}
-    modp = a.ring.p if a.ring.kind == CoefficientRing.MOD else None
+    by_degree = {}
     for m, c in a.terms.items():
         val = c
         for v, e in m.exps:
             val = val * direction[v] ** e
-        if modp:
-            val %= modp
-        if not val:
-            continue
-        key = Monomial(((line_variable, m.degree()),)) if m.degree() else _ONE
-        acc = out.get(key, a.ring.zero) + val
-        if modp:
-            acc %= modp
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return Polynomial._raw(a.ring, out)
+        d = m.degree()
+        by_degree[d] = by_degree.get(d, 0) + val
+    return Polynomial(
+        a.ring, [(Monomial({line_variable: d}), c) for d, c in by_degree.items()]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +712,8 @@ def poly_to_string(a):
     if a.is_zero():
         return "0"
     parts = []
-    for m in sorted(a.terms, key=lambda m: m.sort_key(), reverse=True):
-        c = a.terms[m]
+    for m, c in sorted(a.terms.items(), key=lambda mc: mc[0].sort_key(),
+                       reverse=True):
         neg = c < 0
         mag = -c if neg else c
         factors = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m.exps)

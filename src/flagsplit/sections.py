@@ -203,8 +203,3 @@ def equivariance_suite(group):
     results["left_bminus_law"] = {"exponents": exps_p}
     return results
 
-
-def sigma_plus_is_one_on_big_cell(plus, chart):
-    """sigma_plus restricts to the constant 1 on any big cell."""
-    value = plus.evaluate(chart.matrix)
-    return value == Polynomial.one(ZZ)

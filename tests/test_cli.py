@@ -88,6 +88,14 @@ def test_main_config_error_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_main_rejects_composite_p(capsys):
+    assert main(["verify", "--family", "sl", "--n", "3", "--r", "1",
+                 "--p", "9", "--checks", "splitcoeff"]) == 2
+    assert "9" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        SuiteConfig("C", 2, primes=[3, 15])
+
+
 def test_main_verify_sl2(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main([

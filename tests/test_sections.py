@@ -7,8 +7,8 @@ from flagsplit.sections import (
     build_sigma_pair,
     equivariance_suite,
     row_exponent_vector,
-    sigma_plus_is_one_on_big_cell,
 )
+from reference import sigma_plus_is_one_on_big_cell
 
 GRID = [("A", n) for n in range(2, 6)] + [("C", 2), ("C", 3), ("D", 2), ("D", 3)]
 

@@ -4,7 +4,7 @@ import pytest
 
 from flagsplit.charts import big_cell_chart, sl_entry_big_cell
 from flagsplit.cli import appendix_check, load_golden_chain
-from flagsplit.poly import ZZ, Monomial, Polynomial, poly_from_string
+from flagsplit.poly import MAX_DEGREE, ZZ, Monomial, Polynomial, poly_from_string
 from flagsplit.rootdata import build_group_datum
 from flagsplit.sections import build_sigma_pair
 from flagsplit.splitting import (
@@ -12,7 +12,6 @@ from flagsplit.splitting import (
     ResourceGuard,
     RncCertificate,
     RncVerifyError,
-    chain_state,
     local_splitting_coefficient,
     rnc_search,
     rnc_verify,
@@ -20,6 +19,7 @@ from flagsplit.splitting import (
     splitting_coefficient,
     squarefree_probe,
 )
+from reference import chain_state
 
 
 def sigma_minus_on_entry_cell(n):
@@ -101,7 +101,7 @@ def test_rnc_search_exhausted_matches_brute_force():
             state = Polynomial(
                 ZZ,
                 [
-                    (m.divide(Monomial({v: 1})), c)
+                    (Monomial({**dict(m.exps), v: m.exponent(v) - 1}), c)
                     for m, c in state.terms.items()
                 ],
             ).substitute({v: 0})
@@ -217,6 +217,34 @@ def test_resource_guard_reports_not_computed():
 def test_rejects_even_p():
     with pytest.raises(ValueError):
         splitting_coefficient(poly_from_string("t"), ["t"], 4)
+
+
+def test_rejects_composite_p():
+    for p in (9, 15, 21):
+        with pytest.raises(ValueError):
+            splitting_coefficient(poly_from_string("t"), ["t"], p)
+
+
+@pytest.mark.parametrize("family,n,p,coefficient", [
+    ("D", 4, 3, 2353), ("A", 5, 5, -27999), ("A", 6, 3, -161),
+    ("C", 3, 5, 11571), ("A", 5, 7, 3161089),
+])
+def test_golden_coefficients(family, n, p, coefficient):
+    verdict = local_splitting_coefficient(build_group_datum(family, n), p)
+    assert verdict.status == "computed"
+    assert verdict.coefficient == coefficient
+
+
+def test_degree_limit_gives_not_computed():
+    # for p = 5, g = f^2 squares f, so x^k trips once 2k > MAX_DEGREE
+    half = (MAX_DEGREE + 1) // 2
+    past = splitting_coefficient(Polynomial.variable(ZZ, "x") ** half, ["x"], 5)
+    assert past.status == NOT_COMPUTED
+    assert past.splits is None
+    assert str(MAX_DEGREE) in past.guard_reason
+    below = splitting_coefficient(
+        Polynomial.variable(ZZ, "x") ** (half - 1), ["x"], 5)
+    assert below.status == "computed" and below.coefficient == 0
 
 
 # ---------------------------------------------------------------------------
