@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .matrix import PolyMatrix, exp_nilpotent
-from .poly import ZZ, Polynomial
+from .poly import Polynomial
 from .rootdata import FAMILY_A, FAMILY_C, FAMILY_D, ConventionError
 
 SP_ANTIDIAG = "sp_antidiag"
@@ -58,7 +58,7 @@ def unipotent_factor(group, generator_order=None, names=None):
     if generator_order is not None:
         gens = [gens[i] for i in generator_order]
     names = names or _chart_variable_names(len(gens))
-    u = PolyMatrix.identity(ZZ, group.size)
+    u = PolyMatrix.identity(group.size)
     roots = []
     for (root, X), name in zip(gens, names):
         u = u * exp_nilpotent(X, name)
@@ -72,7 +72,7 @@ def big_cell_chart(group, generator_order=None):
     chart = Chart(group, None, names, u, roots)
     chart.verify_membership()
     for i in range(1, group.size + 1):
-        if chart.matrix[i, i] != Polynomial.one(ZZ):
+        if chart.matrix[i, i] != Polynomial.one():
             raise ConventionError("big cell matrix is not unitriangular")
         for j in range(i + 1, group.size + 1):
             if not chart.matrix[i, j].is_zero():
@@ -99,17 +99,17 @@ def sl_entry_big_cell(n):
     hand-computation labels; larger sizes fall back to e{i}_{j}.
     """
     letters = "abcdefghij"
-    entries = [[Polynomial.zero(ZZ) for _ in range(n)] for _ in range(n)]
+    entries = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     variables = []
     count = 0
     for i in range(1, n + 1):
-        entries[i - 1][i - 1] = Polynomial.one(ZZ)
+        entries[i - 1][i - 1] = Polynomial.one()
         for j in range(1, i):
             name = letters[count] if n <= 5 else f"e{i}_{j}"
             count += 1
             variables.append(name)
-            entries[i - 1][j - 1] = Polynomial.variable(ZZ, name)
-    return Chart(None, None, variables, PolyMatrix(ZZ, entries))
+            entries[i - 1][j - 1] = Polynomial.variable(name)
+    return Chart(None, None, variables, PolyMatrix(entries))
 
 
 def sl_explicit_chart(n, r):
@@ -121,16 +121,16 @@ def sl_explicit_chart(n, r):
     """
     if not 1 <= r <= n - 1:
         raise ValueError("need 1 <= r <= n-1")
-    entries = [[Polynomial.zero(ZZ) for _ in range(n)] for _ in range(n)]
+    entries = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     variables = []
     counter = itertools.count(1)
 
     def fresh():
         name = f"x{next(counter):03d}"
         variables.append(name)
-        return Polynomial.variable(ZZ, name)
+        return Polynomial.variable(name)
 
-    one = Polynomial.one(ZZ)
+    one = Polynomial.one()
     for i in range(1, r + 1):  # top-left block
         for j in range(1, r + 1):
             anti = i + j == r + 1
@@ -149,7 +149,7 @@ def sl_explicit_chart(n, r):
                 entries[i - 1][j - 1] = one
             elif bi + bj > m + 1:
                 entries[i - 1][j - 1] = fresh()
-    matrix = PolyMatrix(ZZ, entries)
+    matrix = PolyMatrix(entries)
     expected = r * (r - 1) // 2 + m * (m - 1) // 2 + r * m
     if len(variables) != expected:
         raise ConventionError("unexpected free-variable count in picture chart")
@@ -262,8 +262,8 @@ def _try_placement(group, rep, placements):
     size = group.size
     entries = [[rep[i, j] for j in range(1, size + 1)] for i in range(1, size + 1)]
     for (i, j), (s, var) in placements.items():
-        entries[i - 1][j - 1] = entries[i - 1][j - 1] + Polynomial.variable(ZZ, var) * s
-    matrix = PolyMatrix(ZZ, entries)
+        entries[i - 1][j - 1] = entries[i - 1][j - 1] + Polynomial.variable(var) * s
+    matrix = PolyMatrix(entries)
     lhs = matrix.transpose() * group.form * matrix - group.form
     return matrix, lhs.is_zero()
 

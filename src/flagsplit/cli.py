@@ -66,6 +66,9 @@ class SuiteConfig:
                 raise ConfigError(f"need 1 <= r <= n-1, got r={r}")
         elif r is not None:
             raise ConfigError("--r is only meaningful for family sl")
+        primes = list(primes)
+        if not primes:
+            raise ConfigError("the prime list is empty")
         for p in primes:
             if p < 3 or not _is_prime(p):
                 raise ConfigError(f"primes must be odd primes >= 3, got {p}")
@@ -73,12 +76,15 @@ class SuiteConfig:
         for c in checks:
             if c not in CHECK_SEQUENCE:
                 raise ConfigError(f"unknown check {c!r}")
-        if max_terms <= 0 or max_seconds <= 0:
+        if not checks:
+            raise ConfigError("the check list is empty")
+        # written so that a NaN limit fails too
+        if not (max_terms > 0 and max_seconds > 0):
             raise ConfigError("resource guards must be positive")
         self.family = family
         self.n = n
         self.r = r
-        self.primes = list(primes)
+        self.primes = primes
         self.checks = checks
         self.seed = seed
         self.max_terms = max_terms
@@ -330,8 +336,12 @@ def main(argv=None):
             return 1
         text = json.dumps(outcome.serialize(), indent=2) + "\n"
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"cannot write certificate: {exc}", file=sys.stderr)
+                return 2
         else:
             sys.stdout.write(text)
         return 0
@@ -357,7 +367,11 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     report = run_suite(config)
-    emit_report(report, fmt=args.format, out=args.out, timings=args.timings)
+    try:
+        emit_report(report, fmt=args.format, out=args.out, timings=args.timings)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 2
     return report.exit_code
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import CoefficientRing, Polynomial, RingMismatchError
+from .poly import Polynomial
 
 
 class MinorSpec:
@@ -49,14 +49,14 @@ class MinorSpec:
 
 
 class PolyMatrix:
-    """Dense matrix whose entries all share one coefficient ring."""
+    """Dense matrix of integer polynomials."""
 
-    def __init__(self, ring, entries):
-        self.ring = ring
+    def __init__(self, entries):
         self.entries = []
         ncols = None
         for row in entries:
-            row = [self._coerce(e) for e in row]
+            row = [e if isinstance(e, Polynomial) else Polynomial.constant(e)
+                   for e in row]
             if ncols is None:
                 ncols = len(row)
             elif len(row) != ncols:
@@ -67,24 +67,17 @@ class PolyMatrix:
         self.nrows = len(self.entries)
         self.ncols = ncols
 
-    def _coerce(self, e):
-        if isinstance(e, Polynomial):
-            if e.ring != self.ring:
-                raise RingMismatchError(f"{e.ring} vs {self.ring}")
-            return e
-        return Polynomial.constant(self.ring, e)
+    @classmethod
+    def identity(cls, n):
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def identity(cls, ring, n):
-        return cls(ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, ring, nrows, ncols=None):
+    def zero(cls, nrows, ncols=None):
         ncols = ncols or nrows
-        return cls(ring, [[0] * ncols for _ in range(nrows)])
+        return cls([[0] * ncols for _ in range(nrows)])
 
     @classmethod
-    def permutation_matrix(cls, ring, sigma):
+    def permutation_matrix(cls, sigma):
         """P with 1 at (sigma(i), i), 1-based: P e_i = e_{sigma(i)}."""
         n = len(sigma)
         if sorted(sigma) != list(range(1, n + 1)):
@@ -92,11 +85,7 @@ class PolyMatrix:
         entries = [[0] * n for _ in range(n)]
         for i, s in enumerate(sigma, start=1):
             entries[s - 1][i - 1] = 1
-        return cls(ring, entries)
-
-    @classmethod
-    def anti_identity(cls, ring, n):
-        return cls.permutation_matrix(ring, [n + 1 - i for i in range(1, n + 1)])
+        return cls(entries)
 
     def __getitem__(self, ij):
         i, j = ij  # 1-based
@@ -106,9 +95,7 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            if self.ring != other.ring:
-                raise RingMismatchError(f"{self.ring} vs {other.ring}")
-            zero = Polynomial.zero(self.ring)
+            zero = Polynomial.zero()
             out = []
             for i in range(self.nrows):
                 row = []
@@ -122,50 +109,39 @@ class PolyMatrix:
                         acc = acc + a * b
                     row.append(acc)
                 out.append(row)
-            return PolyMatrix(self.ring, out)
+            return PolyMatrix(out)
         # scalar
-        return PolyMatrix(
-            self.ring, [[e * other for e in row] for row in self.entries]
-        )
+        return PolyMatrix([[e * other for e in row] for row in self.entries])
 
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return PolyMatrix(
-            self.ring,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        return PolyMatrix([
+            [a + b for a, b in zip(r1, r2)]
+            for r1, r2 in zip(self.entries, other.entries)
+        ])
 
     def __sub__(self, other):
         return self + (other * (-1))
 
     def transpose(self):
         return PolyMatrix(
-            self.ring,
-            [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
+            [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
         )
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.ring == other.ring
-            and self.entries == other.entries
-        )
+        return isinstance(other, PolyMatrix) and self.entries == other.entries
 
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
 
     def substitute(self, assignment):
         return PolyMatrix(
-            self.ring,
-            [[e.substitute(assignment) for e in row] for row in self.entries],
+            [[e.substitute(assignment) for e in row] for row in self.entries]
         )
 
     def evaluate(self, point):
-        """Numeric matrix (list of lists of ring elements) at a point."""
+        """Numeric matrix (list of lists of numbers) at a point."""
         return [[e.evaluate(point) for e in row] for row in self.entries]
 
     def to_strings(self):
@@ -210,7 +186,7 @@ def _minor_sorted(matrix, rows, memo):
     if k == 1:
         result = matrix[rows[0], 1]
     else:
-        acc = Polynomial.zero(matrix.ring)
+        acc = Polynomial.zero()
         for i, r in enumerate(rows):
             entry = matrix[r, k]
             if entry.is_zero():
@@ -224,24 +200,6 @@ def _minor_sorted(matrix, rows, memo):
         result = acc
     memo[rows] = result
     return result
-
-
-def leibniz_determinant(matrix, rows=None, cols=None):
-    """Brute-force Leibniz sum; the independent oracle for column_minor."""
-    rows = list(rows) if rows else list(range(1, matrix.nrows + 1))
-    cols = list(cols) if cols else list(range(1, len(rows) + 1))
-    if len(rows) != len(cols):
-        raise ValueError("non-square")
-    from itertools import permutations
-
-    total = Polynomial.zero(matrix.ring)
-    for perm in permutations(range(len(rows))):
-        sign = _permutation_sign_to_sorted([p + 1 for p in perm])
-        prod = Polynomial.one(matrix.ring)
-        for i, p in enumerate(perm):
-            prod = prod * matrix[rows[i], cols[p]]
-        total = total + (prod if sign == 1 else -prod)
-    return total
 
 
 def determinant(matrix):
@@ -268,15 +226,14 @@ def exp_nilpotent(matrix, t):
     """I + tX + t^2 X^2/2! + ... for nilpotent X; division must be exact.
 
     `t` is a variable id.  Raises if X is not nilpotent or some factorial
-    fails to divide exactly in the ring.
+    fails to divide an entry of X^m exactly.
     """
     if not is_nilpotent(matrix):
         raise ValueError("matrix is not nilpotent")
-    ring = matrix.ring
-    tvar = Polynomial.variable(ring, t)
-    result = PolyMatrix.identity(ring, matrix.nrows)
-    power = PolyMatrix.identity(ring, matrix.nrows)
-    tpow = Polynomial.one(ring)
+    tvar = Polynomial.variable(t)
+    result = PolyMatrix.identity(matrix.nrows)
+    power = PolyMatrix.identity(matrix.nrows)
+    tpow = Polynomial.one()
     factorial = 1
     for m in range(1, matrix.nrows + 1):
         power = power * matrix
@@ -285,38 +242,20 @@ def exp_nilpotent(matrix, t):
         factorial *= m
         tpow = tpow * tvar
         scaled = PolyMatrix(
-            ring,
-            [[_exact_divide(e, factorial, ring) for e in row] for row in power.entries],
+            [[_exact_divide(e, factorial) for e in row] for row in power.entries]
         )
         result = result + scaled * tpow
     return result
 
 
-def _exact_divide(poly, divisor, ring):
+def _exact_divide(poly, divisor):
     out = []
     for mono, c in poly.terms.items():
-        if ring.kind == CoefficientRing.RATIONALS:
-            out.append((mono, c / divisor))
-        elif ring.kind == CoefficientRing.MOD:
-            inv = _mod_inverse(divisor % ring.p, ring.p)
-            if inv is None:
-                raise ArithmeticError(
-                    f"factorial {divisor} not invertible mod {ring.p}"
-                )
-            out.append((mono, c * inv))
-        else:
-            q, r = divmod(c, divisor)
-            if r:
-                raise ArithmeticError(f"{c} not exactly divisible by {divisor}")
-            out.append((mono, q))
-    return Polynomial(ring, out)
-
-
-def _mod_inverse(a, p):
-    a %= p
-    if a == 0:
-        return None
-    return pow(a, p - 2, p)
+        q, r = divmod(c, divisor)
+        if r:
+            raise ArithmeticError(f"{c} not exactly divisible by {divisor}")
+        out.append((mono, q))
+    return Polynomial(out)
 
 
 def rational_matrix_rank(rows):

@@ -1,10 +1,10 @@
 """Sparse exact multivariate polynomial arithmetic.
 
-Coefficients live in one of three rings: arbitrary-precision integers,
-rationals, or integers mod an odd prime.  Polynomials are kept in canonical
-form at all times (no zero coefficients, and a layout holding exactly the
-variables that occur), so equality is a layout identity test plus dict
-equality, and every operation is deterministic.
+Coefficients are arbitrary-precision integers; a verdict that needs a
+residue mod p reduces an integer coefficient at the end.  Polynomials are
+kept in canonical form at all times (no zero coefficients, and a layout
+holding exactly the variables that occur), so equality is a layout identity
+test plus dict equality, and every operation is deterministic.
 
 Terms are stored with packed exponent vectors, after Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -33,10 +33,6 @@ _FIELD = (1 << FIELD_BITS) - 1
 _GUARD_BIT = 1 << (FIELD_BITS - 1)
 
 
-class RingMismatchError(ValueError):
-    pass
-
-
 class NotDivisibleError(ArithmeticError):
     """Raised by zero_out_and_divide when some monomial resists division."""
 
@@ -56,61 +52,12 @@ class DegreeOverflowError(ArithmeticError):
         )
 
 
-class CoefficientRing:
-    """Integers, rationals, or integers mod p (p an odd prime >= 3)."""
-
-    INTEGERS = "integers"
-    RATIONALS = "rationals"
-    MOD = "mod"
-
-    def __init__(self, kind, p=None):
-        if kind not in (self.INTEGERS, self.RATIONALS, self.MOD):
-            raise ValueError(f"unknown ring kind {kind!r}")
-        if kind == self.MOD:
-            if p is None or p < 3 or not _is_prime(p) or p % 2 == 0:
-                raise ValueError("mod-p ring requires an odd prime p >= 3")
-        elif p is not None:
-            raise ValueError("p only makes sense for the mod-p ring")
-        self.kind = kind
-        self.p = p
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoefficientRing)
-            and self.kind == other.kind
-            and self.p == other.p
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
-
-    def __repr__(self):
-        if self.kind == self.MOD:
-            return f"CoefficientRing(mod {self.p})"
-        return f"CoefficientRing({self.kind})"
-
-    def normalize(self, c):
-        if self.kind == self.MOD:
-            return int(c) % self.p
-        if self.kind == self.RATIONALS:
-            return Fraction(c)
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError(f"{c} is not an integer")
-            return c.numerator
-        return int(c)
-
-    @property
-    def has_zero_divisors(self):
-        return False
-
-    @property
-    def zero(self):
-        return self.normalize(0)
-
-    @property
-    def one(self):
-        return self.normalize(1)
+def _integer(c):
+    """c as an int; raises ValueError unless c has an integral value."""
+    n = int(c)
+    if n != c:
+        raise ValueError(f"{c} is not an integer")
+    return n
 
 
 def _is_prime(p):
@@ -122,14 +69,6 @@ def _is_prime(p):
             return False
         d += 1
     return True
-
-
-ZZ = CoefficientRing(CoefficientRing.INTEGERS)
-QQ = CoefficientRing(CoefficientRing.RATIONALS)
-
-
-def GF(p):
-    return CoefficientRing(CoefficientRing.MOD, p)
 
 
 class Monomial:
@@ -338,30 +277,27 @@ class _TermItems(ItemsView):
 
 
 class Polynomial:
-    """Sparse multivariate polynomial over an explicit coefficient ring.
+    """Sparse multivariate polynomial with integer coefficients.
 
     `packed` maps packed monomials over `layout` to nonzero coefficients;
     `terms` is the same as a Monomial -> coefficient view.
     """
 
-    __slots__ = ("ring", "layout", "packed")
+    __slots__ = ("layout", "packed")
 
-    def __init__(self, ring, terms=None):
-        self.ring = ring
+    def __init__(self, terms=None):
         canonical = {}
         if terms:
             for mono, c in (terms.items() if isinstance(terms, Mapping) else terms):
                 if not isinstance(mono, Monomial):
                     mono = Monomial(mono)
-                c = ring.normalize(c)
+                c = _integer(c)
                 if c:
                     acc = canonical.get(mono)
                     if acc is None:
                         canonical[mono] = c
                     else:
                         acc = acc + c
-                        if self.ring.kind == CoefficientRing.MOD:
-                            acc %= ring.p
                         if acc:
                             canonical[mono] = acc
                         else:
@@ -370,42 +306,41 @@ class Polynomial:
         self.packed = {self.layout.pack(m.exps): c for m, c in canonical.items()}
 
     @classmethod
-    def _raw(cls, ring, layout, packed):
+    def _raw(cls, layout, packed):
         p = object.__new__(cls)
-        p.ring = ring
         p.layout = layout
         p.packed = packed
         return p
 
     @classmethod
-    def _trimmed(cls, ring, layout, packed):
+    def _trimmed(cls, layout, packed):
         """A polynomial over the names of `layout` that `packed` uses."""
         if not packed:
-            return cls._raw(ring, EMPTY_LAYOUT, packed)
+            return cls._raw(EMPTY_LAYOUT, packed)
         used = reduce(or_, packed)
         names = tuple(v for v, s in layout.fields if (used >> s) & _FIELD)
         if len(names) < len(layout.names):
             target = layout_of(names)
             packed = _repack(packed, layout.moves_to(target))
             layout = target
-        return cls._raw(ring, layout, packed)
+        return cls._raw(layout, packed)
 
     @classmethod
-    def zero(cls, ring):
-        return cls._raw(ring, EMPTY_LAYOUT, {})
+    def zero(cls):
+        return cls._raw(EMPTY_LAYOUT, {})
 
     @classmethod
-    def constant(cls, ring, c):
-        c = ring.normalize(c)
-        return cls._raw(ring, EMPTY_LAYOUT, {0: c} if c else {})
+    def constant(cls, c):
+        c = _integer(c)
+        return cls._raw(EMPTY_LAYOUT, {0: c} if c else {})
 
     @classmethod
-    def variable(cls, ring, var):
-        return cls._raw(ring, layout_of((var,)), {(1 << FIELD_BITS) | 1: ring.one})
+    def variable(cls, var):
+        return cls._raw(layout_of((var,)), {(1 << FIELD_BITS) | 1: 1})
 
     @classmethod
-    def one(cls, ring):
-        return cls.constant(ring, 1)
+    def one(cls):
+        return cls.constant(1)
 
     @property
     def terms(self):
@@ -428,7 +363,7 @@ class Polynomial:
         return self.layout is EMPTY_LAYOUT
 
     def constant_value(self):
-        return self.packed.get(0, self.ring.zero)
+        return self.packed.get(0, 0)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -440,16 +375,12 @@ class Polynomial:
         return list(self.layout.names)
 
     def coeff_of(self, mono):
-        return self.packed.get(self._key(mono), self.ring.zero)
-
-    def _check_ring(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring} vs {other.ring}")
+        return self.packed.get(self._key(mono), 0)
 
     def _wrap(self, other):
         if isinstance(other, Polynomial):
             return other
-        return Polynomial.constant(self.ring, other)
+        return Polynomial.constant(other)
 
     def _aligned(self, other):
         """(layout, self's keys, other's keys) over one common layout; O(1)
@@ -465,7 +396,6 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._wrap(other)
-        self._check_ring(other)
         if not other.packed:
             return self
         if not self.packed:
@@ -474,7 +404,6 @@ class Polynomial:
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
-        modp = self.ring.p
         cancelled = False
         for m, c in b.items():
             acc = out.get(m)
@@ -482,26 +411,19 @@ class Polynomial:
                 out[m] = c
             else:
                 acc = acc + c
-                if modp:
-                    acc %= modp
                 if acc:
                     out[m] = acc
                 else:
                     del out[m]
                     cancelled = True
         if cancelled:
-            return Polynomial._trimmed(self.ring, layout, out)
-        return Polynomial._raw(self.ring, layout, out)
+            return Polynomial._trimmed(layout, out)
+        return Polynomial._raw(layout, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        modp = self.ring.p
-        if modp:
-            out = {m: (-c) % modp for m, c in self.packed.items()}
-        else:
-            out = {m: -c for m, c in self.packed.items()}
-        return Polynomial._raw(self.ring, self.layout, out)
+        return Polynomial._raw(self.layout, {m: -c for m, c in self.packed.items()})
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
@@ -510,46 +432,36 @@ class Polynomial:
         return self._wrap(other) - self
 
     def __mul__(self, other):
-        # Every ring here is an integral domain, so a nonzero product keeps
+        # The integers have no zero divisors, so a nonzero product keeps
         # every variable of both factors and the union layout stays exact.
         other = self._wrap(other)
-        self._check_ring(other)
         layout, a, b = self._aligned(other)
         if not a or not b:
-            return Polynomial.zero(self.ring)
+            return Polynomial.zero()
         top = layout.degree_shift
         degree = (max(a) >> top) + (max(b) >> top)
         if degree > MAX_DEGREE:
             raise DegreeOverflowError(degree)
         if len(a) > len(b):
             a, b = b, a
-        modp = self.ring.p
         if len(a) == 1:
             # one term shifts every key of b by the same amount: no collisions
             ((m1, c1),) = a.items()
-            if modp:
-                out = {m1 + m2: c1 * c2 % modp for m2, c2 in b.items()}
-            else:
-                out = {m1 + m2: c1 * c2 for m2, c2 in b.items()}
-            return Polynomial._raw(self.ring, layout, out)
+            return Polynomial._raw(layout, {m1 + m2: c1 * c2 for m2, c2 in b.items()})
         out = {}
         get = out.get
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
-        if modp:
-            out = {m: c % modp for m, c in out.items() if c % modp}
-        else:
-            out = {m: c for m, c in out.items() if c}
-        return Polynomial._raw(self.ring, layout, out)
+        return Polynomial._raw(layout, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        result = Polynomial.one(self.ring)
+        result = Polynomial.one()
         base = self
         while e:
             if e & 1:
@@ -562,53 +474,48 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ring, other)
+            other = Polynomial.constant(other)
         return (
             isinstance(other, Polynomial)
-            and self.ring == other.ring
             and self.layout is other.layout
             and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((self.ring, self.layout.names, frozenset(self.packed.items())))
+        return hash((self.layout.names, frozenset(self.packed.items())))
 
     def substitute(self, assignment):
-        """Substitute polynomials (or ring constants) for variables."""
-        ring = self.ring
-        out = Polynomial.zero(ring)
+        """Substitute polynomials (or integers) for variables."""
+        out = Polynomial.zero()
         for m, c in self.terms.items():
-            term = Polynomial._raw(ring, EMPTY_LAYOUT, {0: c})
+            term = Polynomial._raw(EMPTY_LAYOUT, {0: c})
             for v, e in m.exps:
                 if v in assignment:
                     rep = assignment[v]
                     if not isinstance(rep, Polynomial):
-                        rep = Polynomial.constant(ring, rep)
+                        rep = Polynomial.constant(rep)
                     term = term * rep**e
                 else:
                     term = term * Polynomial._raw(
-                        ring, layout_of((v,)), {(e << FIELD_BITS) | e: ring.one}
+                        layout_of((v,)), {(e << FIELD_BITS) | e: 1}
                     )
             out = out + term
         return out
 
     def evaluate(self, point):
-        """Evaluate at a point given as a dict variable -> ring element."""
-        total = self.ring.zero
+        """Evaluate at a point given as a dict variable -> number."""
+        total = 0
         for m, c in self.terms.items():
             val = c
             for v, e in m.exps:
                 val = val * point[v] ** e
             total = total + val
-        if self.ring.kind == CoefficientRing.MOD:
-            return total % self.ring.p
         return total
 
     def homogeneous_part(self, d):
         top = self.layout.degree_shift
         return Polynomial._trimmed(
-            self.ring, self.layout,
-            {m: c for m, c in self.packed.items() if m >> top == d},
+            self.layout, {m: c for m, c in self.packed.items() if m >> top == d}
         )
 
     def __repr__(self):
@@ -682,13 +589,13 @@ def zero_out_and_divide(a, zeroed, divisor):
         out[m - step] = c
     if not out:
         return None
-    return Polynomial._trimmed(a.ring, layout, out)
+    return Polynomial._trimmed(layout, out)
 
 
 def line_restrict(a, direction, line_variable="s"):
     """Restrict along the line variable_i -> direction_i * s.
 
-    `direction` maps every variable of interest to a ring element.  The
+    `direction` maps every variable of interest to an integer.  The
     result is univariate in `line_variable`.
     """
     by_degree = {}
@@ -699,7 +606,7 @@ def line_restrict(a, direction, line_variable="s"):
         d = m.degree()
         by_degree[d] = by_degree.get(d, 0) + val
     return Polynomial(
-        a.ring, [(Monomial({line_variable: d}), c) for d, c in by_degree.items()]
+        [(Monomial({line_variable: d}), c) for d, c in by_degree.items()]
     )
 
 
@@ -734,10 +641,10 @@ _TERM_RE = re.compile(r"\s*([+-])?\s*([^+-]+)")
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
 
 
-def poly_from_string(text, ring=ZZ):
+def poly_from_string(text):
     text = text.strip()
     if text == "0":
-        return Polynomial.zero(ring)
+        return Polynomial.zero()
     terms = []
     pos = 0
     first = True
@@ -765,4 +672,4 @@ def poly_from_string(text, ring=ZZ):
         terms.append((Monomial(exps), coeff))
         pos = m.end()
         first = False
-    return Polynomial(ring, terms)
+    return Polynomial(terms)

@@ -14,10 +14,9 @@ torus, and the resulting roots are checked against the expected lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .matrix import PolyMatrix, determinant, exp_nilpotent, rational_nullspace
-from .poly import ZZ, Polynomial
+from .poly import Polynomial
 
 FAMILY_A = "A"
 FAMILY_C = "C"
@@ -133,7 +132,7 @@ class GroupDatum:
                 entries[i - 1][j - 1] = 1
             else:
                 entries[i - 1][j - 1] = 1 if i < j else -1
-        return PolyMatrix(ZZ, entries)
+        return PolyMatrix(entries)
 
     def star(self, k):
         return self.size + 1 - k
@@ -166,7 +165,7 @@ class GroupDatum:
 
     def _lie_constraint_ok(self, X):
         if self.family == FAMILY_A:
-            tr = Polynomial.zero(ZZ)
+            tr = Polynomial.zero()
             for i in range(1, self.size + 1):
                 tr = tr + X[i, i]
             return tr.is_zero()
@@ -255,7 +254,7 @@ class GroupDatum:
         entries = [[0] * N for _ in range(N)]
         for (i, j), c in coeffs.items():
             entries[i - 1][j - 1] = c
-        return PolyMatrix(ZZ, entries)
+        return PolyMatrix(entries)
 
     def _is_strictly_upper(self, X):
         return all(
@@ -345,10 +344,6 @@ class GroupDatum:
         for alpha in self.positive_roots:
             self.root_height(alpha)  # raises if not a positive simple combo
 
-    @lru_cache(maxsize=None)
-    def _simple_root_matrix(self):
-        return [list(a.doubled) for a in self.simple_roots]
-
     def root_height(self, root):
         """Sum of the simple-root coefficients; raises on a non-root."""
         coeffs = self._decompose_in_simple_roots(root)
@@ -396,16 +391,13 @@ class GroupDatum:
         items.sort(key=lambda t: (t[0], t[1]))
         return [(root, X) for _, _, root, X in items]
 
-    def positive_root_generator(self, root):
-        return self.root_generator[root]
-
     def in_group(self, M):
         """Exact membership identity for a polynomial matrix."""
         if self.family != FAMILY_A:
             if not (M.transpose() * self.form * M - self.form).is_zero():
                 return False
         if self.family in (FAMILY_A, FAMILY_D):
-            if determinant(M) != Polynomial.one(ZZ):
+            if determinant(M) != Polynomial.one():
                 return False
         return True
 
@@ -447,7 +439,7 @@ class GroupDatum:
     def levi_longest_representative(self, r=None):
         """Matrix representative of w_0^P, a monomial matrix with entries +-1."""
         weyl = self.levi_longest_word(r)
-        rep = PolyMatrix.identity(ZZ, self.size)
+        rep = PolyMatrix.identity(self.size)
         for i in weyl.word:
             rep = rep * self.simple_reflection_representative(i)
         if not self.in_group(rep):
@@ -535,7 +527,7 @@ def _numeric_exp_triple(X, Y):
 
 
 def _is_sign_monomial(M):
-    one = Polynomial.one(ZZ)
+    one = Polynomial.one()
     for i in range(1, M.nrows + 1):
         nonzero = [j for j in range(1, M.ncols + 1) if not M[i, j].is_zero()]
         if len(nonzero) != 1:

@@ -4,7 +4,7 @@ minors, their evaluation on charts, and the equivariance identity suite."""
 from __future__ import annotations
 
 from .matrix import MinorSpec, PolyMatrix, column_minor
-from .poly import ZZ, Polynomial
+from .poly import Polynomial
 from .rootdata import FAMILY_A, ConventionError, Weight
 
 SIGMA_PLUS = "sigma_plus"
@@ -38,7 +38,7 @@ class SectionProduct:
         return [column_minor(matrix, spec, memo) for spec in self.factors]
 
     def evaluate(self, matrix):
-        product = Polynomial.one(matrix.ring)
+        product = Polynomial.one()
         for value in self.evaluate_factors(matrix):
             product = product * value
         return product
@@ -79,13 +79,10 @@ def build_sigma_pair(group):
 
 
 def generic_matrix(n, prefix="m"):
-    return PolyMatrix(
-        ZZ,
-        [
-            [Polynomial.variable(ZZ, f"{prefix}{i}_{j}") for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ],
-    )
+    return PolyMatrix([
+        [Polynomial.variable(f"{prefix}{i}_{j}") for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ])
 
 
 def generic_upper_triangular(n, prefix="b", unitriangular=False):
@@ -94,17 +91,17 @@ def generic_upper_triangular(n, prefix="b", unitriangular=False):
         row = []
         for j in range(1, n + 1):
             if j < i:
-                row.append(Polynomial.zero(ZZ))
+                row.append(Polynomial.zero())
             elif j == i:
                 row.append(
-                    Polynomial.one(ZZ)
+                    Polynomial.one()
                     if unitriangular
-                    else Polynomial.variable(ZZ, f"{prefix}{i}_{i}")
+                    else Polynomial.variable(f"{prefix}{i}_{i}")
                 )
             else:
-                row.append(Polynomial.variable(ZZ, f"{prefix}{i}_{j}"))
+                row.append(Polynomial.variable(f"{prefix}{i}_{j}"))
         entries.append(row)
-    return PolyMatrix(ZZ, entries)
+    return PolyMatrix(entries)
 
 
 def generic_lower_triangular(n, prefix="l", unitriangular=False):
@@ -112,16 +109,13 @@ def generic_lower_triangular(n, prefix="l", unitriangular=False):
 
 
 def generic_diagonal(n, prefix="d"):
-    return PolyMatrix(
-        ZZ,
+    return PolyMatrix([
         [
-            [
-                Polynomial.variable(ZZ, f"{prefix}{i}") if i == j else Polynomial.zero(ZZ)
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, n + 1)
-        ],
-    )
+            Polynomial.variable(f"{prefix}{i}") if i == j else Polynomial.zero()
+            for j in range(1, n + 1)
+        ]
+        for i in range(1, n + 1)
+    ])
 
 
 def row_exponent_vector(section):
@@ -153,9 +147,9 @@ def equivariance_suite(group):
     for section in (plus, minus):
         for spec in section.factors:
             lhs = column_minor(DM, spec, memo_dm)
-            scale = Polynomial.one(ZZ)
+            scale = Polynomial.one()
             for a in spec.rows:
-                scale = scale * Polynomial.variable(ZZ, f"d{a}")
+                scale = scale * Polynomial.variable(f"d{a}")
             rhs = scale * column_minor(M, spec, memo_m)
             if lhs != rhs:
                 raise ConventionError(f"diagonal scaling fails for {spec}")
@@ -178,9 +172,9 @@ def equivariance_suite(group):
     bM = b * M
     exps = row_exponent_vector(minus)
     lhs = minus.evaluate(bM)
-    scale = Polynomial.one(ZZ)
+    scale = Polynomial.one()
     for i, e in enumerate(exps, start=1):
-        scale = scale * Polynomial.variable(ZZ, f"b{i}_{i}") ** e
+        scale = scale * Polynomial.variable(f"b{i}_{i}") ** e
     if lhs != scale * minus.evaluate(M):
         raise ConventionError("left B-law fails for sigma_minus")
     # the exponent vector realizes rho: fold(-sum e_a chi_a) == rho
@@ -195,9 +189,9 @@ def equivariance_suite(group):
     low = generic_lower_triangular(N, "l")
     lM = low * M
     exps_p = row_exponent_vector(plus)
-    scale = Polynomial.one(ZZ)
+    scale = Polynomial.one()
     for i, e in enumerate(exps_p, start=1):
-        scale = scale * Polynomial.variable(ZZ, f"l{i}_{i}") ** e
+        scale = scale * Polynomial.variable(f"l{i}_{i}") ** e
     if plus.evaluate(lM) != scale * plus.evaluate(M):
         raise ConventionError("left B^- law fails for sigma_plus")
     results["left_bminus_law"] = {"exponents": exps_p}

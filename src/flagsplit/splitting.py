@@ -20,7 +20,6 @@ from .matrix import (
     rational_nullspace,
 )
 from .poly import (
-    ZZ,
     DegreeOverflowError,
     Monomial,
     NotDivisibleError,
@@ -58,7 +57,7 @@ class ResourceGuard:
 
 class SplitVerdict:
     def __init__(self, p, status, coefficient=None, nvars=None, degree=None,
-                 top_degree_used=False, guard_reason=None):
+                 guard_reason=None):
         self.p = p
         self.status = status
         self.coefficient = coefficient
@@ -68,7 +67,6 @@ class SplitVerdict:
         )
         self.nvars = nvars
         self.degree = degree
-        self.top_degree_used = top_degree_used
         self.guard_reason = guard_reason
 
     def serialize(self):
@@ -80,12 +78,11 @@ class SplitVerdict:
             "splits": self.splits,
             "nvars": self.nvars,
             "degree": self.degree,
-            "top_degree_used": self.top_degree_used,
             "guard_reason": self.guard_reason,
         }
 
 
-def splitting_coefficient(f, variables, p, guard=None, top_degree_only=False):
+def splitting_coefficient(f, variables, p, guard=None):
     """Coefficient of prod(v^(p-1)) in f^(p-1), exact over the integers,
     reduced mod p only at the very end.
 
@@ -99,13 +96,9 @@ def splitting_coefficient(f, variables, p, guard=None, top_degree_only=False):
     variables = list(variables)
     n = len(variables)
     degree = f.degree()
-    if top_degree_only:
-        if degree != n:
-            raise ValueError("top-degree shortcut needs deg f = number of vars")
-        f = f.homogeneous_part(n)
     guard = guard or ResourceGuard()
     half = (p - 1) // 2
-    g = Polynomial.one(ZZ)
+    g = Polynomial.one()
     base = f
     e = half
     try:
@@ -137,8 +130,7 @@ def splitting_coefficient(f, variables, p, guard=None, top_degree_only=False):
             rest = top - t
             if rest & guard_bits == guard_bits:
                 total += c * terms.get(rest ^ guard_bits, 0)
-    return SplitVerdict(p, COMPUTED, coefficient=total, nvars=n, degree=degree,
-                        top_degree_used=top_degree_only)
+    return SplitVerdict(p, COMPUTED, coefficient=total, nvars=n, degree=degree)
 
 
 def local_splitting_coefficient(group, p, guard=None):
@@ -171,10 +163,10 @@ class RncCertificate:
         }
 
     @classmethod
-    def deserialize(cls, data, ring=ZZ):
+    def deserialize(cls, data):
         return cls(
             data["variable_order"],
-            [poly_from_string(s, ring) for s in data["chain"]],
+            [poly_from_string(s) for s in data["chain"]],
             data.get("unit", 1),
         )
 
@@ -199,7 +191,7 @@ def rnc_verify(f0, cert):
     for i, t in enumerate(order):
         zeros = {v: 0 for v in order[:i]}
         lhs = chain[i].substitute(zeros) if zeros else chain[i]
-        rhs = Polynomial.variable(f0.ring, t) * chain[i + 1]
+        rhs = Polynomial.variable(t) * chain[i + 1]
         if lhs != rhs:
             raise RncVerifyError(
                 f"chain fails at index {i}: residual {lhs - rhs}"
@@ -207,8 +199,8 @@ def rnc_verify(f0, cert):
     last = chain[-1]
     if not last.is_constant() or last.constant_value() != cert.unit:
         raise RncVerifyError(f"f_N = {last} is not the recorded unit {cert.unit}")
-    if f0.ring == ZZ and cert.unit not in (1, -1):
-        raise RncVerifyError(f"unit {cert.unit} is not invertible over ZZ")
+    if cert.unit not in (1, -1):
+        raise RncVerifyError(f"unit {cert.unit} is not invertible over the integers")
     return True
 
 
@@ -268,7 +260,7 @@ def rnc_search(f0, variable_order_universe=None):
             "detail": "no certificate with canonical quotient lifts",
         }
     order, unit = found
-    if f0.ring == ZZ and unit not in (1, -1):
+    if unit not in (1, -1):
         return {
             "status": "exhausted",
             "detail": f"canonical chain ends at non-unit constant {unit}",
@@ -342,7 +334,7 @@ def squarefree_probe(f, trials=20, seed=0):
     completed = 0
     discarded = 0
     bound = 10**6  # wide draws keep accidental discriminant hits negligible
-    s = Polynomial.variable(f.ring, "s")
+    s = Polynomial.variable("s")
     while completed < trials:
         point = {v: rng.randint(-bound, bound) for v in variables}
         direction = {v: rng.randint(-bound, bound) for v in variables}
@@ -418,13 +410,13 @@ def _fraction_determinant(rows):
 
 
 def generic_skew_matrix(n, prefix="b"):
-    entries = [[Polynomial.zero(ZZ) for _ in range(n)] for _ in range(n)]
+    entries = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     for i in range(2, n + 1):
         for j in range(1, i):
-            v = Polynomial.variable(ZZ, f"{prefix}{i}_{j}")
+            v = Polynomial.variable(f"{prefix}{i}_{j}")
             entries[i - 1][j - 1] = v
             entries[j - 1][i - 1] = -v
-    return PolyMatrix(ZZ, entries)
+    return PolyMatrix(entries)
 
 
 def skew_minor_claim(n, k, seed=11):

@@ -26,13 +26,13 @@ def test_config_validation():
         SuiteConfig("C", 2, checks=["nonsense"])
     with pytest.raises(ConfigError):
         SuiteConfig("C", 2, max_terms=0)
-
-
-def test_empty_check_list_gives_empty_report():
-    config = SuiteConfig("C", 2, checks=[])
-    report = run_suite(config)
-    assert report.checks == []
-    assert report.exit_code == 0
+    with pytest.raises(ConfigError):
+        SuiteConfig("C", 2, max_seconds=float("nan"))
+    # a pass with nothing computed must not be possible
+    with pytest.raises(ConfigError):
+        SuiteConfig("C", 2, primes=[])
+    with pytest.raises(ConfigError):
+        SuiteConfig("C", 2, checks=[])
 
 
 def test_report_determinism():
@@ -73,7 +73,7 @@ def test_guard_trip_gives_exit_3():
 
 
 def test_exit_code_precedence():
-    report = VerificationReport(SuiteConfig("C", 2, checks=[]))
+    report = VerificationReport(SuiteConfig("C", 2, checks=["weights"]))
     report.add("a", "pass", {}, 0.1)
     assert report.exit_code == 0
     report.add("b", "not-computed", {}, 0.1)
@@ -85,6 +85,10 @@ def test_exit_code_precedence():
 def test_main_config_error_exit_2(capsys):
     assert main(["verify", "--family", "sp", "--n", "2", "--r", "1"]) == 2
     assert main(["verify", "--family", "sl", "--n", "3"]) == 2
+    sp2 = ["verify", "--family", "sp", "--n", "2"]
+    assert main(sp2 + ["--p", ",", "--checks", "splitcoeff"]) == 2
+    assert main(sp2 + ["--checks", ","]) == 2
+    assert main(sp2 + ["--checks", "weights", "--max-seconds", "nan"]) == 2
     capsys.readouterr()
 
 
@@ -116,6 +120,22 @@ def test_main_rnc_emits_certificate(capsys, tmp_path):
     data = json.loads(out.read_text())
     assert len(data["chain"]) == len(data["variable_order"]) + 1
     capsys.readouterr()
+
+
+def test_unwritable_report_path_exits_2(capsys, tmp_path, monkeypatch):
+    args = ["verify", "--family", "sp", "--n", "2", "--checks", "weights"]
+    missing = tmp_path / "missing"
+    assert main(args + ["--out", str(missing / "report.json")]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+    monkeypatch.setenv("FLAGSPLIT_OUTPUT_DIR", str(missing))
+    assert main(args + ["--out", "report.json"]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+
+
+def test_unwritable_certificate_path_exits_2(capsys, tmp_path):
+    out = tmp_path / "missing" / "cert.json"
+    assert main(["rnc", "--family", "sl", "--n", "3", "--out", str(out)]) == 2
+    assert "cannot write certificate" in capsys.readouterr().err
 
 
 def test_main_appendix_check(capsys):

@@ -4,10 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from flagsplit.poly import (
-    GF,
     INFINITE_ORDER,
-    QQ,
-    ZZ,
     Monomial,
     NotDivisibleError,
     Polynomial,
@@ -17,21 +14,20 @@ from flagsplit.poly import (
     poly_to_string,
     zero_out_and_divide,
 )
-from reference import map_ring
 
 VARS = ["x", "y", "z"]
 
 
-def poly_strategy(ring):
+def poly_strategy():
     coeff = st.integers(-9, 9)
     mono = st.dictionaries(st.sampled_from(VARS), st.integers(1, 3), max_size=3)
     term = st.tuples(mono, coeff)
     return st.lists(term, max_size=6).map(
-        lambda ts: Polynomial(ring, [(Monomial(m), c) for m, c in ts])
+        lambda ts: Polynomial([(Monomial(m), c) for m, c in ts])
     )
 
 
-@given(poly_strategy(ZZ), poly_strategy(ZZ), poly_strategy(ZZ))
+@given(poly_strategy(), poly_strategy(), poly_strategy())
 @settings(max_examples=60)
 def test_ring_axioms_zz(a, b, c):
     assert a + b == b + a
@@ -39,24 +35,30 @@ def test_ring_axioms_zz(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + Polynomial.zero(ZZ) == a
-    assert a * Polynomial.one(ZZ) == a
-    assert a - a == Polynomial.zero(ZZ)
+    assert a + Polynomial.zero() == a
+    assert a * Polynomial.one() == a
+    assert a - a == Polynomial.zero()
 
 
-@given(poly_strategy(GF(3)), poly_strategy(GF(3)))
+def frobenius_defect_divisible(a, b, p):
+    """Every coefficient of (a + b)^p - a^p - b^p is divisible by p."""
+    defect = (a + b) ** p - a**p - b**p
+    return all(c % p == 0 for c in defect.terms.values())
+
+
+@given(poly_strategy(), poly_strategy())
 @settings(max_examples=60)
 def test_frobenius_mod_3(a, b):
-    assert (a + b) ** 3 == a**3 + b**3
+    assert frobenius_defect_divisible(a, b, 3)
 
 
-@given(poly_strategy(GF(5)), poly_strategy(GF(5)))
+@given(poly_strategy(), poly_strategy())
 @settings(max_examples=40)
 def test_frobenius_mod_5(a, b):
-    assert (a + b) ** 5 == a**5 + b**5
+    assert frobenius_defect_divisible(a, b, 5)
 
 
-@given(poly_strategy(ZZ), poly_strategy(ZZ))
+@given(poly_strategy(), poly_strategy())
 @settings(max_examples=60)
 def test_order_additivity(a, b):
     oa, ob = order_at_origin(a), order_at_origin(b)
@@ -67,7 +69,7 @@ def test_order_additivity(a, b):
         assert oab == oa + ob
 
 
-@given(poly_strategy(ZZ))
+@given(poly_strategy())
 @settings(max_examples=60)
 def test_canonical_form(a):
     for m, c in a.terms.items():
@@ -76,22 +78,15 @@ def test_canonical_form(a):
     assert a.layout.names == tuple(sorted({v for m in a.terms for v in m.variables()}))
 
 
-@given(poly_strategy(ZZ))
+@given(poly_strategy())
 @settings(max_examples=60)
 def test_string_round_trip(a):
     assert poly_from_string(poly_to_string(a)) == a
 
 
-def test_mod_ring_rejects_even_and_small():
-    with pytest.raises(ValueError):
-        GF(4)
-    with pytest.raises(ValueError):
-        GF(2)
-
-
 def test_power_repeated_squaring():
     f = poly_from_string("x + y")
-    assert f**0 == Polynomial.one(ZZ)
+    assert f**0 == Polynomial.one()
     assert f**3 == poly_from_string("x^3 + 3*x^2*y + 3*x*y^2 + y^3")
 
 
@@ -105,8 +100,8 @@ def test_substitute_and_evaluate():
 
 def test_order_at_origin_examples():
     assert order_at_origin(poly_from_string("x*y + x^3")) == 2
-    assert order_at_origin(Polynomial.zero(ZZ)) is INFINITE_ORDER
-    assert order_at_origin(Polynomial.one(ZZ)) == 0
+    assert order_at_origin(Polynomial.zero()) is INFINITE_ORDER
+    assert order_at_origin(Polynomial.one()) == 0
 
 
 def test_zero_out_and_divide():
@@ -132,12 +127,13 @@ def test_homogeneous_part():
     assert f.homogeneous_part(1) == poly_from_string("z")
 
 
-def test_map_ring_reduces_coefficients():
-    f = poly_from_string("3*x + 4*y")
-    g = map_ring(f, GF(3))
-    assert g == Polynomial(GF(3), [(Monomial({"y": 1}), 1)])
-
-
-def test_rationals_ring():
-    f = Polynomial(QQ, [(Monomial({"x": 1}), Fraction(1, 2))])
-    assert (f + f) == Polynomial(QQ, [(Monomial({"x": 1}), 1)])
+def test_coefficients_must_be_integral():
+    assert Polynomial.constant(Fraction(4, 2)) == 2
+    with pytest.raises(ValueError):
+        Polynomial.constant(Fraction(1, 2))
+    with pytest.raises(ValueError):
+        Polynomial.constant(1.5)
+    with pytest.raises(ValueError):
+        Polynomial([(Monomial({"x": 1}), Fraction(1, 2))])
+    with pytest.raises(ValueError):
+        poly_from_string("x") + Fraction(1, 2)

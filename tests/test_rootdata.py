@@ -1,7 +1,7 @@
 import pytest
 
 from flagsplit.matrix import PolyMatrix
-from flagsplit.poly import ZZ, Polynomial
+from flagsplit.poly import Polynomial
 from flagsplit.rootdata import FAMILY_A, FAMILY_C, FAMILY_D, Weight, build_group_datum
 
 GRID = [("A", n) for n in range(2, 7)] + [
@@ -26,7 +26,7 @@ def test_construction_invariants_hold(groups):
 def test_symplectic_form_convention(groups):
     g = groups[("C", 2)]
     J = g.form
-    one = Polynomial.one(ZZ)
+    one = Polynomial.one()
     assert J[1, 4] == one and J[2, 3] == one
     assert J[4, 1] == -one and J[3, 2] == -one
 
@@ -34,7 +34,7 @@ def test_symplectic_form_convention(groups):
 def test_orthogonal_form_convention(groups):
     g = groups[("D", 2)]
     S = g.form
-    one = Polynomial.one(ZZ)
+    one = Polynomial.one()
     for k in range(1, 5):
         assert S[k, 5 - k] == one
 
@@ -48,7 +48,7 @@ def test_c2_negative_root_generators(groups):
         m = [[0] * 4 for _ in range(4)]
         for (i, j), c in entries.items():
             m[i - 1][j - 1] = c
-        return PolyMatrix(ZZ, m)
+        return PolyMatrix(m)
 
     expected = [
         unit({(2, 1): 1, (4, 3): -1}),

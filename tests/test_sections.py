@@ -1,7 +1,7 @@
 import pytest
 
 from flagsplit.charts import big_cell_chart, sl_entry_big_cell
-from flagsplit.poly import ZZ, Polynomial, poly_from_string
+from flagsplit.poly import Polynomial, poly_from_string
 from flagsplit.rootdata import build_group_datum
 from flagsplit.sections import (
     build_sigma_pair,
@@ -65,7 +65,7 @@ def test_sigma_minus_on_entry_cell_matches_hand_expansion(groups):
     assert factors[0] == poly_from_string("g")
     assert factors[1] == poly_from_string("e*g - d*h")
     assert factors[1] == -poly_from_string("d*h - g*e")
-    product = Polynomial.one(ZZ)
+    product = Polynomial.one()
     for f in factors:
         product = product * f
     # overall sign: the listed-order signs of the four factors cancel, so
@@ -86,7 +86,7 @@ def test_sigma_minus_vanishes_at_identity(groups):
     _, minus = build_sigma_pair(g)
     from flagsplit.matrix import PolyMatrix
 
-    value = minus.evaluate(PolyMatrix.identity(ZZ, 4))
+    value = minus.evaluate(PolyMatrix.identity(4))
     assert value.is_zero()
 
 
@@ -100,7 +100,7 @@ def test_entry_cell_factor_homogeneity(groups):
     for k, f in enumerate(factors, start=1):
         assert f.degree() == k
         assert not f.homogeneous_part(k).is_zero()
-    product = Polynomial.one(ZZ)
+    product = Polynomial.one()
     for f in factors:
         product = product * f
     assert product.degree() == g.dim_flag_variety()

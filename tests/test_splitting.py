@@ -4,7 +4,7 @@ import pytest
 
 from flagsplit.charts import big_cell_chart, sl_entry_big_cell
 from flagsplit.cli import appendix_check, load_golden_chain
-from flagsplit.poly import MAX_DEGREE, ZZ, Monomial, Polynomial, poly_from_string
+from flagsplit.poly import MAX_DEGREE, Monomial, Polynomial, poly_from_string
 from flagsplit.rootdata import build_group_datum
 from flagsplit.sections import build_sigma_pair
 from flagsplit.splitting import (
@@ -46,7 +46,7 @@ def test_golden_chain_anchor_values():
     assert chain[7] == poly_from_string("c*f*j")
     assert chain[8] == poly_from_string("f*j")
     assert chain[9] == poly_from_string("j")
-    assert chain[10] == Polynomial.one(ZZ)
+    assert chain[10] == Polynomial.one()
 
 
 def test_golden_chain_tamper_detection():
@@ -65,7 +65,7 @@ def test_golden_chain_tamper_detection():
 def test_rnc_verify_normal_crossing():
     f0 = poly_from_string("x*y")
     cert = RncCertificate(
-        ["x", "y"], [f0, poly_from_string("y"), Polynomial.one(ZZ)], 1
+        ["x", "y"], [f0, poly_from_string("y"), Polynomial.one()], 1
     )
     assert rnc_verify(f0, cert)
 
@@ -83,7 +83,7 @@ def test_rnc_search_single_variable():
     out = rnc_search(poly_from_string("x"))
     assert isinstance(out, RncCertificate)
     assert out.variable_order == ["x"]
-    assert out.chain[-1] == Polynomial.one(ZZ)
+    assert out.chain[-1] == Polynomial.one()
 
 
 def test_rnc_search_exhausted_matches_brute_force():
@@ -98,13 +98,10 @@ def test_rnc_search_exhausted_matches_brute_force():
             if any(m.exponent(v) == 0 for m in state.terms):
                 alive = False
                 break
-            state = Polynomial(
-                ZZ,
-                [
-                    (Monomial({**dict(m.exps), v: m.exponent(v) - 1}), c)
-                    for m, c in state.terms.items()
-                ],
-            ).substitute({v: 0})
+            state = Polynomial([
+                (Monomial({**dict(m.exps), v: m.exponent(v) - 1}), c)
+                for m, c in state.terms.items()
+            ]).substitute({v: 0})
             if state.is_zero():
                 alive = False
                 break
@@ -201,7 +198,8 @@ def test_top_degree_shortcut_agrees():
     f, chart = sigma_minus_on_entry_cell(4)
     assert f.degree() == len(chart.variables)
     full = splitting_coefficient(f, chart.variables, 3)
-    top = splitting_coefficient(f, chart.variables, 3, top_degree_only=True)
+    top = splitting_coefficient(f.homogeneous_part(len(chart.variables)),
+                                chart.variables, 3)
     assert full.coefficient == top.coefficient
 
 
@@ -238,12 +236,12 @@ def test_golden_coefficients(family, n, p, coefficient):
 def test_degree_limit_gives_not_computed():
     # for p = 5, g = f^2 squares f, so x^k trips once 2k > MAX_DEGREE
     half = (MAX_DEGREE + 1) // 2
-    past = splitting_coefficient(Polynomial.variable(ZZ, "x") ** half, ["x"], 5)
+    past = splitting_coefficient(Polynomial.variable("x") ** half, ["x"], 5)
     assert past.status == NOT_COMPUTED
     assert past.splits is None
     assert str(MAX_DEGREE) in past.guard_reason
     below = splitting_coefficient(
-        Polynomial.variable(ZZ, "x") ** (half - 1), ["x"], 5)
+        Polynomial.variable("x") ** (half - 1), ["x"], 5)
     assert below.status == "computed" and below.coefficient == 0
 
 

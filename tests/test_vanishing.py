@@ -2,7 +2,6 @@ import pytest
 
 from flagsplit.charts import Chart, levi_center_chart
 from flagsplit.matrix import PolyMatrix
-from flagsplit.poly import ZZ
 from flagsplit.rootdata import build_group_datum
 from flagsplit.sections import build_sigma_pair
 from flagsplit.vanishing import (
@@ -64,7 +63,7 @@ def _sign_diagonal(group, signs):
     entries = [[0] * size for _ in range(size)]
     for i, s in enumerate(signs, start=1):
         entries[i - 1][i - 1] = s
-    d = PolyMatrix(ZZ, entries)
+    d = PolyMatrix(entries)
     assert group.in_group(d)
     return d
 
