@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .matrix import PolyMatrix, exp_nilpotent
 from .poly import Polynomial
-from .rootdata import FAMILY_A, FAMILY_C, FAMILY_D, ConventionError
+from .rootdata import FAMILY_C, FAMILY_D, ConventionError
 
 SP_ANTIDIAG = "sp_antidiag"
 SO_EVEN_PAIRED = "so_even_paired"
@@ -209,32 +209,29 @@ def expected_parameter_count(kind, n):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def specialization_family(group, kind):
-    """Build a bottom-left-corner family, resolving signs by search.
+def specialization_family(group):
+    """Build the group's bottom-left-corner family, resolving signs by search.
 
-    The literal entry placement is tried first; when it fails the exact
+    The kind follows from the group: sp_antidiag for C, so_even_paired for D
+    with even n, so_odd_skew for D with odd n; family A has none.  The
+    literal entry placement is tried first; when it fails the exact
     membership identity, a finite space of sign/placement twists is searched
     until membership holds with the expected parameter count.  The resolved
     assignment (and whether the literal reading survived) is recorded.
     """
     n = group.n
-    if kind == SP_ANTIDIAG and group.family != FAMILY_C:
-        raise ValueError("sp_antidiag needs family C")
-    if kind in (SO_EVEN_PAIRED, SO_ODD_SKEW) and group.family != FAMILY_D:
-        raise ValueError("so specializations need family D")
-    if kind == SO_EVEN_PAIRED and n % 2:
-        raise ValueError("so_even_paired needs even n")
-    if kind == SO_ODD_SKEW and n % 2 == 0:
-        raise ValueError("so_odd_skew needs odd n")
+    if group.family == FAMILY_C:
+        kind, candidates = SP_ANTIDIAG, _sp_antidiag_candidates
+    elif group.family == FAMILY_D and n % 2 == 0:
+        kind, candidates = SO_EVEN_PAIRED, _so_even_candidates
+    elif group.family == FAMILY_D:
+        kind, candidates = SO_ODD_SKEW, _so_odd_candidates
+    else:
+        raise ValueError(f"family {group.family} has no specialization family")
 
     rep = group.levi_longest_representative()
-    builders = {
-        SP_ANTIDIAG: _sp_antidiag_candidates,
-        SO_EVEN_PAIRED: _so_even_candidates,
-        SO_ODD_SKEW: _so_odd_candidates,
-    }
     literal_failure = None
-    for label, variables, placements in builders[kind](group):
+    for label, variables, placements in candidates(group, rep):
         matrix, ok = _try_placement(group, rep, placements)
         if ok:
             if len(variables) != expected_parameter_count(kind, n):
@@ -283,7 +280,7 @@ def _resolve_pair_signs(group, rep, pair_maker, pairs):
     return placements
 
 
-def _sp_antidiag_candidates(group):
+def _sp_antidiag_candidates(group, rep):
     """Candidate placements for the Sp bottom-left family.
 
     Literal reading: independent variables on the block anti-diagonal.
@@ -292,7 +289,6 @@ def _sp_antidiag_candidates(group):
     keeping the corner minors equal to monomials.
     """
     n = group.n
-    rep = group.levi_longest_representative()
 
     # literal: n independent anti-diagonal entries
     variables = [f"x{i}" for i in range(1, n + 1)]
@@ -343,10 +339,9 @@ def _sp_antidiag_candidates(group):
         yield "paired_antidiagonal_plus_diagonal", pair_vars + diag_vars, placements
 
 
-def _so_even_candidates(group):
+def _so_even_candidates(group, rep):
     """SO_2n, n even: anti-diagonal entries paired with negated partners."""
     n = group.n
-    rep = group.levi_longest_representative()
 
     variables = [f"x{i}" for i in range(1, n // 2 + 1)]
     # literal reading: rows n+i and partner row 2n+1-i carry x and -x
@@ -373,11 +368,10 @@ def _so_even_candidates(group):
         yield "sign_resolved_paired_antidiagonal", variables, placements
 
 
-def _so_odd_candidates(group):
+def _so_odd_candidates(group, rep):
     """SO_2n, n odd: the bottom-left block is a generic skew-symmetric matrix
     (up to membership-resolved signs); the diagonal vanishes."""
     n = group.n
-    rep = group.levi_longest_representative()
 
     variables = [f"x{i}_{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     literal = {}

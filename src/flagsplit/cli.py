@@ -10,15 +10,15 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import math
 import os
 import sys
 import time
 
 from . import __version__
-from .charts import big_cell_chart, sl_entry_big_cell, specialization_family
 from .poly import _is_prime
 from .rootdata import FAMILY_A, FAMILY_C, FAMILY_D, build_group_datum
-from .sections import build_sigma_pair, equivariance_suite
+from .sections import GroupSections, equivariance_suite
 from .splitting import (
     NOT_COMPUTED,
     ResourceGuard,
@@ -79,8 +79,8 @@ class SuiteConfig:
         if not checks:
             raise ConfigError("the check list is empty")
         # written so that a NaN limit fails too
-        if not (max_terms > 0 and max_seconds > 0):
-            raise ConfigError("resource guards must be positive")
+        if not all(0 < limit < math.inf for limit in (max_terms, max_seconds)):
+            raise ConfigError("resource guards must be finite and positive")
         self.family = family
         self.n = n
         self.r = r
@@ -134,8 +134,9 @@ class VerificationReport:
         }
 
 
-def _weight_payload(group):
-    plus, minus = build_sigma_pair(group)
+def _weight_payload(sections):
+    group = sections.group
+    plus, minus = sections.pair
     return {
         "sigma_minus_weight_doubled": list(minus.weight().doubled),
         "sigma_plus_weight_doubled": list(plus.weight().doubled),
@@ -146,32 +147,27 @@ def _weight_payload(group):
     }
 
 
-def _specialization_kind(group):
-    if group.family == FAMILY_C:
-        return "sp_antidiag"
-    return "so_even_paired" if group.n % 2 == 0 else "so_odd_skew"
-
-
-def _run_check(name, config, group):
+def _run_check(name, config, sections):
+    group = sections.group
     if name == "weights":
-        payload = _weight_payload(group)
+        payload = _weight_payload(sections)
         return ("pass" if payload["matches_rho"] else "fail"), payload
     if name == "equivariance":
-        return "pass", equivariance_suite(group)
+        return "pass", equivariance_suite(sections)
     if name == "specializations":
         if group.family == FAMILY_A:
             return "pass", {"not_applicable": "family sl has no specialization family"}
-        family = specialization_family(group, _specialization_kind(group))
+        family = sections.specialization
         membership = family.sample_membership(seed=config.seed)
         payload = family.serialize()
         payload["sampled_membership"] = membership
         payload["parameter_count"] = family.parameter_count()
         return ("pass" if membership else "fail"), payload
     if name == "orders":
-        report = max_multiplicity_verdict(group, config.r, config.primes)
+        report = max_multiplicity_verdict(sections, config.primes)
         payload = report.serialize()
         if group.family == FAMILY_A:
-            payload["table_check"] = sl_order_table_check(config.n, config.r)
+            payload["table_check"] = sl_order_table_check(sections)
             ok = payload["table_check"]["ok"] and report.maximal_multiplicity
         else:
             ok = report.maximal_multiplicity and report.bounds_consistent()
@@ -186,13 +182,7 @@ def _run_check(name, config, group):
         ok = all(r["nonzero"] for r in results)
         return ("pass" if ok else "fail"), {"claims": results}
     if name == "squarefree":
-        chart = (
-            sl_entry_big_cell(config.n)
-            if group.family == FAMILY_A
-            else big_cell_chart(group)
-        )
-        _, minus = build_sigma_pair(group)
-        f = minus.evaluate(chart.matrix)
+        f = sections.f_entry if group.family == FAMILY_A else sections.f_big
         payload = squarefree_probe(f, trials=20, seed=config.seed)
         return ("pass" if payload["all_squarefree"] else "fail"), payload
     if name == "rnc":
@@ -200,10 +190,7 @@ def _run_check(name, config, group):
             return "pass", {
                 "not_applicable": "certificate search is run on the sl big cell"
             }
-        chart = sl_entry_big_cell(config.n)
-        _, minus = build_sigma_pair(group)
-        f = minus.evaluate(chart.matrix)
-        outcome = rnc_search(f)
+        outcome = rnc_search(sections.f_entry)
         if isinstance(outcome, RncCertificate):
             return "pass", outcome.serialize()
         return "fail", outcome
@@ -212,10 +199,9 @@ def _run_check(name, config, group):
         status = "pass"
         for p in config.primes:
             guard = ResourceGuard(config.max_terms, config.max_seconds)
-            chart = big_cell_chart(group)
-            _, minus = build_sigma_pair(group)
-            f = minus.evaluate(chart.matrix)
-            verdict = splitting_coefficient(f, chart.variables, p, guard=guard)
+            verdict = splitting_coefficient(
+                sections.f_big, sections.big_cell.variables, p, guard=guard
+            )
             verdicts.append(verdict.serialize())
             if verdict.status == NOT_COMPUTED:
                 if status != "fail":
@@ -229,13 +215,13 @@ def _run_check(name, config, group):
 def run_suite(config):
     """Run the requested checks in canonical dependency order."""
     report = VerificationReport(config)
-    group = build_group_datum(config.family, config.n)
+    sections = GroupSections(build_group_datum(config.family, config.n), config.r)
     for name in CHECK_SEQUENCE:
         if name not in config.checks:
             continue
         started = time.monotonic()
         try:
-            status, payload = _run_check(name, config, group)
+            status, payload = _run_check(name, config, sections)
         except Exception as exc:  # a failed identity raises; record it
             status, payload = "fail", {"error": f"{type(exc).__name__}: {exc}"}
         report.add(name, status, payload, time.monotonic() - started)
@@ -274,10 +260,7 @@ def load_golden_chain():
 
 def appendix_check():
     """Verify the shipped n=5 chain against a freshly computed sigma_minus."""
-    group = build_group_datum(FAMILY_A, 5)
-    chart = sl_entry_big_cell(5)
-    _, minus = build_sigma_pair(group)
-    f0 = minus.evaluate(chart.matrix)
+    f0 = GroupSections(build_group_datum(FAMILY_A, 5)).f_entry
     cert = load_golden_chain()
     rnc_verify(f0, cert)
     return cert
@@ -327,10 +310,7 @@ def main(argv=None):
         if args.n < 2:
             print("n must be at least 2", file=sys.stderr)
             return 2
-        group = build_group_datum(FAMILY_A, args.n)
-        chart = sl_entry_big_cell(args.n)
-        _, minus = build_sigma_pair(group)
-        outcome = rnc_search(minus.evaluate(chart.matrix))
+        outcome = rnc_search(GroupSections(build_group_datum(FAMILY_A, args.n)).f_entry)
         if not isinstance(outcome, RncCertificate):
             print(json.dumps(outcome, indent=2))
             return 1

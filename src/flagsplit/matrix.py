@@ -76,17 +76,6 @@ class PolyMatrix:
         ncols = ncols or nrows
         return cls([[0] * ncols for _ in range(nrows)])
 
-    @classmethod
-    def permutation_matrix(cls, sigma):
-        """P with 1 at (sigma(i), i), 1-based: P e_i = e_{sigma(i)}."""
-        n = len(sigma)
-        if sorted(sigma) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {sigma}")
-        entries = [[0] * n for _ in range(n)]
-        for i, s in enumerate(sigma, start=1):
-            entries[s - 1][i - 1] = 1
-        return cls(entries)
-
     def __getitem__(self, ij):
         i, j = ij  # 1-based
         return self.entries[i - 1][j - 1]

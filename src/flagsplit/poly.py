@@ -374,9 +374,6 @@ class Polynomial:
     def variables(self):
         return list(self.layout.names)
 
-    def coeff_of(self, mono):
-        return self.packed.get(self._key(mono), 0)
-
     def _wrap(self, other):
         if isinstance(other, Polynomial):
             return other
@@ -511,12 +508,6 @@ class Polynomial:
                 val = val * point[v] ** e
             total = total + val
         return total
-
-    def homogeneous_part(self, d):
-        top = self.layout.degree_shift
-        return Polynomial._trimmed(
-            self.layout, {m: c for m, c in self.packed.items() if m >> top == d}
-        )
 
     def __repr__(self):
         return f"Polynomial({poly_to_string(self)!r})"

@@ -3,6 +3,14 @@ minors, their evaluation on charts, and the equivariance identity suite."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
+from .charts import (
+    big_cell_chart,
+    levi_center_chart,
+    sl_entry_big_cell,
+    specialization_family,
+)
 from .matrix import MinorSpec, PolyMatrix, column_minor
 from .poly import Polynomial
 from .rootdata import FAMILY_A, ConventionError, Weight
@@ -78,6 +86,44 @@ def build_sigma_pair(group):
     return plus, minus
 
 
+class GroupSections:
+    """One request's section pair, charts and sigma_minus pullbacks.
+
+    Each attribute is built on first use and at most once per instance.  A
+    build that raises stores nothing, so every later use raises again.
+    """
+
+    def __init__(self, group, r=None):
+        self.group = group
+        self.r = r
+
+    @cached_property
+    def pair(self):
+        return build_sigma_pair(self.group)
+
+    @cached_property
+    def big_cell(self):
+        return big_cell_chart(self.group)
+
+    @cached_property
+    def levi_chart(self):
+        return levi_center_chart(self.group, self.r)
+
+    @cached_property
+    def specialization(self):
+        return specialization_family(self.group)
+
+    @cached_property
+    def f_big(self):
+        """sigma_minus on the big cell."""
+        return self.pair[1].evaluate(self.big_cell.matrix)
+
+    @cached_property
+    def f_entry(self):
+        """sigma_minus on the SL_n big cell in matrix-entry coordinates."""
+        return self.pair[1].evaluate(sl_entry_big_cell(self.group.n).matrix)
+
+
 def generic_matrix(n, prefix="m"):
     return PolyMatrix([
         [Polynomial.variable(f"{prefix}{i}_{j}") for j in range(1, n + 1)]
@@ -128,15 +174,16 @@ def row_exponent_vector(section):
     return counts
 
 
-def equivariance_suite(group):
+def equivariance_suite(sections):
     """Verify the minor transformation laws as exact polynomial identities.
 
     Uses generic matrices with free entries (not group elements), which is
     the level at which the identities hold.  Any failure raises with the
     offending factor.
     """
+    group = sections.group
     N = group.size
-    plus, minus = build_sigma_pair(group)
+    plus, minus = sections.pair
     M = generic_matrix(N)
     results = {}
 

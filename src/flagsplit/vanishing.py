@@ -7,19 +7,10 @@ back through a chart and its order at the origin read off the exponents.
 
 from __future__ import annotations
 
-from .charts import (
-    SO_EVEN_PAIRED,
-    SO_ODD_SKEW,
-    SP_ANTIDIAG,
-    big_cell_chart,
-    levi_center_chart,
-    sl_explicit_chart,
-    specialization_family,
-)
+from .charts import sl_explicit_chart
 from .matrix import column_minor
 from .poly import INFINITE_ORDER, order_at_origin
-from .rootdata import FAMILY_A, FAMILY_C, ConventionError, build_group_datum
-from .sections import build_sigma_pair
+from .rootdata import FAMILY_A, ConventionError
 
 
 class OrderReport:
@@ -119,12 +110,12 @@ def sl_four_case_order(n, r, k):
     return n - r
 
 
-def sl_order_table_check(n, r):
+def sl_order_table_check(sections):
     """Factor orders on the intrinsic chart AND the explicit picture chart,
     both compared against the four-case formula; totals against r(n-r)."""
-    group = build_group_datum(FAMILY_A, n)
-    _, minus = build_sigma_pair(group)
-    intrinsic, intrinsic_total = order_at_center(minus, levi_center_chart(group, r))
+    n, r = sections.group.n, sections.r
+    _, minus = sections.pair
+    intrinsic, intrinsic_total = order_at_center(minus, sections.levi_chart)
     explicit, explicit_total = order_at_center(minus, sl_explicit_chart(n, r))
     expected = [sl_four_case_order(n, r, k) for k in range(1, n)]
     expected_total = r * (n - r)
@@ -152,13 +143,7 @@ def _expected_codimension(group, r=None):
     return group.dim_flag_variety() - len(group.levi_longest_word(r).word)
 
 
-def _specialization_kind(group):
-    if group.family == FAMILY_C:
-        return SP_ANTIDIAG
-    return SO_EVEN_PAIRED if group.n % 2 == 0 else SO_ODD_SKEW
-
-
-def max_multiplicity_verdict(group, r=None, primes=()):
+def max_multiplicity_verdict(sections, primes=()):
     """OrderReport for sigma_minus along P/B, with cross-checked bounds.
 
     For C and D the intrinsic orders are sandwiched per factor: from below by
@@ -166,27 +151,18 @@ def max_multiplicity_verdict(group, r=None, primes=()):
     ideal sits inside the ambient maximal ideal), from above by the orders on
     the membership-verified specialization family.  All three must agree.
     """
-    plus, minus = build_sigma_pair(group)
-    chart = levi_center_chart(group, r)
-    orders, total = order_at_center(minus, chart)
-    unit = sigma_plus_unit_at_identity(plus, big_cell_chart(group))
+    group, r = sections.group, sections.r
+    plus, minus = sections.pair
+    orders, total = order_at_center(minus, sections.levi_chart)
+    unit = sigma_plus_unit_at_identity(plus, sections.big_cell)
     expected = _expected_codimension(group, r)
 
     lower = upper = specialization = None
     if group.family != FAMILY_A:
         ambient = sl_explicit_chart(2 * group.n, group.n)
         lower, _ = order_at_center(minus, ambient)
-        family = specialization_family(group, _specialization_kind(group))
-        memo = {}
-        upper = []
-        for spec in minus.factors:
-            value = column_minor(family.matrix, spec, memo)
-            order = order_at_origin(value)
-            if order is INFINITE_ORDER:
-                raise ConventionError(
-                    f"factor {spec} vanishes identically on the specialization"
-                )
-            upper.append(order)
+        family = sections.specialization
+        upper, _ = order_at_center(minus, family)
         specialization = family.serialize()
 
     scaled = [

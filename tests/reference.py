@@ -118,6 +118,11 @@ def sigma_plus_is_one_on_big_cell(plus, chart):
     return plus.evaluate(chart.matrix) == Polynomial.one()
 
 
+def homogeneous_part(poly, d):
+    """The terms of poly of total degree d."""
+    return Polynomial([(m, c) for m, c in poly.terms.items() if m.degree() == d])
+
+
 def leibniz_determinant(matrix, rows=None, cols=None):
     """Brute-force Leibniz sum; the independent oracle for column_minor."""
     rows = list(rows) if rows else list(range(1, matrix.nrows + 1))

@@ -20,7 +20,7 @@ from flagsplit.cli import SuiteConfig, appendix_check, emit_report, run_suite
 from flagsplit.matrix import PolyMatrix, determinant
 from flagsplit.poly import Polynomial, order_at_origin
 from flagsplit.rootdata import build_group_datum
-from flagsplit.sections import build_sigma_pair, equivariance_suite
+from flagsplit.sections import GroupSections, build_sigma_pair, equivariance_suite
 from flagsplit.splitting import (
     RncCertificate,
     local_splitting_coefficient,
@@ -40,8 +40,9 @@ def report(number, label, ok):
 def test_criterion_1_sl_order_tables():
     ok = True
     for n in range(2, 7):
+        g = build_group_datum("A", n)
         for r in range(1, n):
-            result = sl_order_table_check(n, r)
+            result = sl_order_table_check(GroupSections(g, r))
             ok = ok and result["ok"] and result["total"] == r * (n - r)
     report(1, "SL order tables", ok)
 
@@ -50,11 +51,12 @@ def test_criterion_2_sp_maximal_multiplicity():
     ok = True
     for n in (2, 3):
         g = build_group_datum("C", n)
-        rep = max_multiplicity_verdict(g, primes=[3])
+        rep = max_multiplicity_verdict(GroupSections(g), primes=[3])
         ok = ok and rep.factor_orders == list(range(1, n + 1))
         ok = ok and rep.total == n * (n + 1) // 2
         ok = ok and rep.lower_bounds == rep.factor_orders == rep.upper_bounds
-        fam = specialization_family(g, SP_ANTIDIAG)
+        fam = specialization_family(g)
+        ok = ok and fam.kind == SP_ANTIDIAG
         ok = ok and fam.parameter_count() == n == expected_parameter_count(SP_ANTIDIAG, n)
         ok = ok and fam.sample_membership(trials=5, seed=1)
         # membership holds as an exact polynomial identity, not just sampled
@@ -67,12 +69,13 @@ def test_criterion_3_so_maximal_multiplicity():
     ok = True
     for n in (2, 3, 4):
         g = build_group_datum("D", n)
-        rep = max_multiplicity_verdict(g, primes=[3])
+        rep = max_multiplicity_verdict(GroupSections(g), primes=[3])
         ok = ok and rep.factor_orders == list(range(1, n))
         ok = ok and rep.total == n * (n - 1) // 2
         ok = ok and rep.lower_bounds == rep.factor_orders == rep.upper_bounds
         kind = SO_EVEN_PAIRED if n % 2 == 0 else SO_ODD_SKEW
-        fam = specialization_family(g, kind)
+        fam = specialization_family(g)
+        ok = ok and fam.kind == kind
         ok = ok and fam.parameter_count() == expected_parameter_count(kind, n)
         ok = ok and fam.sample_membership(trials=5, seed=1)
         residual = fam.matrix.transpose() * g.form * fam.matrix - g.form
@@ -133,7 +136,7 @@ def test_criterion_7_equivariance():
     ]
     ok = True
     for family, n in cases:
-        results = equivariance_suite(build_group_datum(family, n))
+        results = equivariance_suite(GroupSections(build_group_datum(family, n)))
         ok = ok and results["diagonal_scaling"]
         ok = ok and results["right_column_stability"]
         ok = ok and "exponents" in results["left_b_law"]

@@ -92,7 +92,8 @@ def test_sl_entry_big_cell_names():
 )
 def test_specialization_families(groups, family, n, kind):
     g = groups[(family, n)]
-    fam = specialization_family(g, kind)
+    fam = specialization_family(g)
+    assert fam.kind == kind
     assert fam.parameter_count() == expected_parameter_count(kind, n)
     assert fam.sample_membership(trials=5, seed=3)
     # the k-th trailing minor is nonzero homogeneous of degree k
@@ -104,10 +105,6 @@ def test_specialization_families(groups, family, n, kind):
         assert all(m.degree() == k for m in value.terms)
 
 
-def test_specialization_kind_validation(groups):
+def test_specialization_family_rejects_sl(groups):
     with pytest.raises(ValueError):
-        specialization_family(groups[("C", 2)], SO_ODD_SKEW)
-    with pytest.raises(ValueError):
-        specialization_family(groups[("D", 3)], SO_EVEN_PAIRED)
-    with pytest.raises(ValueError):
-        specialization_family(groups[("D", 4)], SO_ODD_SKEW)
+        specialization_family(groups[("A", 3)])

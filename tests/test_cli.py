@@ -1,7 +1,10 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+from flagsplit import charts, rootdata, sections
 from flagsplit.cli import (
     ConfigError,
     SuiteConfig,
@@ -11,6 +14,8 @@ from flagsplit.cli import (
     main,
     run_suite,
 )
+from flagsplit.rootdata import ConventionError
+from flagsplit.sections import SIGMA_MINUS, SectionProduct
 
 
 def test_config_validation():
@@ -28,6 +33,8 @@ def test_config_validation():
         SuiteConfig("C", 2, max_terms=0)
     with pytest.raises(ConfigError):
         SuiteConfig("C", 2, max_seconds=float("nan"))
+    with pytest.raises(ConfigError):
+        SuiteConfig("C", 2, max_seconds=float("inf"))
     # a pass with nothing computed must not be possible
     with pytest.raises(ConfigError):
         SuiteConfig("C", 2, primes=[])
@@ -89,6 +96,7 @@ def test_main_config_error_exit_2(capsys):
     assert main(sp2 + ["--p", ",", "--checks", "splitcoeff"]) == 2
     assert main(sp2 + ["--checks", ","]) == 2
     assert main(sp2 + ["--checks", "weights", "--max-seconds", "nan"]) == 2
+    assert main(sp2 + ["--checks", "weights", "--max-seconds", "inf"]) == 2
     capsys.readouterr()
 
 
@@ -155,3 +163,65 @@ def test_text_format(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "weights" in out and "skew" in out and "pass" in out
+
+
+def _rebind(monkeypatch, owner, name, replacement):
+    """Replace owner.name in every flagsplit module that imported it."""
+    original = getattr(owner, name)
+    for key, module in list(sys.modules.items()):
+        if key.startswith("flagsplit") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
+BUILDERS = [
+    (rootdata, "build_group_datum"),
+    (sections, "build_sigma_pair"),
+    (charts, "big_cell_chart"),
+    (charts, "levi_center_chart"),
+    (charts, "sl_entry_big_cell"),
+    (charts, "specialization_family"),
+]
+
+
+@pytest.mark.parametrize("family,n,r", [("A", 4, 2), ("D", 3, None)])
+def test_run_suite_builds_each_section_once(monkeypatch, family, n, r):
+    calls = Counter()
+    for owner, name in BUILDERS:
+        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        _rebind(monkeypatch, owner, name, counted)
+    evaluated = Counter()
+    evaluate = SectionProduct.evaluate
+
+    def counted_evaluate(self, matrix):
+        if self.label == SIGMA_MINUS:
+            evaluated[str(matrix.to_strings())] += 1
+        return evaluate(self, matrix)
+
+    monkeypatch.setattr(SectionProduct, "evaluate", counted_evaluate)
+    report = run_suite(SuiteConfig(family, n, r=r, primes=[3, 5]))
+    assert report.exit_code == 0
+    for name in ("build_group_datum", "build_sigma_pair", "big_cell_chart",
+                 "levi_center_chart"):
+        assert calls[name] == 1, name
+    assert calls["sl_entry_big_cell"] <= 1
+    assert calls["specialization_family"] <= 1
+    assert max(evaluated.values()) == 1
+
+
+@pytest.mark.parametrize("family,n,r,failing", [
+    ("A", 4, 2, ["orders", "splitcoeff"]),
+    ("D", 3, None, ["orders", "squarefree", "splitcoeff"]),
+])
+def test_failing_big_cell_fails_each_check_that_needs_it(
+        monkeypatch, family, n, r, failing):
+    def broken(group, generator_order=None):
+        raise ConventionError("no big cell")
+
+    _rebind(monkeypatch, charts, "big_cell_chart", broken)
+    report = run_suite(SuiteConfig(family, n, r=r, primes=[3, 5]))
+    failed = [c for c in report.checks if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == failing
+    for check in failed:
+        assert check["payload"] == {"error": "ConventionError: no big cell"}

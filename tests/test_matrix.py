@@ -74,16 +74,6 @@ def test_triangular_determinant_is_diagonal_product():
     assert determinant(m) == poly_from_string("a*b*c")
 
 
-def test_permutation_matrix_convention():
-    p = PolyMatrix.permutation_matrix([2, 3, 1])
-    # column i carries e_{sigma(i)}
-    assert p[2, 1] == Polynomial.one()
-    assert p[3, 2] == Polynomial.one()
-    assert p[1, 3] == Polynomial.one()
-    with pytest.raises(ValueError):
-        PolyMatrix.permutation_matrix([1, 1, 3])
-
-
 def test_exp_nilpotent_group_law():
     # X^2 = 2*E_31, so X^2/2! stays integral
     x = PolyMatrix([[0, 0, 0], [2, 0, 0], [0, 1, 0]])

@@ -77,11 +77,11 @@ def test_substitute_matches_reference(ta, assignment):
 @given(operand, st.dictionaries(st.sampled_from(["a", "w", "x", "y", "z", "q"]),
                                 st.integers(0, 3), max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_coeff_of_matches_reference(ta, probe):
+def test_terms_get_matches_reference(ta, probe):
     a, ra = build(ta)
     for m, c in ra.items():
-        assert a.coeff_of(Monomial(m)) == c
-    assert a.coeff_of(probe) == ra.get(Monomial(probe).exps, 0)
+        assert a.terms.get(Monomial(m), 0) == c
+    assert a.terms.get(probe, 0) == ra.get(Monomial(probe).exps, 0)
 
 
 @given(operand, st.sets(st.sampled_from(["x", "y", "z", "w"]), max_size=2),
@@ -125,7 +125,7 @@ def test_product_at_the_degree_limit_keeps_fields_apart():
         x ** (MAX_DEGREE + 1)
     with pytest.raises(DegreeOverflowError):
         Polynomial([(Monomial({"x": MAX_DEGREE, "y": 1}), 1)])
-    assert x.coeff_of({"x": MAX_DEGREE + 1}) == 0
+    assert x.terms.get({"x": MAX_DEGREE + 1}, 0) == 0
 
 
 def test_field_positions_ignore_unrelated_names():

@@ -3,7 +3,7 @@ import pytest
 from flagsplit.charts import Chart, levi_center_chart
 from flagsplit.matrix import PolyMatrix
 from flagsplit.rootdata import build_group_datum
-from flagsplit.sections import build_sigma_pair
+from flagsplit.sections import GroupSections, build_sigma_pair
 from flagsplit.vanishing import (
     max_multiplicity_verdict,
     order_at_center,
@@ -19,11 +19,14 @@ def test_four_case_formula_values():
 
 
 def test_sl_order_table_examples():
-    res = sl_order_table_check(5, 2)
+    def check(n, r):
+        return sl_order_table_check(GroupSections(build_group_datum("A", n), r))
+
+    res = check(5, 2)
     assert res["ok"] and res["intrinsic"] == [1, 2, 2, 1] and res["total"] == 6
-    res = sl_order_table_check(4, 2)
+    res = check(4, 2)
     assert res["ok"] and res["intrinsic"] == [1, 2, 1] and res["total"] == 4
-    res = sl_order_table_check(2, 1)
+    res = check(2, 1)
     assert res["ok"] and res["intrinsic"] == [1] and res["total"] == 1
 
 
@@ -39,7 +42,7 @@ def test_sl_order_table_examples():
 )
 def test_cd_maximal_multiplicity(family, n, expected_orders):
     g = build_group_datum(family, n)
-    report = max_multiplicity_verdict(g, primes=[3])
+    report = max_multiplicity_verdict(GroupSections(g), primes=[3])
     assert report.factor_orders == expected_orders
     assert report.total == report.expected_codim == sum(expected_orders)
     assert report.lower_bounds == expected_orders
@@ -50,7 +53,7 @@ def test_cd_maximal_multiplicity(family, n, expected_orders):
 
 def test_a_maximal_multiplicity():
     g = build_group_datum("A", 5)
-    report = max_multiplicity_verdict(g, r=2, primes=[3])
+    report = max_multiplicity_verdict(GroupSections(g, 2), primes=[3])
     assert report.factor_orders == [1, 2, 2, 1]
     assert report.total == report.expected_codim == 6
     assert report.sigma_plus_unit in (1, -1)
