@@ -52,12 +52,12 @@ def _chart_variable_names(count):
     return [f"t{str(i).zfill(width)}" for i in range(1, count + 1)]
 
 
-def unipotent_factor(group, generator_order=None, names=None):
+def unipotent_factor(group, generator_order=None):
     """u(t) = ordered product of exp(t_b X_b) over negative-root generators."""
     gens = group.negative_root_generators()
     if generator_order is not None:
         gens = [gens[i] for i in generator_order]
-    names = names or _chart_variable_names(len(gens))
+    names = _chart_variable_names(len(gens))
     u = PolyMatrix.identity(group.size)
     roots = []
     for (root, X), name in zip(gens, names):
@@ -80,11 +80,13 @@ def big_cell_chart(group, generator_order=None):
     return chart
 
 
-def levi_center_chart(group, r=None, generator_order=None):
-    """Chart around w_0^P B, with the same free root coordinates."""
-    u, names, roots = unipotent_factor(group, generator_order)
+def levi_center_chart(big_cell, r=None):
+    """Chart around w_0^P B: the representative times the big cell's matrix,
+    over the big cell's free root coordinates."""
+    group = big_cell.group
     rep = group.levi_longest_representative(r)
-    chart = Chart(group, group.levi_longest_word(r), names, rep * u, roots)
+    chart = Chart(group, group.levi_longest_word(r), big_cell.variables,
+                  rep * big_cell.matrix, big_cell.roots)
     chart.verify_membership()
     if chart.center_matrix() != rep:
         raise ConventionError("chart center does not match the representative")
@@ -209,8 +211,9 @@ def expected_parameter_count(kind, n):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def specialization_family(group):
-    """Build the group's bottom-left-corner family, resolving signs by search.
+def specialization_family(levi_chart):
+    """Build the bottom-left-corner family of the Levi-center chart's group,
+    resolving signs by search; the chart's center is the representative.
 
     The kind follows from the group: sp_antidiag for C, so_even_paired for D
     with even n, so_odd_skew for D with odd n; family A has none.  The
@@ -219,6 +222,7 @@ def specialization_family(group):
     until membership holds with the expected parameter count.  The resolved
     assignment (and whether the literal reading survived) is recorded.
     """
+    group = levi_chart.group
     n = group.n
     if group.family == FAMILY_C:
         kind, candidates = SP_ANTIDIAG, _sp_antidiag_candidates
@@ -229,7 +233,7 @@ def specialization_family(group):
     else:
         raise ValueError(f"family {group.family} has no specialization family")
 
-    rep = group.levi_longest_representative()
+    rep = levi_chart.center_matrix()
     literal_failure = None
     for label, variables, placements in candidates(group, rep):
         matrix, ok = _try_placement(group, rep, placements)

@@ -241,14 +241,30 @@ def emit_report(report, fmt="json", out=None, timings=False):
         lines.append(f"exit code: {report.exit_code}")
         text = "\n".join(lines) + "\n"
     if out:
-        out_dir = os.environ.get(OUTPUT_DIR_ENV)
-        if out_dir and not os.path.isabs(out):
-            out = os.path.join(out_dir, out)
-        with open(out, "w") as fh:
+        with open(_output_path(out), "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return text
+
+
+def _output_path(out):
+    """A relative `--out` of verify is taken inside FLAGSPLIT_OUTPUT_DIR."""
+    out_dir = os.environ.get(OUTPUT_DIR_ENV)
+    if out_dir and not os.path.isabs(out):
+        return os.path.join(out_dir, out)
+    return out
+
+
+def _cannot_write(path, what):
+    """True, after one line on stderr, when `path` cannot be opened for
+    writing; a missing file is created empty."""
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        print(f"cannot write {what}: {exc}", file=sys.stderr)
+        return True
+    return False
 
 
 def load_golden_chain():
@@ -310,6 +326,8 @@ def main(argv=None):
         if args.n < 2:
             print("n must be at least 2", file=sys.stderr)
             return 2
+        if args.out and _cannot_write(args.out, "certificate"):
+            return 2
         outcome = rnc_search(GroupSections(build_group_datum(FAMILY_A, args.n)).f_entry)
         if not isinstance(outcome, RncCertificate):
             print(json.dumps(outcome, indent=2))
@@ -345,6 +363,8 @@ def main(argv=None):
         )
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    if args.out and _cannot_write(_output_path(args.out), "report"):
         return 2
     report = run_suite(config)
     try:

@@ -198,36 +198,26 @@ def determinant(matrix):
     return column_minor(matrix, MinorSpec(range(1, matrix.nrows + 1)), memo)
 
 
-def is_nilpotent(matrix, max_power=None):
-    """Verify X^m = 0 for some m <= nrows by repeated multiplication."""
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("non-square")
-    limit = max_power or matrix.nrows
-    power = matrix
-    for _ in range(limit):
-        if power.is_zero():
-            return True
-        power = power * matrix
-    return power.is_zero()
-
-
 def exp_nilpotent(matrix, t):
     """I + tX + t^2 X^2/2! + ... for nilpotent X; division must be exact.
 
-    `t` is a variable id.  Raises if X is not nilpotent or some factorial
-    fails to divide an entry of X^m exactly.
+    `t` is a variable id.  Raises ValueError if X^N != 0 for N = nrows, and
+    ArithmeticError if some factorial fails to divide an entry of X^m exactly.
     """
-    if not is_nilpotent(matrix):
-        raise ValueError("matrix is not nilpotent")
-    tvar = Polynomial.variable(t)
-    result = PolyMatrix.identity(matrix.nrows)
+    powers = []
     power = PolyMatrix.identity(matrix.nrows)
-    tpow = Polynomial.one()
-    factorial = 1
-    for m in range(1, matrix.nrows + 1):
+    for _ in range(matrix.nrows):
         power = power * matrix
         if power.is_zero():
             break
+        powers.append(power)
+    else:
+        raise ValueError("matrix is not nilpotent")
+    tvar = Polynomial.variable(t)
+    result = PolyMatrix.identity(matrix.nrows)
+    tpow = Polynomial.one()
+    factorial = 1
+    for m, power in enumerate(powers, start=1):
         factorial *= m
         tpow = tpow * tvar
         scaled = PolyMatrix(
@@ -247,36 +237,26 @@ def _exact_divide(poly, divisor):
     return Polynomial(out)
 
 
-def rational_matrix_rank(rows):
-    """Rank of a numeric matrix (lists of ints/Fractions), exact elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+def row_reduce(rows, ncols):
+    """Exact Gauss-Jordan elimination over Q on the first `ncols` columns.
 
-
-def rational_nullspace(rows, ncols):
-    """Nullspace basis of a numeric constraint matrix, exact over Q."""
+    Entries are ints or Fractions; columns past `ncols` (an augmented
+    right-hand side) are carried along but never pivoted on.  Returns the
+    reduced row echelon form, its pivot columns, and the determinant, which
+    is 0 unless the matrix is square and of full rank.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
     pivots = []
-    rank = 0
+    det = Fraction(1)
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        det *= m[rank][col]
         inv = 1 / m[rank][col]
         m[rank] = [x * inv for x in m[rank]]
         for r in range(len(m)):
@@ -284,7 +264,19 @@ def rational_nullspace(rows, ncols):
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
         pivots.append(col)
-        rank += 1
+    if not len(pivots) == len(m) == ncols:
+        det = Fraction(0)
+    return m, pivots, det
+
+
+def rational_matrix_rank(rows):
+    """Rank of a numeric matrix (lists of ints/Fractions), exact elimination."""
+    return len(row_reduce(rows, len(rows[0]) if rows else 0)[1])
+
+
+def rational_nullspace(rows, ncols):
+    """Nullspace basis of a numeric constraint matrix, exact over Q."""
+    m, pivots, _ = row_reduce(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

@@ -15,7 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .matrix import PolyMatrix, determinant, exp_nilpotent, rational_nullspace
+from .matrix import (
+    PolyMatrix,
+    determinant,
+    exp_nilpotent,
+    rational_nullspace,
+    row_reduce,
+)
 from .poly import Polynomial
 
 FAMILY_A = "A"
@@ -140,10 +146,6 @@ class GroupDatum:
     def chi(self, a):
         """chi_a folded into rank-length doubled coordinates."""
         n = self.n
-        if self.family == FAMILY_A:
-            coords = [0] * n
-            coords[a - 1] = 2
-            return Weight(FAMILY_A, coords)
         coords = [0] * n
         if a <= n:
             coords[a - 1] = 2
@@ -153,7 +155,7 @@ class GroupDatum:
 
     def fold_sum(self, signed_indices):
         """Weight of a formal sum of +-chi_a terms given as (sign, a) pairs."""
-        total = Weight.zero(self.family, self.n if self.family != FAMILY_A else self.n)
+        total = Weight.zero(self.family, self.n)
         for sign, a in signed_indices:
             term = self.chi(a)
             total = total + (term if sign > 0 else -term)
@@ -280,34 +282,19 @@ class GroupDatum:
         return roots
 
     def _fundamental_weights(self):
+        """chi_1+...+chi_k for k up to n-1 (A), n (C) or n-2 (D); then, for
+        D, the two spin weights."""
         n = self.n
-        if self.family == FAMILY_A:
-            out = []
-            for k in range(1, n):
-                w = Weight.zero(FAMILY_A, n)
-                for i in range(1, k + 1):
-                    w = w + self.chi(i)
-                out.append(w)
-            return out
-        if self.family == FAMILY_C:
-            out = []
-            for k in range(1, n + 1):
-                w = Weight.zero(FAMILY_C, n)
-                for i in range(1, k + 1):
-                    w = w + self.chi(i)
-                out.append(w)
-            return out
+        count = {FAMILY_A: n - 1, FAMILY_C: n, FAMILY_D: n - 2}[self.family]
         out = []
-        for k in range(1, n - 1):
-            w = Weight.zero(FAMILY_D, n)
-            for i in range(1, k + 1):
-                w = w + self.chi(i)
+        w = Weight.zero(self.family, n)
+        for k in range(1, count + 1):
+            w = w + self.chi(k)
             out.append(w)
-        # spin weights: (chi_1+...+chi_{n-1} -+ chi_n)/2, doubled stays integral
-        minus = [1] * (n - 1) + [-1]
-        plus = [1] * n
-        out.append(Weight(FAMILY_D, minus))
-        out.append(Weight(FAMILY_D, plus))
+        if self.family == FAMILY_D:
+            # (chi_1+...+chi_{n-1} -+ chi_n)/2, doubled stays integral
+            out.append(Weight(FAMILY_D, [1] * (n - 1) + [-1]))
+            out.append(Weight(FAMILY_D, [1] * n))
         return out
 
     # -- invariant checks --------------------------------------------------
@@ -355,16 +342,15 @@ class GroupDatum:
             # weights are classes mod the all-ones vector; give the solver
             # that direction as an extra free generator
             generators = generators + [[2] * self.n]
-        target = list(root.doubled)
         ngen = len(generators)
-        aug = [
-            [Fraction(generators[i][j]) for i in range(ngen)]
-            for j in range(len(target))
-        ]
-        rhs = [Fraction(t) for t in target]
-        coeffs = _solve_exact(aug, rhs)
-        if coeffs is None:
+        # one row per coordinate: generator columns, then the root
+        aug = [[g[j] for g in generators] + [t] for j, t in enumerate(root.doubled)]
+        rref, pivots, _ = row_reduce(aug, ngen)
+        if any(row[-1] for row in rref[len(pivots):]):
             raise ConventionError(f"{root} is not in the root lattice span")
+        coeffs = [Fraction(0)] * ngen
+        for row, col in zip(rref, pivots):
+            coeffs[col] = row[-1]
         coeffs = coeffs[: len(self.simple_roots)]
         out = []
         for c in coeffs:
@@ -485,35 +471,6 @@ def _primitive_scale(vec):
                 scale = -scale
             break
     return scale
-
-
-def _solve_exact(columns, rhs):
-    """Solve columns * c = rhs exactly; columns given row-major (len(rhs) rows)."""
-    nrows = len(columns)
-    ncols = len(columns[0]) if nrows else 0
-    aug = [list(columns[i]) + [rhs[i]] for i in range(nrows)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for rr in range(nrows):
-            if rr != rank and aug[rr][col]:
-                f = aug[rr][col]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nrows):
-        if aug[r][-1]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][-1]
-    return sol
 
 
 def _numeric_exp_triple(X, Y):

@@ -107,11 +107,11 @@ class GroupSections:
 
     @cached_property
     def levi_chart(self):
-        return levi_center_chart(self.group, self.r)
+        return levi_center_chart(self.big_cell, self.r)
 
     @cached_property
     def specialization(self):
-        return specialization_family(self.group)
+        return specialization_family(self.levi_chart)
 
     @cached_property
     def f_big(self):

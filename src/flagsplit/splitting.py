@@ -18,6 +18,7 @@ from .matrix import (
     column_minor,
     rational_matrix_rank,
     rational_nullspace,
+    row_reduce,
 )
 from .poly import (
     DegreeOverflowError,
@@ -219,19 +220,10 @@ def rnc_search(f0, variable_order_universe=None):
     universe = variable_order_universe or sorted(f0.variables())
     dead = set()
 
-    invalid = object()  # step not allowed from this predecessor; not set-dead
-
-    def state_step(state, v):
-        try:
-            quotient = zero_out_and_divide(state, (), v)
-        except NotDivisibleError:
-            return invalid
-        return quotient.substitute({v: 0})
-
-    def dfs(state, chosen, order):
+    def dfs(state, chosen, order, chain):
         if len(order) == len(universe):
             if state.is_constant():
-                return list(order), state.constant_value()
+                return order, chain, state.constant_value()
             return None
         for v in universe:
             if v in chosen:
@@ -239,39 +231,35 @@ def rnc_search(f0, variable_order_universe=None):
             key = frozenset(chosen | {v})
             if key in dead:
                 continue
-            nxt = state_step(state, v)
-            if nxt is invalid:
+            try:
+                # state is f_i at t_1..t_i = 0, so this is f_{i+1}
+                quotient = zero_out_and_divide(state, (), v)
+            except NotDivisibleError:
                 # divisibility depends on the predecessor set, so the
                 # target set may still be reachable another way
                 continue
+            nxt = quotient.substitute({v: 0})
             if nxt.is_zero():
                 dead.add(key)  # the set-state itself vanished
                 continue
-            found = dfs(nxt, chosen | {v}, order + [v])
+            found = dfs(nxt, chosen | {v}, order + [v], chain + [quotient])
             if found:
                 return found
             dead.add(key)
         return None
 
-    found = dfs(f0, frozenset(), [])
+    found = dfs(f0, frozenset(), [], [f0])
     if not found:
         return {
             "status": "exhausted",
             "detail": "no certificate with canonical quotient lifts",
         }
-    order, unit = found
+    order, chain, unit = found
     if unit not in (1, -1):
         return {
             "status": "exhausted",
             "detail": f"canonical chain ends at non-unit constant {unit}",
         }
-    chain = [f0]
-    current = f0
-    for i, t in enumerate(order):
-        zeros = {v: 0 for v in order[:i]}
-        lhs = current.substitute(zeros) if zeros else current
-        current = zero_out_and_divide(lhs, (), t)
-        chain.append(current)
     cert = RncCertificate(order, chain, unit)
     rnc_verify(f0, cert)
     return cert
@@ -388,27 +376,6 @@ class SkewClaimResult:
         }
 
 
-def _fraction_determinant(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
-
-
 def generic_skew_matrix(n, prefix="b"):
     entries = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     for i in range(2, n + 1):
@@ -481,7 +448,7 @@ def skew_minor_claim(n, k, seed=11):
     if len(w_prime) != k:
         raise AssertionError("failed to extend W_perp to the full space")
     gram = [[pair(u, w) for w in W] for u in w_prime]
-    det = _fraction_determinant(gram)
+    det = row_reduce(gram, k)[2]
     if det == 0:
         raise AssertionError("witness pairing matrix is singular")
     overlap = (

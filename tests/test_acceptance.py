@@ -11,10 +11,10 @@ from flagsplit.charts import (
     SO_EVEN_PAIRED,
     SO_ODD_SKEW,
     SP_ANTIDIAG,
+    big_cell_chart,
     expected_parameter_count,
     levi_center_chart,
     sl_entry_big_cell,
-    specialization_family,
 )
 from flagsplit.cli import SuiteConfig, appendix_check, emit_report, run_suite
 from flagsplit.matrix import PolyMatrix, determinant
@@ -51,11 +51,12 @@ def test_criterion_2_sp_maximal_multiplicity():
     ok = True
     for n in (2, 3):
         g = build_group_datum("C", n)
-        rep = max_multiplicity_verdict(GroupSections(g), primes=[3])
+        sections = GroupSections(g)
+        rep = max_multiplicity_verdict(sections, primes=[3])
         ok = ok and rep.factor_orders == list(range(1, n + 1))
         ok = ok and rep.total == n * (n + 1) // 2
         ok = ok and rep.lower_bounds == rep.factor_orders == rep.upper_bounds
-        fam = specialization_family(g)
+        fam = sections.specialization
         ok = ok and fam.kind == SP_ANTIDIAG
         ok = ok and fam.parameter_count() == n == expected_parameter_count(SP_ANTIDIAG, n)
         ok = ok and fam.sample_membership(trials=5, seed=1)
@@ -69,12 +70,13 @@ def test_criterion_3_so_maximal_multiplicity():
     ok = True
     for n in (2, 3, 4):
         g = build_group_datum("D", n)
-        rep = max_multiplicity_verdict(GroupSections(g), primes=[3])
+        sections = GroupSections(g)
+        rep = max_multiplicity_verdict(sections, primes=[3])
         ok = ok and rep.factor_orders == list(range(1, n))
         ok = ok and rep.total == n * (n - 1) // 2
         ok = ok and rep.lower_bounds == rep.factor_orders == rep.upper_bounds
         kind = SO_EVEN_PAIRED if n % 2 == 0 else SO_ODD_SKEW
-        fam = specialization_family(g)
+        fam = sections.specialization
         ok = ok and fam.kind == kind
         ok = ok and fam.parameter_count() == expected_parameter_count(kind, n)
         ok = ok and fam.sample_membership(trials=5, seed=1)
@@ -155,19 +157,19 @@ def test_criterion_8_property_suites():
     # valuation additivity on a chart pullback
     g = build_group_datum("A", 4)
     _, minus = build_sigma_pair(g)
-    chart = levi_center_chart(g, 2)
+    chart = levi_center_chart(big_cell_chart(g), 2)
     orders, total = order_at_center(minus, chart)
     ok = ok and order_at_origin(minus.evaluate(chart.matrix)) == total
     # order invariance under generator reordering, 3 seeded orders per group
     for family, n, r in (("A", 4, 2), ("C", 2, None), ("D", 3, None)):
         grp = build_group_datum(family, n)
         _, sm = build_sigma_pair(grp)
-        base, _ = order_at_center(sm, levi_center_chart(grp, r))
+        base, _ = order_at_center(sm, levi_center_chart(big_cell_chart(grp), r))
         count = len(grp.negative_root_generators())
         for seed in (11, 12, 13):
             perm = list(range(count))
             random.Random(seed).shuffle(perm)
-            shuffled = levi_center_chart(grp, r, generator_order=perm)
+            shuffled = levi_center_chart(big_cell_chart(grp, generator_order=perm), r)
             got, _ = order_at_center(sm, shuffled)
             ok = ok and got == base
     # Frobenius in characteristic 3: 3 divides every coefficient of

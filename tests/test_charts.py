@@ -42,7 +42,7 @@ def test_levi_center_membership(groups):
     for (family, n), g in groups.items():
         rs = range(1, n) if family == "A" else [None]
         for r in rs:
-            chart = levi_center_chart(g, r)
+            chart = levi_center_chart(big_cell_chart(g), r)
             assert chart.center_matrix() == g.levi_longest_representative(r)
 
 
@@ -51,12 +51,12 @@ def test_orders_invariant_under_generator_reordering(groups):
         g = groups[key]
         _, minus = build_sigma_pair(g)
         r = 2 if key[0] == "A" else None
-        baseline, _ = order_at_center(minus, levi_center_chart(g, r))
+        baseline, _ = order_at_center(minus, levi_center_chart(big_cell_chart(g), r))
         count = len(g.negative_root_generators())
         for seed in (1, 2, 3):
             order = list(range(count))
             random.Random(seed).shuffle(order)
-            chart = levi_center_chart(g, r, generator_order=order)
+            chart = levi_center_chart(big_cell_chart(g, generator_order=order), r)
             orders, _ = order_at_center(minus, chart)
             assert orders == baseline, f"{key} seed {seed}"
 
@@ -65,8 +65,9 @@ def test_sl_intrinsic_vs_explicit_chart_orders(groups):
     for n in range(2, 6):
         g = groups[("A", n)]
         _, minus = build_sigma_pair(g)
+        big = big_cell_chart(g)
         for r in range(1, n):
-            intrinsic, _ = order_at_center(minus, levi_center_chart(g, r))
+            intrinsic, _ = order_at_center(minus, levi_center_chart(big, r))
             explicit, _ = order_at_center(minus, sl_explicit_chart(n, r))
             assert intrinsic == explicit
 
@@ -92,7 +93,7 @@ def test_sl_entry_big_cell_names():
 )
 def test_specialization_families(groups, family, n, kind):
     g = groups[(family, n)]
-    fam = specialization_family(g)
+    fam = specialization_family(levi_center_chart(big_cell_chart(g)))
     assert fam.kind == kind
     assert fam.parameter_count() == expected_parameter_count(kind, n)
     assert fam.sample_membership(trials=5, seed=3)
@@ -107,4 +108,4 @@ def test_specialization_families(groups, family, n, kind):
 
 def test_specialization_family_rejects_sl(groups):
     with pytest.raises(ValueError):
-        specialization_family(groups[("A", 3)])
+        specialization_family(levi_center_chart(big_cell_chart(groups[("A", 3)]), 1))

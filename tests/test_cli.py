@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from flagsplit import charts, rootdata, sections
+from flagsplit import charts, cli, rootdata, sections
 from flagsplit.cli import (
     ConfigError,
     SuiteConfig,
@@ -130,20 +130,42 @@ def test_main_rnc_emits_certificate(capsys, tmp_path):
     capsys.readouterr()
 
 
+def _count_calls(monkeypatch, name):
+    """Count calls of cli.<name> while still running it."""
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def _one_line_error(capsys, message):
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
 def test_unwritable_report_path_exits_2(capsys, tmp_path, monkeypatch):
+    checks = _count_calls(monkeypatch, "_run_check")
     args = ["verify", "--family", "sp", "--n", "2", "--checks", "weights"]
     missing = tmp_path / "missing"
     assert main(args + ["--out", str(missing / "report.json")]) == 2
-    assert "cannot write report" in capsys.readouterr().err
+    _one_line_error(capsys, "cannot write report")
     monkeypatch.setenv("FLAGSPLIT_OUTPUT_DIR", str(missing))
     assert main(args + ["--out", "report.json"]) == 2
-    assert "cannot write report" in capsys.readouterr().err
+    _one_line_error(capsys, "cannot write report")
+    assert checks == []
 
 
-def test_unwritable_certificate_path_exits_2(capsys, tmp_path):
+def test_unwritable_certificate_path_exits_2(capsys, tmp_path, monkeypatch):
+    searches = _count_calls(monkeypatch, "rnc_search")
     out = tmp_path / "missing" / "cert.json"
     assert main(["rnc", "--family", "sl", "--n", "3", "--out", str(out)]) == 2
-    assert "cannot write certificate" in capsys.readouterr().err
+    _one_line_error(capsys, "cannot write certificate")
+    assert searches == []
 
 
 def test_main_appendix_check(capsys):
@@ -176,6 +198,7 @@ def _rebind(monkeypatch, owner, name, replacement):
 BUILDERS = [
     (rootdata, "build_group_datum"),
     (sections, "build_sigma_pair"),
+    (charts, "unipotent_factor"),
     (charts, "big_cell_chart"),
     (charts, "levi_center_chart"),
     (charts, "sl_entry_big_cell"),
@@ -183,14 +206,21 @@ BUILDERS = [
 ]
 
 
-@pytest.mark.parametrize("family,n,r", [("A", 4, 2), ("D", 3, None)])
+@pytest.mark.parametrize("family,n,r", [("A", 4, 2), ("C", 2, None), ("D", 3, None)])
 def test_run_suite_builds_each_section_once(monkeypatch, family, n, r):
     calls = Counter()
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
     for owner, name in BUILDERS:
-        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        _rebind(monkeypatch, owner, name, counted)
+        _rebind(monkeypatch, owner, name, count(name, getattr(owner, name)))
+    name = "levi_longest_representative"
+    monkeypatch.setattr(rootdata.GroupDatum, name,
+                        count(name, getattr(rootdata.GroupDatum, name)))
     evaluated = Counter()
     evaluate = SectionProduct.evaluate
 
@@ -202,8 +232,9 @@ def test_run_suite_builds_each_section_once(monkeypatch, family, n, r):
     monkeypatch.setattr(SectionProduct, "evaluate", counted_evaluate)
     report = run_suite(SuiteConfig(family, n, r=r, primes=[3, 5]))
     assert report.exit_code == 0
-    for name in ("build_group_datum", "build_sigma_pair", "big_cell_chart",
-                 "levi_center_chart"):
+    for name in ("build_group_datum", "build_sigma_pair", "unipotent_factor",
+                 "big_cell_chart", "levi_center_chart",
+                 "levi_longest_representative"):
         assert calls[name] == 1, name
     assert calls["sl_entry_big_cell"] <= 1
     assert calls["specialization_family"] <= 1
@@ -212,7 +243,7 @@ def test_run_suite_builds_each_section_once(monkeypatch, family, n, r):
 
 @pytest.mark.parametrize("family,n,r,failing", [
     ("A", 4, 2, ["orders", "splitcoeff"]),
-    ("D", 3, None, ["orders", "squarefree", "splitcoeff"]),
+    ("D", 3, None, ["specializations", "orders", "squarefree", "splitcoeff"]),
 ])
 def test_failing_big_cell_fails_each_check_that_needs_it(
         monkeypatch, family, n, r, failing):

@@ -1,13 +1,17 @@
 """The benchmark's tracer (flagbench/spans.py) rebinds flagsplit functions
-by name and counts terms with len(p.terms).  These tests read spans.py
-without changing it and check that both still hold, so that moving
-Polynomial internals cannot silently break `flagbench/run.py --trace 1`."""
+by name, counts terms with len(p.terms) and puts the arguments of chart
+builders into a set.  These tests read spans.py without changing it and
+check that all three still hold, so that moving Polynomial or chart
+internals cannot silently break `flagbench/run.py --trace 1`."""
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
-import flagsplit.cli  # noqa: F401  (imports every layer the tracer wraps)
+import pytest
+
+from flagsplit.cli import SuiteConfig, run_suite  # imports every traced layer
 from flagsplit.poly import Polynomial, poly_from_string
 
 SPANS = Path(__file__).resolve().parents[1] / "flagbench" / "spans.py"
@@ -59,3 +63,39 @@ def test_tracer_counts_term_pairs_and_restores_bindings():
     table = spans.self_times(tracer.names, tracer.name_id, tracer.start,
                              tracer.end, tracer.parent)
     assert table["poly.mul"][0] == 2
+
+
+def _bindings(spans):
+    """Every object a tracer install may rebind: each target as its owner
+    holds it, and every flagsplit module attribute."""
+    held = {}
+    for layer, path, _ in spans.TARGETS:
+        owner = importlib.import_module(f"flagsplit.{layer}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        held[(layer, path)] = owner.__dict__[attr]
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "flagsplit":
+            for attr, value in vars(module).items():
+                held[(key, attr)] = value
+    return held
+
+
+@pytest.mark.parametrize("family,n,r", [("A", 4, 2), ("D", 3, None)])
+def test_traced_run_suite_counts_chart_builds_and_restores_bindings(family, n, r):
+    # levi_center_chart and specialization_family take a Chart, which the
+    # chart key hashes by identity; a Chart.__eq__ would make it unhashable
+    spans = load_spans()
+    before = _bindings(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = run_suite(SuiteConfig(family, n, r=r, primes=[3]))
+    finally:
+        tracer.uninstall()
+    assert report.exit_code == 0
+    after = _bindings(spans)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    assert spans.layer_metrics(tracer)["charts.builds"][0] == 4

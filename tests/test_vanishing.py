@@ -1,6 +1,6 @@
 import pytest
 
-from flagsplit.charts import Chart, levi_center_chart
+from flagsplit.charts import Chart, big_cell_chart, levi_center_chart
 from flagsplit.matrix import PolyMatrix
 from flagsplit.rootdata import build_group_datum
 from flagsplit.sections import GroupSections, build_sigma_pair
@@ -82,7 +82,7 @@ def _sign_diagonal(group, signs):
 def test_order_invariant_under_torus_twisted_representative(family, n, r, signs):
     g = build_group_datum(family, n)
     _, minus = build_sigma_pair(g)
-    chart = levi_center_chart(g, r)
+    chart = levi_center_chart(big_cell_chart(g), r)
     baseline, _ = order_at_center(minus, chart)
     d = _sign_diagonal(g, signs)
     twisted = Chart(g, chart.center_word, chart.variables, d * chart.matrix)
@@ -93,7 +93,7 @@ def test_order_invariant_under_torus_twisted_representative(family, n, r, signs)
 def test_valuation_additivity_on_chart():
     g = build_group_datum("A", 4)
     _, minus = build_sigma_pair(g)
-    chart = levi_center_chart(g, 2)
+    chart = levi_center_chart(big_cell_chart(g), 2)
     orders, total = order_at_center(minus, chart)
     from flagsplit.poly import order_at_origin
 
