@@ -10,8 +10,6 @@ subfamilies with exact group membership as the ground truth.
 from __future__ import annotations
 
 import itertools
-import random
-from fractions import Fraction
 
 from .matrix import PolyMatrix, exp_nilpotent
 from .poly import Polynomial
@@ -170,27 +168,6 @@ class SpecializationFamily:
 
     def parameter_count(self):
         return len(self.variables)
-
-    def sample_membership(self, trials=5, seed=7):
-        """Numeric membership at random rational parameter points."""
-        rng = random.Random(seed)
-        form = [
-            [e.constant_value() for e in row] for row in self.group.form.entries
-        ]
-        for _ in range(trials):
-            point = {
-                v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                for v in self.variables
-            }
-            m = self.matrix.evaluate(point)
-            size = self.group.size
-            for i in range(size):
-                for j in range(size):
-                    acc = sum(m[k][i] * form[k][l] * m[l][j]
-                              for k in range(size) for l in range(size))
-                    if acc != form[i][j]:
-                        return False
-        return True
 
     def serialize(self):
         return {

@@ -71,11 +71,6 @@ class PolyMatrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, nrows, ncols=None):
-        ncols = ncols or nrows
-        return cls([[0] * ncols for _ in range(nrows)])
-
     def __getitem__(self, ij):
         i, j = ij  # 1-based
         return self.entries[i - 1][j - 1]
@@ -128,10 +123,6 @@ class PolyMatrix:
         return PolyMatrix(
             [[e.substitute(assignment) for e in row] for row in self.entries]
         )
-
-    def evaluate(self, point):
-        """Numeric matrix (list of lists of numbers) at a point."""
-        return [[e.evaluate(point) for e in row] for row in self.entries]
 
     def to_strings(self):
         return [[str(e) for e in row] for row in self.entries]
@@ -228,13 +219,14 @@ def exp_nilpotent(matrix, t):
 
 
 def _exact_divide(poly, divisor):
-    out = []
-    for mono, c in poly.terms.items():
+    # an exact quotient of a nonzero int is nonzero: keys and layout stay
+    out = {}
+    for k, c in poly.packed.items():
         q, r = divmod(c, divisor)
         if r:
             raise ArithmeticError(f"{c} not exactly divisible by {divisor}")
-        out.append((mono, q))
-    return Polynomial(out)
+        out[k] = q
+    return Polynomial._raw(poly.layout, out)
 
 
 def row_reduce(rows, ncols):

@@ -471,6 +471,8 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other.denominator != 1:
+                return False
             other = Polynomial.constant(other)
         return (
             isinstance(other, Polynomial)
@@ -482,32 +484,41 @@ class Polynomial:
         return hash((self.layout.names, frozenset(self.packed.items())))
 
     def substitute(self, assignment):
-        """Substitute polynomials (or integers) for variables."""
-        out = Polynomial.zero()
-        for m, c in self.terms.items():
-            term = Polynomial._raw(EMPTY_LAYOUT, {0: c})
-            for v, e in m.exps:
-                if v in assignment:
-                    rep = assignment[v]
-                    if not isinstance(rep, Polynomial):
-                        rep = Polynomial.constant(rep)
-                    term = term * rep**e
+        """Substitute polynomials (or integers) for variables.
+
+        Terms divisible by a variable sent to zero are dropped; the rest are
+        grouped by the exponents of the substituted variables.  A group's
+        remaining keys are distinct, so it is one polynomial, multiplied once
+        by its powers of the values; each power is computed once.
+        """
+        layout = self.layout
+        subs = []  # (shift, value) of each variable sent to a nonzero value
+        zero_mask = 0
+        for v, s in layout.fields:
+            if v in assignment:
+                rep = self._wrap(assignment[v])
+                if rep.packed:
+                    subs.append((s, rep))
                 else:
-                    term = term * Polynomial._raw(
-                        layout_of((v,)), {(e << FIELD_BITS) | e: 1}
-                    )
+                    zero_mask |= _FIELD << s
+        keep = ~(zero_mask | sum(_FIELD << s for s, _ in subs))
+        top = layout.degree_shift
+        groups = {}
+        for k, c in self.packed.items():
+            if not k & zero_mask:
+                exps = tuple((k >> s) & _FIELD for s, _ in subs)
+                groups.setdefault(exps, {})[(k & keep) - (sum(exps) << top)] = c
+        powers = {}
+        out = Polynomial.zero()
+        for exps, group in groups.items():
+            term = Polynomial._trimmed(layout, group)
+            for i, e in enumerate(exps):
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = subs[i][1] ** e
+                    term = term * powers[i, e]
             out = out + term
         return out
-
-    def evaluate(self, point):
-        """Evaluate at a point given as a dict variable -> number."""
-        total = 0
-        for m, c in self.terms.items():
-            val = c
-            for v, e in m.exps:
-                val = val * point[v] ** e
-            total = total + val
-        return total
 
     def __repr__(self):
         return f"Polynomial({poly_to_string(self)!r})"
@@ -581,24 +592,6 @@ def zero_out_and_divide(a, zeroed, divisor):
     if not out:
         return None
     return Polynomial._trimmed(layout, out)
-
-
-def line_restrict(a, direction, line_variable="s"):
-    """Restrict along the line variable_i -> direction_i * s.
-
-    `direction` maps every variable of interest to an integer.  The
-    result is univariate in `line_variable`.
-    """
-    by_degree = {}
-    for m, c in a.terms.items():
-        val = c
-        for v, e in m.exps:
-            val = val * direction[v] ** e
-        d = m.degree()
-        by_degree[d] = by_degree.get(d, 0) + val
-    return Polynomial(
-        [(Monomial({line_variable: d}), c) for d, c in by_degree.items()]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,6 @@ class Weight:
         self.family = family
         self.doubled = doubled
 
-    @property
-    def rank(self):
-        return len(self.doubled)
-
     def __add__(self, other):
         if self.family != other.family:
             raise ValueError("family mismatch")

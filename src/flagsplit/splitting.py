@@ -316,6 +316,8 @@ def squarefree_probe(f, trials=20, seed=0):
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     variables = sorted(f.variables())
     passes = 0

@@ -8,7 +8,6 @@ from flagsplit.poly import (
     Monomial,
     NotDivisibleError,
     Polynomial,
-    line_restrict,
     order_at_origin,
     poly_from_string,
     poly_to_string,
@@ -95,8 +94,13 @@ def test_substitute_and_evaluate():
     f = poly_from_string("x^2*y - 2*y")
     g = f.substitute({"x": poly_from_string("y + 1")})
     assert g == poly_from_string("y^3 + 2*y^2 - y")
-    assert f.evaluate({"x": 3, "y": 2}) == 14
-    assert f.evaluate({"x": Fraction(1, 2), "y": 4}) == Fraction(-7)
+    assert f.substitute({"x": 3, "y": 2}) == 14
+    assert f.substitute({"x": 3, "y": 2, "unused": 5}) == 14
+    assert f.substitute({"x": 0}) == poly_from_string("-2*y")
+    assert f.substitute({"y": Polynomial.zero()}) == 0
+    assert f.substitute({"unused": 0}) == f
+    with pytest.raises(ValueError):
+        f.substitute({"x": Fraction(1, 2)})
 
 
 def test_order_at_origin_examples():
@@ -118,8 +122,12 @@ def test_zero_out_and_divide():
 
 def test_line_restrict():
     f = poly_from_string("x*y + z")
-    g = line_restrict(f, {"x": 2, "y": 3, "z": 5})
+    s = Polynomial.variable("s")
+    g = f.substitute({"x": 2 * s, "y": 3 * s, "z": 5 * s})
     assert g == poly_from_string("6*s^2 + 5*s")
+    # an affine line through (1, 0, 4)
+    g = f.substitute({"x": 2 * s + 1, "y": 3 * s, "z": 5 * s + 4})
+    assert g == poly_from_string("6*s^2 + 8*s + 4")
 
 
 def test_homogeneous_part():
@@ -138,3 +146,5 @@ def test_coefficients_must_be_integral():
         Polynomial([(Monomial({"x": 1}), Fraction(1, 2))])
     with pytest.raises(ValueError):
         poly_from_string("x") + Fraction(1, 2)
+    assert poly_from_string("x") != Fraction(1, 2)
+    assert Polynomial.constant(2) != Fraction(5, 2)

@@ -63,15 +63,22 @@ def test_power_matches_reference(ta, e):
     assert ref_of(a**e) == ref_pow(ra, e)
 
 
-@given(operand, st.dictionaries(st.sampled_from(["x", "y", "z", "w"]),
-                                st.sampled_from(POOLS).flatmap(raw_terms),
-                                max_size=3))
-@settings(max_examples=60, deadline=None)
+# A value is 0, a nonzero integer or a polynomial, as a (library value,
+# reference polynomial) pair; "q" occurs in no operand.
+value = st.one_of(
+    st.just((0, {(): 0})),
+    st.integers(-9, 9).filter(bool).map(lambda c: (c, {(): c})),
+    st.sampled_from(POOLS).flatmap(raw_terms).map(build),
+)
+
+
+@given(operand, st.dictionaries(st.sampled_from(["a", "w", "x", "y", "z", "q"]),
+                                value, max_size=4))
+@settings(max_examples=100, deadline=None)
 def test_substitute_matches_reference(ta, assignment):
     a, ra = build(ta)
-    built = {v: build(t) for v, t in assignment.items()}
-    got = a.substitute({v: poly for v, (poly, _) in built.items()})
-    assert ref_of(got) == ref_substitute(ra, {v: r for v, (_, r) in built.items()})
+    got = a.substitute({v: val for v, (val, _) in assignment.items()})
+    assert ref_of(got) == ref_substitute(ra, {v: r for v, (_, r) in assignment.items()})
 
 
 @given(operand, st.dictionaries(st.sampled_from(["a", "w", "x", "y", "z", "q"]),

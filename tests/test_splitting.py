@@ -259,6 +259,12 @@ def test_probe_passes_normal_crossing():
     assert out["all_squarefree"]
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_probe_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError):
+        squarefree_probe(poly_from_string("x^2"), trials=trials)
+
+
 def test_probe_on_sigma_minus():
     f, _ = sigma_minus_on_entry_cell(4)
     out = squarefree_probe(f, trials=20, seed=0)
