@@ -114,6 +114,8 @@ class PolyMatrix:
         )
 
     def __eq__(self, other):
+        if isinstance(other, int) and other == 0:
+            return self.is_zero()
         return isinstance(other, PolyMatrix) and self.entries == other.entries
 
     def is_zero(self):

@@ -520,6 +520,38 @@ class Polynomial:
             out = out + term
         return out
 
+    def restrict_to_line(self, point, direction):
+        """Integer coefficients of f(point + direction*s), constant term
+        first, without trailing zeros.  `point` and `direction` map each
+        variable of f to an integer.  The powers of each point_v +
+        direction_v*s are built once and convolved per packed term.
+        """
+        fields = []  # (shift, powers of point_v + direction_v*s) per variable
+        for v, shift in self.layout.fields:
+            p, d = point[v], direction[v]
+            powers = [[1]]
+            for _ in range(max((k >> shift) & _FIELD for k in self.packed)):
+                prev = powers[-1]
+                powers.append([p * a + d * b
+                               for a, b in zip(prev + [0], [0] + prev)])
+            fields.append((shift, powers))
+        out = [0] * (self.degree() + 1)
+        for k, c in self.packed.items():
+            acc = [c]
+            for shift, powers in fields:
+                e = (k >> shift) & _FIELD
+                if e:
+                    product = [0] * (len(acc) + e)
+                    for i, a in enumerate(acc):
+                        for j, b in enumerate(powers[e], i):
+                            product[j] += a * b
+                    acc = product
+            for j, a in enumerate(acc):
+                out[j] += a
+        while out and not out[-1]:
+            out.pop()
+        return out
+
     def __repr__(self):
         return f"Polynomial({poly_to_string(self)!r})"
 

@@ -269,53 +269,58 @@ def rnc_search(f0, variable_order_universe=None):
 # Squarefreeness probe
 # ---------------------------------------------------------------------------
 
-def _univariate_coeffs(f, var):
-    coeffs = [Fraction(0)] * (f.degree() + 1)
-    for m, c in f.terms.items():
-        coeffs[m.exponent(var)] += Fraction(c)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+# A Mersenne prime far above any degree the packed format allows
+_Q = (1 << 61) - 1
 
 
-def _poly_mod(a, b):
-    a = list(a)
-    while len(a) >= len(b) and any(a):
-        if not a[-1]:
-            a.pop()
-            continue
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-        a.pop()
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _univariate_gcd_degree(a, b):
+def _gcd_degree(a, b, q=None):
+    """Degree of gcd(a, b), lists from the constant term up with nonzero
+    last entries: over Q for Fractions (q None), over GF(q) for residues.
+    """
     while b:
-        a, b = b, _poly_mod(a, b)
+        a = list(a)
+        inv = pow(b[-1], -1, q) if q else 1 / b[-1]
+        while len(a) >= len(b):
+            lead = a.pop()
+            if lead:
+                factor = lead * inv % q if q else lead * inv
+                for i, c in enumerate(b[:-1], len(a) - len(b) + 1):
+                    a[i] -= factor * c
+                if q:
+                    a = [c % q for c in a]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
     return len(a) - 1 if a else -1
 
 
 def _is_squarefree_univariate(coeffs):
-    deriv = [c * i for i, c in enumerate(coeffs)][1:]
-    if not deriv:
-        return False  # constant: degenerate, caller redraws
-    return _univariate_gcd_degree(coeffs, deriv) == 0
+    """Whether the integer polynomial f with these coefficients is
+    squarefree over Q.  lc(f) != 0 and gcd(f, f') = 1 mod q prove it: were
+    f = g^2 h over Z (Gauss), (g mod q)^2 would divide f mod q, and
+    deg(g mod q) = deg g.  Every other case runs the exact gcd over Q.
+    """
+    # deg f < q, so lc(f') = deg f * lc(f) is nonzero mod q as well
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    if coeffs[-1] % _Q and _gcd_degree([c % _Q for c in coeffs],
+                                       [c % _Q for c in deriv], _Q) == 0:
+        return True
+    return _gcd_degree([Fraction(c) for c in coeffs],
+                       [Fraction(c) for c in deriv]) == 0
 
 
 def squarefree_probe(f, trials=20, seed=0):
-    """Heuristic: restrict f to random affine lines and test the univariate
-    restrictions for squarefreeness via gcd with the derivative.
+    """Restrict f to random affine lines and test each restriction for
+    squarefreeness via its gcd with the derivative.
 
-    Evidence only, not a proof; degenerate draws (constant restrictions) are
-    discarded and redrawn.
+    A trial restricts f in integers to point + direction*s, both with 7-digit
+    entries; a constant restriction is discarded and redrawn.  The trial
+    passes when the restriction is squarefree over Q: a gcd mod 2^61 - 1
+    settles that where it is sound, the exact Fraction gcd everywhere else,
+    so each trial is exact.  The report is evidence only, not a proof.
     """
-    if f.is_zero():
-        raise ValueError("zero polynomial")
+    if f.is_constant():
+        raise ValueError(f"constant polynomial {f}: nothing to restrict")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
@@ -324,16 +329,10 @@ def squarefree_probe(f, trials=20, seed=0):
     completed = 0
     discarded = 0
     bound = 10**6  # wide draws keep accidental discriminant hits negligible
-    s = Polynomial.variable("s")
     while completed < trials:
         point = {v: rng.randint(-bound, bound) for v in variables}
         direction = {v: rng.randint(-bound, bound) for v in variables}
-        # parametrize the line v -> point_v + direction_v * s directly;
-        # the substitution stays univariate the whole way
-        restricted = f.substitute(
-            {v: s * direction[v] + point[v] for v in variables}
-        )
-        coeffs = _univariate_coeffs(restricted, "s")
+        coeffs = f.restrict_to_line(point, direction)
         if len(coeffs) <= 1:
             discarded += 1
             if discarded > 50 * trials:

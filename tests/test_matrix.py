@@ -100,6 +100,17 @@ def test_exp_nilpotent_rejects_singular_non_nilpotent():
         exp_nilpotent(PolyMatrix([[1, 0], [0, 0]]), "t")
 
 
+def test_matrix_equals_zero_exactly_when_zero():
+    zero = PolyMatrix([[0, 0], [0, 0]])
+    assert zero == 0 and 0 == zero
+    x = Polynomial.variable("x")
+    assert PolyMatrix([[0, 0], [x - x, 0]]) == 0
+    assert PolyMatrix([[0, x], [0, 0]]) != 0
+    # other objects that are not a PolyMatrix still compare unequal
+    for other in (1, "0", None, [[0, 0], [0, 0]]):
+        assert zero != other
+
+
 def test_rational_rank_and_nullspace():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert rational_matrix_rank(rows) == 2

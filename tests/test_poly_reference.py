@@ -81,6 +81,23 @@ def test_substitute_matches_reference(ta, assignment):
     assert ref_of(got) == ref_substitute(ra, {v: r for v, (_, r) in assignment.items()})
 
 
+# every pool name, plus "q" and "u", which no operand uses
+line = st.fixed_dictionaries(
+    {v: st.integers(-4, 4) for v in ("a", "w", "x", "y", "z", "q", "u")})
+
+
+@given(operand, line, line)
+@settings(max_examples=100, deadline=None)
+def test_restrict_to_line_matches_substitute(ta, point, direction):
+    a, _ = build(ta)
+    s = Polynomial.variable("s")
+    restricted = a.substitute(
+        {v: s * direction[v] + point[v] for v in a.variables()})
+    want = [restricted.terms.get({"s": j}, 0)
+            for j in range(restricted.degree() + 1)]
+    assert a.restrict_to_line(point, direction) == want
+
+
 @given(operand, st.dictionaries(st.sampled_from(["a", "w", "x", "y", "z", "q"]),
                                 st.integers(0, 3), max_size=3))
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flagsplit import splitting
 from flagsplit.charts import big_cell_chart, sl_entry_big_cell
 from flagsplit.cli import appendix_check, load_golden_chain
 from flagsplit.poly import MAX_DEGREE, Monomial, Polynomial, poly_from_string
@@ -270,6 +273,137 @@ def test_probe_on_sigma_minus():
     out = squarefree_probe(f, trials=20, seed=0)
     assert out["all_squarefree"]
     assert out["evidence_only"]
+
+
+@pytest.mark.parametrize("f", [Polynomial.zero(), Polynomial.constant(3),
+                               Polynomial.constant(-1)])
+def test_probe_rejects_constants(f):
+    # a nonzero constant used to redraw 1,001 degenerate lines, then raise
+    # RuntimeError
+    with pytest.raises(ValueError, match="constant"):
+        squarefree_probe(f, trials=20)
+
+
+def probe_input(family, n, cell):
+    group = build_group_datum(family, n)
+    chart = sl_entry_big_cell(n) if cell == "entry" else big_cell_chart(group)
+    _, minus = build_sigma_pair(group)
+    return minus.evaluate(chart.matrix)
+
+
+def sigma_minus_report(seed):
+    return {"trials": 20, "passes": 20, "discarded": 0, "seed": seed,
+            "all_squarefree": True, "evidence_only": True}
+
+
+# full probe reports recorded from the Fraction-only implementation
+PINNED_PROBES = [
+    (("A", 4, "entry"), 0, sigma_minus_report(0)),
+    (("A", 4, "entry"), 1, sigma_minus_report(1)),
+    (("A", 5, "entry"), 0, sigma_minus_report(0)),
+    (("A", 5, "entry"), 1, sigma_minus_report(1)),
+    (("C", 2, "big"), 0, sigma_minus_report(0)),
+    (("C", 2, "big"), 1, sigma_minus_report(1)),
+    (("D", 3, "big"), 0, sigma_minus_report(0)),
+    (("D", 3, "big"), 1, sigma_minus_report(1)),
+    ("x^2*y", 1, {"trials": 10, "passes": 0, "discarded": 0, "seed": 1,
+                  "all_squarefree": False, "evidence_only": True}),
+    ("x*y", 1, {"trials": 10, "passes": 10, "discarded": 0, "seed": 1,
+                "all_squarefree": True, "evidence_only": True}),
+]
+
+
+@pytest.mark.parametrize("source, seed, want", PINNED_PROBES)
+def test_probe_report_is_pinned_and_substitutes_nothing(source, seed, want,
+                                                        monkeypatch):
+    if isinstance(source, str):
+        f = poly_from_string(source)
+    else:
+        f = probe_input(*source)
+    calls = []
+    original = Polynomial.substitute
+
+    def counting(self, assignment):
+        calls.append(1)
+        return original(self, assignment)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    assert squarefree_probe(f, trials=want["trials"], seed=seed) == want
+    assert not calls
+
+
+Q = (1 << 61) - 1
+
+
+def count_fallbacks(monkeypatch):
+    """Rebind the gcd so that each call over Q (the exact Fraction path,
+    no modulus) is counted."""
+    calls = []
+    original = splitting._gcd_degree
+
+    def counting(a, b, q=None):
+        if q is None:
+            calls.append(1)
+        return original(a, b, q)
+
+    monkeypatch.setattr(splitting, "_gcd_degree", counting)
+    return calls
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([1 + Q, -(2 + Q), 1], True),  # (s-1)(s-1-q): a double root mod q
+    ([0, 1, Q], True),             # q*s^2 + s: leading coefficient 0 mod q
+    ([2, -3, 0, 1], False),        # (s-1)^2 (s+2)
+])
+def test_univariate_test_falls_back_where_mod_q_cannot_decide(coeffs, want,
+                                                              monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    assert splitting._is_squarefree_univariate(coeffs) is want
+    assert len(fallbacks) == 1
+
+
+def test_probe_fallback_counts(monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    f, _ = sigma_minus_on_entry_cell(4)
+    for seed in range(10):
+        assert squarefree_probe(f, trials=20, seed=seed)["all_squarefree"]
+    assert not fallbacks
+    out = squarefree_probe(poly_from_string("x^2*y"), trials=10, seed=1)
+    assert out["passes"] == 0
+    assert len(fallbacks) == out["trials"]
+
+
+def int_poly(draw_coeffs):
+    coeffs = list(draw_coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+small = st.lists(st.integers(-Q - 3, Q + 3), min_size=1, max_size=4).map(int_poly)
+
+
+@given(small.filter(lambda c: len(c) > 1), small.filter(bool), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_modular_squarefree_implies_exact(g, h, square):
+    # f = g^2 h or g h; the coefficient range straddles q, so some reductions
+    # mod q drop the leading coefficient or merge roots
+    f = convolve(convolve(g, g), h) if square else convolve(g, h)
+    deriv = [i * c for i, c in enumerate(f)][1:]
+    if f[-1] % Q and splitting._gcd_degree(
+            [c % Q for c in f], [c % Q for c in deriv], Q) == 0:
+        exact = splitting._gcd_degree([Fraction(c) for c in f],
+                                      [Fraction(c) for c in deriv])
+        assert exact == 0
+        assert not square
 
 
 # ---------------------------------------------------------------------------
