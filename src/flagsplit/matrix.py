@@ -1,5 +1,8 @@
 """Matrices with polynomial entries, column-initial minors, nilpotent exp.
 
+Constant matrices are plain lists of integer rows; `PolyMatrix` holds the
+matrices whose entries carry variables.
+
 The determinant workhorse is `column_minor`: expansion along the last column
 with memoization keyed by row subsets, so that the nested leading minors of a
 fixed row family share all their subproblems.
@@ -9,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Polynomial
+from .poly import Monomial, Polynomial
 
 
 class MinorSpec:
@@ -191,44 +194,54 @@ def determinant(matrix):
     return column_minor(matrix, MinorSpec(range(1, matrix.nrows + 1)), memo)
 
 
-def exp_nilpotent(matrix, t):
-    """I + tX + t^2 X^2/2! + ... for nilpotent X; division must be exact.
+def integer_product(a, b):
+    """Product of two integer matrices given as lists of rows."""
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns]
+            for row in a]
 
-    `t` is a variable id.  Raises ValueError if X^N != 0 for N = nrows, and
-    ArithmeticError if some factorial fails to divide an entry of X^m exactly.
+
+def exp_series(matrix):
+    """The terms X^m / m!, m = 0, 1, ..., of exp(X) for a nilpotent integer
+    matrix X given as a list of rows, up to the last nonzero power.
+
+    Raises ValueError if X^N != 0 for N = len(X), before any division, and
+    ArithmeticError if m! fails to divide an entry of X^m exactly.
     """
+    size = len(matrix)
     powers = []
-    power = PolyMatrix.identity(matrix.nrows)
-    for _ in range(matrix.nrows):
-        power = power * matrix
-        if power.is_zero():
+    power = matrix
+    for _ in range(size):
+        if not any(map(any, power)):
             break
         powers.append(power)
+        power = integer_product(power, matrix)
     else:
         raise ValueError("matrix is not nilpotent")
-    tvar = Polynomial.variable(t)
-    result = PolyMatrix.identity(matrix.nrows)
-    tpow = Polynomial.one()
+    terms = [[[int(i == j) for j in range(size)] for i in range(size)]]
     factorial = 1
     for m, power in enumerate(powers, start=1):
         factorial *= m
-        tpow = tpow * tvar
-        scaled = PolyMatrix(
-            [[_exact_divide(e, factorial) for e in row] for row in power.entries]
-        )
-        result = result + scaled * tpow
-    return result
+        if any(x % factorial for row in power for x in row):
+            raise ArithmeticError(f"{m}! does not divide X^{m} exactly")
+        terms.append([[x // factorial for x in row] for row in power])
+    return terms
 
 
-def _exact_divide(poly, divisor):
-    # an exact quotient of a nonzero int is nonzero: keys and layout stay
-    out = {}
-    for k, c in poly.packed.items():
-        q, r = divmod(c, divisor)
-        if r:
-            raise ArithmeticError(f"{c} not exactly divisible by {divisor}")
-        out[k] = q
-    return Polynomial._raw(poly.layout, out)
+def exp_nilpotent(matrix, t):
+    """exp(tX) = I + tX + t^2 X^2/2! + ... for a nilpotent integer matrix X
+    given as a list of rows: one polynomial in the variable id `t` per entry.
+
+    Raises as `exp_series` does.
+    """
+    terms = exp_series(matrix)
+    t_powers = [Monomial({t: m}) for m in range(len(terms))]
+    size = len(matrix)
+    return PolyMatrix([
+        [Polynomial({mono: term[i][j] for mono, term in zip(t_powers, terms)})
+         for j in range(size)]
+        for i in range(size)
+    ])
 
 
 def row_reduce(rows, ncols):

@@ -102,15 +102,6 @@ class Monomial:
     def degree(self):
         return sum(e for _, e in self.exps)
 
-    def variables(self):
-        return [v for v, _ in self.exps]
-
-    def exponent(self, var):
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
 

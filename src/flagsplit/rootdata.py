@@ -9,18 +9,21 @@ Here k* = N + 1 - k with N the matrix size.
 Root data is computed, not hardcoded: the Lie algebra is cut out by
 X^T J + J X = 0 (trace zero for A), weight-decomposed under the diagonal
 torus, and the resulting roots are checked against the expected lists.
+Heights come from one walk up from the simple roots.  Constant matrices (the
+root generators and Weyl representatives) are lists of integer rows; `form`
+and the Levi representative are `PolyMatrix`es, for products with charts.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from .matrix import (
     PolyMatrix,
     determinant,
-    exp_nilpotent,
+    exp_series,
+    integer_product,
     rational_nullspace,
-    row_reduce,
 )
 from .poly import Polynomial
 
@@ -117,13 +120,14 @@ class GroupDatum:
         self.size = n if family == FAMILY_A else 2 * n
         self.rank = n - 1 if family == FAMILY_A else n
         self.not_simple = family == FAMILY_D and n == 2  # D_2 = A_1 x A_1, flagged
-        self.form = self._build_form()
+        form = self._form_rows()
+        self.form = PolyMatrix(form) if form else None
         self._build_root_data()
-        self._verify_invariants()
+        self._verify_invariants(form)
 
     # -- construction -----------------------------------------------------
 
-    def _build_form(self):
+    def _form_rows(self):
         if self.family == FAMILY_A:
             return None
         N = self.size
@@ -134,7 +138,7 @@ class GroupDatum:
                 entries[i - 1][j - 1] = 1
             else:
                 entries[i - 1][j - 1] = 1 if i < j else -1
-        return PolyMatrix(entries)
+        return entries
 
     def star(self, k):
         return self.size + 1 - k
@@ -161,14 +165,12 @@ class GroupDatum:
         """Folded torus weight of the matrix unit E_ij (adjoint action)."""
         return self.chi(i) - self.chi(j)
 
-    def _lie_constraint_ok(self, X):
+    def _lie_constraint_ok(self, X, form):
         if self.family == FAMILY_A:
-            tr = Polynomial.zero()
-            for i in range(1, self.size + 1):
-                tr = tr + X[i, i]
-            return tr.is_zero()
-        lhs = X.transpose() * self.form + self.form * X
-        return lhs.is_zero()
+            return sum(X[i][i] for i in range(self.size)) == 0
+        lhs = integer_product(list(zip(*X)), form)
+        rhs = integer_product(form, X)
+        return all(a == -b for r1, r2 in zip(lhs, rhs) for a, b in zip(r1, r2))
 
     def _build_root_data(self):
         N = self.size
@@ -199,9 +201,9 @@ class GroupDatum:
         self.positive_roots = []
         self.negative_roots = []
         for X, weight in self.lie_basis:
-            if self._is_strictly_upper(X):
+            if _is_strictly_upper(X):
                 self.positive_roots.append(weight)
-            elif self._is_strictly_lower(X):
+            elif _is_strictly_lower(X):
                 self.negative_roots.append(weight)
             else:
                 raise ConventionError("root generator is neither upper nor lower")
@@ -212,6 +214,7 @@ class GroupDatum:
         self.rho = Weight.zero(self.family, self.n)
         for w in self.fundamental_weights:
             self.rho = self.rho + w
+        self._height = self._walk_heights()
 
     def _root_space_basis(self, group):
         """Solve the Lie-algebra membership constraints on one weight class."""
@@ -242,8 +245,7 @@ class GroupDatum:
         basis = rational_nullspace(rows, len(group))
         out = []
         for vec in basis:
-            scale = _primitive_scale(vec)
-            coeffs = {pos: int(v * scale) for pos, v in zip(group, vec) if v}
+            coeffs = {pos: c for pos, c in zip(group, _primitive(vec)) if c}
             out.append(self._unit_matrix(coeffs))
         return out
 
@@ -252,21 +254,29 @@ class GroupDatum:
         entries = [[0] * N for _ in range(N)]
         for (i, j), c in coeffs.items():
             entries[i - 1][j - 1] = c
-        return PolyMatrix(entries)
+        return entries
 
-    def _is_strictly_upper(self, X):
-        return all(
-            X[i, j].is_zero()
-            for i in range(1, self.size + 1)
-            for j in range(1, i + 1)
-        )
-
-    def _is_strictly_lower(self, X):
-        return all(
-            X[i, j].is_zero()
-            for i in range(1, self.size + 1)
-            for j in range(i, self.size + 1)
-        )
+    def _walk_heights(self):
+        """Height of every positive root.  A positive root that is not simple
+        is a positive root plus a simple root (Humphreys, Introduction to Lie
+        Algebras and Representation Theory, 10.2), so one walk up from the
+        simple roots, staying inside the positive roots, reaches them all."""
+        positive = set(self.positive_roots)
+        heights = dict.fromkeys(self.simple_roots, 1)
+        level = self.simple_roots
+        while level:
+            above = []
+            for beta in level:
+                for alpha in self.simple_roots:
+                    gamma = beta + alpha
+                    if gamma in positive and gamma not in heights:
+                        heights[gamma] = heights[beta] + 1
+                        above.append(gamma)
+            level = above
+        unreached = positive.difference(heights)
+        if unreached:
+            raise ConventionError(f"{unreached} not reached from the simple roots")
+        return heights
 
     def _expected_simple_roots(self):
         n = self.n
@@ -303,7 +313,7 @@ class GroupDatum:
             return n * n
         return n * (n - 1)
 
-    def _verify_invariants(self):
+    def _verify_invariants(self, form):
         if len(self.positive_roots) != self.dim_flag_variety():
             raise ConventionError(
                 f"{len(self.positive_roots)} positive roots, expected "
@@ -316,7 +326,7 @@ class GroupDatum:
             if alpha not in pos:
                 raise ConventionError(f"simple root {alpha} is not a positive root")
         for X, _ in self.lie_basis:
-            if not self._lie_constraint_ok(X):
+            if not self._lie_constraint_ok(X, form):
                 raise ConventionError("Lie-algebra constraint violated")
         # rho is also half the sum of positive roots
         total = Weight.zero(self.family, self.n)
@@ -324,38 +334,15 @@ class GroupDatum:
             total = total + w
         if total != self.rho.scale(2):
             raise ConventionError("sum of positive roots != 2*rho")
-        for alpha in self.positive_roots:
-            self.root_height(alpha)  # raises if not a positive simple combo
 
     def root_height(self, root):
-        """Sum of the simple-root coefficients; raises on a non-root."""
-        coeffs = self._decompose_in_simple_roots(root)
-        return sum(coeffs)
-
-    def _decompose_in_simple_roots(self, root):
-        generators = [list(a.doubled) for a in self.simple_roots]
-        if self.family == FAMILY_A:
-            # weights are classes mod the all-ones vector; give the solver
-            # that direction as an extra free generator
-            generators = generators + [[2] * self.n]
-        ngen = len(generators)
-        # one row per coordinate: generator columns, then the root
-        aug = [[g[j] for g in generators] + [t] for j, t in enumerate(root.doubled)]
-        rref, pivots, _ = row_reduce(aug, ngen)
-        if any(row[-1] for row in rref[len(pivots):]):
-            raise ConventionError(f"{root} is not in the root lattice span")
-        coeffs = [Fraction(0)] * ngen
-        for row, col in zip(rref, pivots):
-            coeffs[col] = row[-1]
-        coeffs = coeffs[: len(self.simple_roots)]
-        out = []
-        for c in coeffs:
-            if c.denominator != 1:
-                raise ConventionError(f"non-integral simple-root coefficient {c}")
-            out.append(int(c))
-        if not (all(c >= 0 for c in out) or all(c <= 0 for c in out)):
-            raise ConventionError(f"{root} is neither positive nor negative")
-        return out
+        """h for a positive root of height h, -h for its negative; raises
+        ConventionError on a weight that is not a root."""
+        if root in self._height:
+            return self._height[root]
+        if -root in self._height:
+            return -self._height[-root]
+        raise ConventionError(f"{root} is not a root")
 
     # -- derived machinery --------------------------------------------------
 
@@ -365,13 +352,9 @@ class GroupDatum:
         Height is that of the corresponding positive root; order is the
         canonical chart coordinate order and is recorded in reports.
         """
-        items = []
-        for root in self.negative_roots:
-            X = self.root_generator[root]
-            height = -self.root_height(root)
-            items.append((height, root.doubled, root, X))
-        items.sort(key=lambda t: (t[0], t[1]))
-        return [(root, X) for _, _, root, X in items]
+        roots = sorted(self.negative_roots,
+                       key=lambda root: (-self.root_height(root), root.doubled))
+        return [(root, self.root_generator[root]) for root in roots]
 
     def in_group(self, M):
         """Exact membership identity for a polynomial matrix."""
@@ -384,13 +367,15 @@ class GroupDatum:
         return True
 
     def simple_reflection_representative(self, i):
-        """n_alpha = exp(X) exp(-Y) exp(X) for the i-th simple root (1-based)."""
+        """n_alpha = exp(X) exp(-Y) exp(X) for the i-th simple root (1-based),
+        as integer rows."""
         alpha = self.simple_roots[i - 1]
         X = self.root_generator[alpha]
         Y = self.root_generator[-alpha]
         for s in (1, -1):
-            rep = _numeric_exp_triple(X, Y * s)
-            if rep is not None and _is_sign_monomial(rep) and self.in_group(rep):
+            rep = _numeric_exp_triple(X, [[s * y for y in row] for row in Y])
+            if (rep is not None and _is_sign_monomial(rep)
+                    and self.in_group(PolyMatrix(rep))):
                 return rep
         raise ConventionError(f"no valid representative for simple root {alpha}")
 
@@ -421,16 +406,18 @@ class GroupDatum:
     def levi_longest_representative(self, r=None):
         """Matrix representative of w_0^P, a monomial matrix with entries +-1."""
         weyl = self.levi_longest_word(r)
-        rep = PolyMatrix.identity(self.size)
+        size = self.size
+        rep = [[int(i == j) for j in range(size)] for i in range(size)]
         for i in weyl.word:
-            rep = rep * self.simple_reflection_representative(i)
-        if not self.in_group(rep):
+            rep = integer_product(rep, self.simple_reflection_representative(i))
+        matrix = PolyMatrix(rep)
+        if not self.in_group(matrix):
             raise ConventionError("representative fails group membership")
         if not _is_sign_monomial(rep):
             raise ConventionError("representative is not a +-1 monomial matrix")
         if _monomial_permutation(rep) != weyl.permutation:
             raise ConventionError("representative has the wrong permutation")
-        return rep
+        return matrix
 
 
 def build_group_datum(family, n):
@@ -445,62 +432,49 @@ def _reversal_word(lo, hi):
     return word
 
 
-def _primitive_scale(vec):
-    """Scale making a rational vector primitive integral."""
-    from math import gcd
-
-    denoms = [v.denominator for v in vec if v]
-    if not denoms:
-        return Fraction(1)
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    scaled = [v * lcm for v in vec]
-    g = 0
-    for v in scaled:
-        g = gcd(g, abs(v.numerator))
-    scale = Fraction(lcm, g)
-    # fix overall sign: first nonzero entry positive
-    for v in vec:
-        if v:
-            if v * scale < 0:
-                scale = -scale
-            break
-    return scale
+def _primitive(vec):
+    """The primitive integer multiple of a nonzero rational vector whose
+    first nonzero entry is positive."""
+    scale = lcm(*(v.denominator for v in vec))
+    scaled = [int(v * scale) for v in vec]
+    sign = 1 if next(x for x in scaled if x) > 0 else -1
+    divisor = sign * gcd(*scaled)
+    return [x // divisor for x in scaled]
 
 
 def _numeric_exp_triple(X, Y):
-    """exp(X) exp(-Y) exp(X) with t specialized to 1; None if exp fails."""
+    """exp(X) exp(-Y) exp(X) in integers; None if exp fails."""
     try:
-        ex = exp_nilpotent(X, "_t").substitute({"_t": 1})
-        ey = exp_nilpotent(Y * (-1), "_t").substitute({"_t": 1})
+        ex = _exp_at_one(X)
+        ey = _exp_at_one([[-y for y in row] for row in Y])
     except (ValueError, ArithmeticError):
         return None
-    return ex * ey * ex
+    return integer_product(integer_product(ex, ey), ex)
+
+
+def _exp_at_one(X):
+    """exp(X) of a nilpotent integer matrix: the sum of its series terms."""
+    return [[sum(entries) for entries in zip(*rows)]
+            for rows in zip(*exp_series(X))]
+
+
+def _is_strictly_upper(X):
+    return not any(X[i][j] for i in range(len(X)) for j in range(i + 1))
+
+
+def _is_strictly_lower(X):
+    return not any(X[i][j] for i in range(len(X)) for j in range(i, len(X)))
 
 
 def _is_sign_monomial(M):
-    one = Polynomial.one()
-    for i in range(1, M.nrows + 1):
-        nonzero = [j for j in range(1, M.ncols + 1) if not M[i, j].is_zero()]
-        if len(nonzero) != 1:
-            return False
-        e = M[i, nonzero[0]]
-        if e != one and e != -one:
-            return False
-    for j in range(1, M.ncols + 1):
-        nonzero = [i for i in range(1, M.nrows + 1) if not M[i, j].is_zero()]
-        if len(nonzero) != 1:
+    """Exactly one nonzero entry, +1 or -1, in each row and each column."""
+    for line in (*M, *zip(*M)):
+        nonzero = [x for x in line if x]
+        if len(nonzero) != 1 or nonzero[0] not in (1, -1):
             return False
     return True
 
 
 def _monomial_permutation(M):
-    """sigma with M e_i = +- e_{sigma(i)}."""
-    perm = []
-    for j in range(1, M.ncols + 1):
-        for i in range(1, M.nrows + 1):
-            if not M[i, j].is_zero():
-                perm.append(i)
-                break
-    return tuple(perm)
+    """sigma with M e_j = +- e_{sigma(j)}."""
+    return tuple(next(i for i, x in enumerate(col, 1) if x) for col in zip(*M))

@@ -321,8 +321,8 @@ def squarefree_probe(f, trials=20, seed=0):
     """
     if f.is_constant():
         raise ValueError(f"constant polynomial {f}: nothing to restrict")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     rng = random.Random(seed)
     variables = sorted(f.variables())
     passes = 0

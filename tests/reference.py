@@ -5,14 +5,23 @@ polynomial is a dict from exponent tuples (sorted (variable, exponent)
 pairs, zero exponents left out) to nonzero integer coefficients, and every
 operation is written out term by term.
 
+The `ref_*` functions on group data are the earlier implementation of
+`flagsplit.rootdata`: root heights from an exact Fraction solve in
+simple-root coordinates, and exp of a nilpotent matrix from products of
+`PolyMatrix`es, with t set to 1 by substitution for the Weyl
+representatives.
+
 The other helpers were library code that only the tests used.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
+from flagsplit.matrix import PolyMatrix, row_reduce
 from flagsplit.poly import Monomial, Polynomial
+from flagsplit.rootdata import FAMILY_A
 
 
 def _clean(terms):
@@ -140,3 +149,97 @@ def leibniz_determinant(matrix, rows=None, cols=None):
             prod = prod * matrix[rows[i], cols[p]]
         total = total + (-prod if inversions % 2 else prod)
     return total
+
+
+def ref_root_height(group, root):
+    """Sum of the simple-root coefficients of a root, by a Fraction solve."""
+    generators = [list(a.doubled) for a in group.simple_roots]
+    if group.family == FAMILY_A:
+        # weights are classes mod the all-ones vector; give the solver
+        # that direction as an extra free generator
+        generators.append([2] * group.n)
+    ngen = len(generators)
+    aug = [[g[j] for g in generators] + [t] for j, t in enumerate(root.doubled)]
+    rref, pivots, _ = row_reduce(aug, ngen)
+    if any(row[-1] for row in rref[len(pivots):]):
+        raise ValueError(f"{root} is not in the root lattice span")
+    coeffs = [Fraction(0)] * ngen
+    for row, col in zip(rref, pivots):
+        coeffs[col] = row[-1]
+    coeffs = coeffs[: len(group.simple_roots)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError(f"non-integral simple-root coefficients {coeffs}")
+    if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+        raise ValueError(f"{root} is neither positive nor negative")
+    return int(sum(coeffs))
+
+
+def ref_negative_roots(group):
+    """Negative roots ordered by the height of their positive, then lex."""
+    return sorted(group.negative_roots,
+                  key=lambda root: (-ref_root_height(group, root), root.doubled))
+
+
+def ref_exp_nilpotent(matrix, t):
+    """I + tX + t^2 X^2/2! + ... for a nilpotent PolyMatrix X."""
+    powers = []
+    power = PolyMatrix.identity(matrix.nrows)
+    for _ in range(matrix.nrows):
+        power = power * matrix
+        if power.is_zero():
+            break
+        powers.append(power)
+    else:
+        raise ValueError("matrix is not nilpotent")
+    tvar = Polynomial.variable(t)
+    result = PolyMatrix.identity(matrix.nrows)
+    tpow = Polynomial.one()
+    factorial = 1
+    for m, power in enumerate(powers, start=1):
+        factorial *= m
+        tpow = tpow * tvar
+        scaled = []
+        for row in power.entries:
+            scaled.append([])
+            for e in row:
+                if any(c % factorial for c in e.terms.values()):
+                    raise ArithmeticError(f"{factorial} does not divide {e}")
+                scaled[-1].append(Polynomial(
+                    [(mono, c // factorial) for mono, c in e.terms.items()]))
+        result = result + PolyMatrix(scaled) * tpow
+    return result
+
+
+def ref_simple_reflection(group, i):
+    """exp(X) exp(-Y) exp(X) at t = 1 for the i-th simple root, as the first
+    sign of Y that gives a +-1 monomial matrix in the group."""
+    alpha = group.simple_roots[i - 1]
+    X = PolyMatrix(group.root_generator[alpha])
+    Y = PolyMatrix(group.root_generator[-alpha])
+    for s in (1, -1):
+        try:
+            ex = ref_exp_nilpotent(X, "_t").substitute({"_t": 1})
+            ey = ref_exp_nilpotent(Y * (-s), "_t").substitute({"_t": 1})
+        except (ValueError, ArithmeticError):
+            continue
+        rep = ex * ey * ex
+        values = [[e.constant_value() for e in row] for row in rep.entries]
+        if all(sorted(map(abs, line)) == [0] * (len(line) - 1) + [1]
+               for line in (*values, *zip(*values))) and group.in_group(rep):
+            return rep
+    raise ValueError(f"no representative for simple root {alpha}")
+
+
+def ref_levi_longest_representative(group, r=None):
+    rep = PolyMatrix.identity(group.size)
+    for i in group.levi_longest_word(r).word:
+        rep = rep * ref_simple_reflection(group, i)
+    return rep
+
+
+def ref_unipotent_factor(group, names):
+    """The product of exp(t_b X_b) over the negative roots in reference order."""
+    u = PolyMatrix.identity(group.size)
+    for root, name in zip(ref_negative_roots(group), names):
+        u = u * ref_exp_nilpotent(PolyMatrix(group.root_generator[root]), name)
+    return u

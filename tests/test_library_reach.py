@@ -1,5 +1,11 @@
-"""Every top-level function and class of the library has a caller outside
-the tests: a name that only the tests reach belongs in tests/reference.py."""
+"""Every top-level function and class of the library, and every method of a
+library class other than a dunder, has a caller outside the tests: a name
+that only the tests reach belongs in tests/reference.py.
+
+The check goes by name alone.  A method counts as reached when any non-test
+code mentions its name, so a test-only method is missed while another
+definition shares its name (as `Monomial.variables` once did with
+`Polynomial.variables`)."""
 
 import ast
 from collections import Counter
@@ -11,6 +17,7 @@ LIBRARY = sorted((ROOT / "src" / "flagsplit").glob("*.py"))
 # no library module calls; its own tests do not count as callers
 BENCHMARK = [p for p in sorted((ROOT / "flagbench").glob("*.py"))
              if not p.name.startswith("test_")]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def identifiers(node):
@@ -26,6 +33,19 @@ def identifiers(node):
     return out
 
 
+def definitions(tree):
+    """Top-level definitions, and the methods of top-level classes that are
+    not dunders."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, DEFINITIONS)
+                        and not member.name.startswith("__")):
+                    yield member
+
+
 def test_every_library_definition_has_a_non_test_caller():
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in LIBRARY + BENCHMARK}
@@ -34,9 +54,7 @@ def test_every_library_definition_has_a_non_test_caller():
         total.update(identifiers(tree))
     unreached = []
     for path in LIBRARY:
-        for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                if total[node.name] == identifiers(node)[node.name]:
-                    unreached.append(f"{path.name}:{node.lineno} {node.name}")
+        for node in definitions(trees[path]):
+            if total[node.name] == identifiers(node)[node.name]:
+                unreached.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unreached, unreached

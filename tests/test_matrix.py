@@ -13,7 +13,7 @@ from flagsplit.matrix import (
     row_reduce,
 )
 from flagsplit.poly import Polynomial, poly_from_string
-from reference import leibniz_determinant
+from reference import leibniz_determinant, ref_exp_nilpotent
 
 
 def random_matrix(rng, size, with_variables=False):
@@ -76,9 +76,9 @@ def test_triangular_determinant_is_diagonal_product():
 
 def test_exp_nilpotent_group_law():
     # X^2 = 2*E_31, so X^2/2! stays integral
-    x = PolyMatrix([[0, 0, 0], [2, 0, 0], [0, 1, 0]])
+    x = [[0, 0, 0], [2, 0, 0], [0, 1, 0]]
     e = exp_nilpotent(x, "t")
-    minus = exp_nilpotent(x * (-1), "t")
+    minus = exp_nilpotent([[-v for v in row] for row in x], "t")
     assert e * minus == PolyMatrix.identity(3)
     assert determinant(e) == Polynomial.one()
 
@@ -86,18 +86,29 @@ def test_exp_nilpotent_group_law():
 def test_exp_nilpotent_rejects_inexact_division():
     # X^2 = E_31, and 1/2! is not an integer
     with pytest.raises(ArithmeticError):
-        exp_nilpotent(PolyMatrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), "t")
+        exp_nilpotent([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "t")
 
 
 def test_exp_nilpotent_rejects_invertible():
     with pytest.raises(ValueError):
-        exp_nilpotent(PolyMatrix.identity(2), "t")
+        exp_nilpotent([[1, 0], [0, 1]], "t")
 
 
 def test_exp_nilpotent_rejects_singular_non_nilpotent():
     # X^2 = X != 0; the rejection must come before dividing X^2 by 2!
     with pytest.raises(ValueError, match="not nilpotent"):
-        exp_nilpotent(PolyMatrix([[1, 0], [0, 0]]), "t")
+        exp_nilpotent([[1, 0], [0, 0]], "t")
+
+
+def test_exp_nilpotent_against_polymatrix_reference():
+    # strictly lower triangular with entries divisible by 12: X^m is
+    # divisible by 12^m, so every m! divides it for m <= 4
+    rng = random.Random(31)
+    for trial in range(30):
+        size = rng.randint(2, 5)
+        x = [[12 * rng.randint(-2, 2) if j < i else 0 for j in range(size)]
+             for i in range(size)]
+        assert exp_nilpotent(x, "t") == ref_exp_nilpotent(PolyMatrix(x), "t"), trial
 
 
 def test_matrix_equals_zero_exactly_when_zero():

@@ -75,7 +75,7 @@ def test_canonical_form(a):
     for m, c in a.terms.items():
         assert c != 0
         assert all(e > 0 for _, e in m.exps)
-    assert a.layout.names == tuple(sorted({v for m in a.terms for v in m.variables()}))
+    assert a.layout.names == tuple(sorted({v for m in a.terms for v, _ in m.exps}))
 
 
 @given(poly_strategy())

@@ -2,7 +2,14 @@ import pytest
 
 from flagsplit.matrix import PolyMatrix
 from flagsplit.poly import Polynomial
-from flagsplit.rootdata import FAMILY_A, FAMILY_C, FAMILY_D, Weight, build_group_datum
+from flagsplit.rootdata import (
+    FAMILY_A,
+    FAMILY_C,
+    FAMILY_D,
+    ConventionError,
+    Weight,
+    build_group_datum,
+)
 
 GRID = [("A", n) for n in range(2, 7)] + [
     ("C", 2), ("C", 3), ("D", 2), ("D", 3), ("D", 4),
@@ -48,7 +55,7 @@ def test_c2_negative_root_generators(groups):
         m = [[0] * 4 for _ in range(4)]
         for (i, j), c in entries.items():
             m[i - 1][j - 1] = c
-        return PolyMatrix(m)
+        return m
 
     expected = [
         unit({(2, 1): 1, (4, 3): -1}),
@@ -58,7 +65,8 @@ def test_c2_negative_root_generators(groups):
     ]
     produced = list(gens.values())
     for X in expected:
-        assert any(X == Y or X == Y * (-1) for Y in produced)
+        assert any(X == Y or X == [[-y for y in row] for row in Y]
+                   for Y in produced)
 
 
 def test_sl_weights_mod_all_ones():
@@ -111,7 +119,7 @@ def test_cd_levi_longest_representatives(groups):
 def test_simple_reflection_representatives_in_group(groups):
     for g in groups.values():
         for i in range(1, g.rank + 1):
-            assert g.in_group(g.simple_reflection_representative(i))
+            assert g.in_group(PolyMatrix(g.simple_reflection_representative(i)))
 
 
 def test_root_heights_positive(groups):
@@ -120,6 +128,13 @@ def test_root_heights_positive(groups):
             assert g.root_height(root) >= 1
         for root in g.negative_roots:
             assert g.root_height(root) <= -1
+
+
+def test_root_height_rejects_non_roots(groups):
+    g = groups[("A", 3)]
+    for weight in (Weight.zero(FAMILY_A, g.n), g.simple_roots[0].scale(2)):
+        with pytest.raises(ConventionError):
+            g.root_height(weight)
 
 
 def test_d2_flagged_not_simple(groups):

@@ -98,11 +98,11 @@ def test_rnc_search_exhausted_matches_brute_force():
         state = f0
         alive = True
         for v in order:
-            if any(m.exponent(v) == 0 for m in state.terms):
+            if any(v not in dict(m.exps) for m in state.terms):
                 alive = False
                 break
             state = Polynomial([
-                (Monomial({**dict(m.exps), v: m.exponent(v) - 1}), c)
+                (Monomial({**dict(m.exps), v: dict(m.exps)[v] - 1}), c)
                 for m, c in state.terms.items()
             ]).substitute({v: 0})
             if state.is_zero():
@@ -266,6 +266,14 @@ def test_probe_passes_normal_crossing():
 def test_probe_rejects_trials_below_one(trials):
     with pytest.raises(ValueError):
         squarefree_probe(poly_from_string("x^2"), trials=trials)
+
+
+@pytest.mark.parametrize("trials", [2.5, True, 1.0])
+def test_probe_rejects_trials_that_are_not_ints(trials):
+    # 2.5 used to run 3 trials and report a squarefree input as not
+    # squarefree; True used to run one
+    with pytest.raises(ValueError):
+        squarefree_probe(poly_from_string("x*y"), trials=trials)
 
 
 def test_probe_on_sigma_minus():
