@@ -4,7 +4,8 @@ The primary chart mechanism is intrinsic: one free coordinate per negative
 root, with the chart matrix (center representative) * prod exp(t_b X_b).
 The explicit star-entry picture for SL_n is kept as an independent
 cross-check, and the Sp/SO specialization families realize bottom-left-corner
-subfamilies with exact group membership as the ground truth.
+subfamilies with exact group membership as the ground truth: one layout table
+per kind, and one sign resolver with one sign order for every kind.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ SO_ODD_SKEW = "so_odd_skew"
 class Chart:
     """A coordinate neighborhood of a point wB, as a symbolic group element."""
 
-    def __init__(self, group, center_word, variables, matrix, roots=None):
+    def __init__(self, group, variables, matrix):
         self.group = group
-        self.center_word = center_word  # WeylWord or None for the big cell
         self.variables = list(variables)
         self.matrix = matrix
-        self.roots = roots  # negative roots in variable order, when intrinsic
 
     def center_matrix(self):
         return self.matrix.substitute({v: 0 for v in self.variables})
@@ -36,13 +35,6 @@ class Chart:
     def verify_membership(self):
         if not self.group.in_group(self.matrix):
             raise ConventionError("chart matrix fails exact group membership")
-
-    def serialize(self):
-        return {
-            "center": list(self.center_word.permutation) if self.center_word else None,
-            "variables": self.variables,
-            "matrix": self.matrix.to_strings(),
-        }
 
 
 def _chart_variable_names(count):
@@ -57,17 +49,15 @@ def unipotent_factor(group, generator_order=None):
         gens = [gens[i] for i in generator_order]
     names = _chart_variable_names(len(gens))
     u = PolyMatrix.identity(group.size)
-    roots = []
-    for (root, X), name in zip(gens, names):
+    for (_, X), name in zip(gens, names):
         u = u * exp_nilpotent(X, name)
-        roots.append(root)
-    return u, names, roots
+    return u, names
 
 
 def big_cell_chart(group, generator_order=None):
     """Chart around eB; the matrix is lower unitriangular."""
-    u, names, roots = unipotent_factor(group, generator_order)
-    chart = Chart(group, None, names, u, roots)
+    u, names = unipotent_factor(group, generator_order)
+    chart = Chart(group, names, u)
     chart.verify_membership()
     for i in range(1, group.size + 1):
         if chart.matrix[i, i] != Polynomial.one():
@@ -83,8 +73,7 @@ def levi_center_chart(big_cell, r=None):
     over the big cell's free root coordinates."""
     group = big_cell.group
     rep = group.levi_longest_representative(r)
-    chart = Chart(group, group.levi_longest_word(r), big_cell.variables,
-                  rep * big_cell.matrix, big_cell.roots)
+    chart = Chart(group, big_cell.variables, rep * big_cell.matrix)
     chart.verify_membership()
     if chart.center_matrix() != rep:
         raise ConventionError("chart center does not match the representative")
@@ -109,7 +98,7 @@ def sl_entry_big_cell(n):
             count += 1
             variables.append(name)
             entries[i - 1][j - 1] = Polynomial.variable(name)
-    return Chart(None, None, variables, PolyMatrix(entries))
+    return Chart(None, variables, PolyMatrix(entries))
 
 
 def sl_explicit_chart(n, r):
@@ -153,7 +142,7 @@ def sl_explicit_chart(n, r):
     expected = r * (r - 1) // 2 + m * (m - 1) // 2 + r * m
     if len(variables) != expected:
         raise ConventionError("unexpected free-variable count in picture chart")
-    return Chart(None, None, variables, matrix)
+    return Chart(None, variables, matrix)
 
 
 class SpecializationFamily:
@@ -189,50 +178,70 @@ def expected_parameter_count(kind, n):
 
 
 def specialization_family(levi_chart):
-    """Build the bottom-left-corner family of the Levi-center chart's group,
-    resolving signs by search; the chart's center is the representative.
+    """Build the bottom-left-corner family of the Levi-center chart's group;
+    the chart's center is the representative.
 
     The kind follows from the group: sp_antidiag for C, so_even_paired for D
-    with even n, so_odd_skew for D with odd n; family A has none.  The
-    literal entry placement is tried first; when it fails the exact
-    membership identity, a finite space of sign/placement twists is searched
-    until membership holds with the expected parameter count.  The resolved
-    assignment (and whether the literal reading survived) is recorded.
+    with even n, so_odd_skew for D with odd n; family A has none.  The kind's
+    layout gives a literal placement, tried first, and links of entries that
+    share a variable.  When the literal reading fails the exact membership
+    identity, each link keeps its first entry at +1 and takes the first
+    partner signs, +1 before -1 for every kind, under which membership holds
+    (the defect is linear in the added block, so links are independent).
+    The assignment records which reading held.
     """
     group = levi_chart.group
     n = group.n
     if group.family == FAMILY_C:
-        kind, candidates = SP_ANTIDIAG, _sp_antidiag_candidates
+        kind, layout = SP_ANTIDIAG, _sp_layout
     elif group.family == FAMILY_D and n % 2 == 0:
-        kind, candidates = SO_EVEN_PAIRED, _so_even_candidates
+        kind, layout = SO_EVEN_PAIRED, _so_even_layout
     elif group.family == FAMILY_D:
-        kind, candidates = SO_ODD_SKEW, _so_odd_candidates
+        kind, layout = SO_ODD_SKEW, _so_odd_layout
     else:
         raise ValueError(f"family {group.family} has no specialization family")
 
+    literal_label, placements, label, links = layout(n)
     rep = levi_chart.center_matrix()
-    literal_failure = None
-    for label, variables, placements in candidates(group, rep):
-        matrix, ok = _try_placement(group, rep, placements)
-        if ok:
-            if len(variables) != expected_parameter_count(kind, n):
-                continue
-            assignment = {
-                "placement": label,
-                "entries": {
-                    f"({i},{j})": f"{'+' if s > 0 else '-'}{v}"
-                    for (i, j), (s, v) in placements.items()
-                },
-            }
-            if literal_failure:
-                assignment["literal_reading_failed"] = literal_failure
-            return SpecializationFamily(group, kind, variables, matrix, assignment)
-        if literal_failure is None:
-            literal_failure = label
-    raise ConventionError(
-        f"no membership-valid placement found for {kind} at n={n}; "
-        "this contradicts the implementation's conventions"
-    )
+    matrix, literal = _try_placement(group, rep, placements)
+    ok = literal
+    if not literal:
+        placements = {}
+        for var, entries in links:
+            link = _resolve_link(group, rep, var, entries)
+            if link is None:
+                break
+            placements.update(link)
+        else:
+            matrix, ok = _try_placement(group, rep, placements)
+    variables = list(dict.fromkeys(var for _, var in placements.values()))
+    if not ok or len(variables) != expected_parameter_count(kind, n):
+        raise ConventionError(
+            f"no membership-valid placement found for {kind} at n={n}; "
+            "this contradicts the implementation's conventions"
+        )
+    assignment = {
+        "placement": literal_label if literal else label,
+        "entries": {
+            f"({i},{j})": f"{'+' if s > 0 else '-'}{v}"
+            for (i, j), (s, v) in placements.items()
+        },
+    }
+    if not literal:
+        assignment["literal_reading_failed"] = literal_label
+    return SpecializationFamily(group, kind, variables, matrix, assignment)
+
+
+def _resolve_link(group, rep, var, entries):
+    """The link's placement, first entry at +1, under the first partner signs
+    that pass membership; None when none do."""
+    first, *rest = entries
+    for signs in itertools.product((1, -1), repeat=len(rest)):
+        link = {first: (1, var)}
+        link.update((entry, (s, var)) for entry, s in zip(rest, signs))
+        if _try_placement(group, rep, link)[1]:
+            return link
+    return None
 
 
 def _try_placement(group, rep, placements):
@@ -246,132 +255,45 @@ def _try_placement(group, rep, placements):
     return matrix, lhs.is_zero()
 
 
-def _resolve_pair_signs(group, rep, pair_maker, pairs):
-    """Per-pair sign search; pairs are independent because the membership
-    defect is linear in the added block."""
-    placements = {}
-    for pair in pairs:
-        for signs in pair_maker(pair):
-            _, ok = _try_placement(group, rep, signs)
-            if ok:
-                placements.update(signs)
-                break
-        else:
-            return None
-    return placements
+# Each layout gives (literal label, literal placement, resolved label, links);
+# a placement maps entry (i, j) to (sign, variable), and a link is
+# (variable, [first entry, *linked entries]).
 
-
-def _sp_antidiag_candidates(group, rep):
-    """Candidate placements for the Sp bottom-left family.
-
-    Literal reading: independent variables on the block anti-diagonal.
-    Fallback: membership-paired anti-diagonal entries plus free entries on
-    the block diagonal, which restores the stated n-parameter count while
-    keeping the corner minors equal to monomials.
-    """
-    n = group.n
-
-    # literal: n independent anti-diagonal entries
-    variables = [f"x{i}" for i in range(1, n + 1)]
-    literal = {
-        (n + i, n + 1 - i): (1, variables[i - 1]) for i in range(1, n + 1)
-    }
-    yield "literal_antidiagonal", variables, literal
-
-    # paired anti-diagonal + free diagonal entries
-    pair_vars = []
-    pairs = []
-    for i in range(1, n // 2 + 1):
-        var = f"x{i}"
-        pair_vars.append(var)
-        pairs.append((i, n + 1 - i, var))
-    middle = None
+def _sp_layout(n):
+    """Sp: n independent anti-diagonal entries of the bottom-left block read
+    literally; resolved, anti-diagonal entries paired by membership (the
+    middle one alone for odd n) plus free entries on the block diagonal,
+    which keeps n parameters and corner minors equal to monomials."""
+    literal = {(n + i, n + 1 - i): (1, f"x{i}") for i in range(1, n + 1)}
+    links = [(f"x{i}", [(n + i, n + 1 - i), (2 * n + 1 - i, i)])
+             for i in range(1, n // 2 + 1)]
     if n % 2:
         middle = (n + 1) // 2
-        pair_vars.append(f"x{middle}")
-    diag_vars = [f"y{i}" for i in range(1, n // 2 + 1)]
-
-    def pair_maker(pair):
-        i, ipart, var = pair
-        for s in (1, -1):
-            yield {
-                (n + i, n + 1 - i): (1, var),
-                (n + ipart, n + 1 - ipart): (s, var),
-            }
-
-    placements = _resolve_pair_signs(group, rep, pair_maker, pairs)
-    if placements is not None:
-        if middle is not None:
-            single = {(n + middle, n + 1 - middle): (1, f"x{middle}")}
-            _, ok = _try_placement(group, rep, single)
-            if ok:
-                placements.update(single)
-            else:
-                placements = None
-    if placements is not None:
-        for k, var in enumerate(diag_vars, start=1):
-            single = {(n + k, k): (1, var)}
-            _, ok = _try_placement(group, rep, single)
-            if not ok:
-                placements = None
-                break
-            placements.update(single)
-    if placements is not None:
-        yield "paired_antidiagonal_plus_diagonal", pair_vars + diag_vars, placements
+        links.append((f"x{middle}", [(n + middle, n + 1 - middle)]))
+    links += [(f"y{k}", [(n + k, k)]) for k in range(1, n // 2 + 1)]
+    return ("literal_antidiagonal", literal,
+            "paired_antidiagonal_plus_diagonal", links)
 
 
-def _so_even_candidates(group, rep):
-    """SO_2n, n even: anti-diagonal entries paired with negated partners."""
-    n = group.n
-
-    variables = [f"x{i}" for i in range(1, n // 2 + 1)]
-    # literal reading: rows n+i and partner row 2n+1-i carry x and -x
-    literal = {}
-    for k, var in enumerate(variables, start=1):
-        hi = n + 1 - k  # block row in n/2+1..n  (matrix rows 3n/2+1..2n)
-        lo = k          # partner block row (matrix rows n+1..3n/2)
-        literal[(n + hi, n + 1 - hi)] = (1, var)
-        literal[(n + lo, n + 1 - lo)] = (-1, var)
-    yield "literal_paired_antidiagonal", variables, literal
-
-    pairs = [(n + 1 - k, k, var) for k, var in enumerate(variables, start=1)]
-
-    def pair_maker(pair):
-        hi, lo, var = pair
-        for s in (-1, 1):
-            yield {
-                (n + hi, n + 1 - hi): (1, var),
-                (n + lo, n + 1 - lo): (s, var),
-            }
-
-    placements = _resolve_pair_signs(group, rep, pair_maker, pairs)
-    if placements is not None:
-        yield "sign_resolved_paired_antidiagonal", variables, placements
+def _so_even_layout(n):
+    """SO_2n, n even: anti-diagonal entries of the bottom-left block, paired
+    with negated partners in the literal reading."""
+    links = [(f"x{k}", [(2 * n + 1 - k, k), (n + k, n + 1 - k)])
+             for k in range(1, n // 2 + 1)]
+    return ("literal_paired_antidiagonal", _negated_partners(links),
+            "sign_resolved_paired_antidiagonal", links)
 
 
-def _so_odd_candidates(group, rep):
-    """SO_2n, n odd: the bottom-left block is a generic skew-symmetric matrix
-    (up to membership-resolved signs); the diagonal vanishes."""
-    n = group.n
+def _so_odd_layout(n):
+    """SO_2n, n odd: the bottom-left block is skew-symmetric in the literal
+    reading (up to membership-resolved signs); the diagonal vanishes."""
+    links = [(f"x{i}_{j}", [(n + i, j), (n + j, i)])
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return ("literal_skew_block", _negated_partners(links),
+            "sign_resolved_skew_block", links)
 
-    variables = [f"x{i}_{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    literal = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            var = f"x{i}_{j}"
-            literal[(n + i, j)] = (1, var)
-            literal[(n + j, i)] = (-1, var)
-    yield "literal_skew_block", variables, literal
 
-    pairs = [
-        (i, j, f"x{i}_{j}") for i in range(1, n + 1) for j in range(i + 1, n + 1)
-    ]
-
-    def pair_maker(pair):
-        i, j, var = pair
-        for s in (-1, 1):
-            yield {(n + i, j): (1, var), (n + j, i): (s, var)}
-
-    placements = _resolve_pair_signs(group, rep, pair_maker, pairs)
-    if placements is not None:
-        yield "sign_resolved_skew_block", variables, placements
+def _negated_partners(links):
+    """The placement with each link's first entry at +1, the rest at -1."""
+    return {entry: (-1 if k else 1, var)
+            for var, entries in links for k, entry in enumerate(entries)}

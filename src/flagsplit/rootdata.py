@@ -368,16 +368,15 @@ class GroupDatum:
 
     def simple_reflection_representative(self, i):
         """n_alpha = exp(X) exp(-Y) exp(X) for the i-th simple root (1-based),
-        as integer rows."""
+        as integer rows; ConventionError unless it is a +-1 monomial matrix
+        in the group."""
         alpha = self.simple_roots[i - 1]
-        X = self.root_generator[alpha]
-        Y = self.root_generator[-alpha]
-        for s in (1, -1):
-            rep = _numeric_exp_triple(X, [[s * y for y in row] for row in Y])
-            if (rep is not None and _is_sign_monomial(rep)
-                    and self.in_group(PolyMatrix(rep))):
-                return rep
-        raise ConventionError(f"no valid representative for simple root {alpha}")
+        rep = _numeric_exp_triple(self.root_generator[alpha],
+                                  self.root_generator[-alpha])
+        if (rep is None or not _is_sign_monomial(rep)
+                or not self.in_group(PolyMatrix(rep))):
+            raise ConventionError(f"no valid representative for simple root {alpha}")
+        return rep
 
     def levi_longest_word(self, r=None):
         """Reduced word and permutation for w_0^P.
@@ -404,12 +403,15 @@ class GroupDatum:
         return WeylWord(perm, word, n * (n - 1) // 2)
 
     def levi_longest_representative(self, r=None):
-        """Matrix representative of w_0^P, a monomial matrix with entries +-1."""
+        """Matrix representative of w_0^P, a monomial matrix with entries +-1;
+        each distinct simple reflection of the word is built once."""
         weyl = self.levi_longest_word(r)
         size = self.size
         rep = [[int(i == j) for j in range(size)] for i in range(size)]
+        reflections = {i: self.simple_reflection_representative(i)
+                       for i in set(weyl.word)}
         for i in weyl.word:
-            rep = integer_product(rep, self.simple_reflection_representative(i))
+            rep = integer_product(rep, reflections[i])
         matrix = PolyMatrix(rep)
         if not self.in_group(matrix):
             raise ConventionError("representative fails group membership")

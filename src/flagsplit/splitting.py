@@ -205,7 +205,7 @@ def rnc_verify(f0, cert):
     return True
 
 
-def rnc_search(f0, variable_order_universe=None):
+def rnc_search(f0):
     """Backtracking search for a certificate using canonical quotient lifts.
 
     The state after choosing the set S is f_0 with exactly-once occurrences
@@ -217,7 +217,7 @@ def rnc_search(f0, variable_order_universe=None):
     """
     if f0.is_zero():
         raise ValueError("target polynomial is zero")
-    universe = variable_order_universe or sorted(f0.variables())
+    universe = sorted(f0.variables())
     dead = set()
 
     def dfs(state, chosen, order, chain):

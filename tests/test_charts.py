@@ -81,20 +81,35 @@ def test_sl_entry_big_cell_names():
     assert len(big.variables) == 15
 
 
+# the resolved placement and the literal reading that failed, per kind
+PLACEMENTS = {
+    SP_ANTIDIAG: ("paired_antidiagonal_plus_diagonal", "literal_antidiagonal"),
+    SO_EVEN_PAIRED: ("sign_resolved_paired_antidiagonal",
+                     "literal_paired_antidiagonal"),
+    SO_ODD_SKEW: ("sign_resolved_skew_block", "literal_skew_block"),
+}
+# the resolved signs in full where the sign search has a real choice to make
+ENTRIES = {
+    ("C", 2): {"(3,2)": "+x1", "(4,1)": "-x1", "(3,1)": "+y1"},
+    ("D", 3): {"(4,2)": "+x1_2", "(5,1)": "+x1_2", "(4,3)": "+x1_3",
+               "(6,1)": "-x1_3", "(5,3)": "+x2_3", "(6,2)": "+x2_3"},
+}
+
+
 @pytest.mark.parametrize(
     "family,n,kind",
-    [
-        ("C", 2, SP_ANTIDIAG),
-        ("C", 3, SP_ANTIDIAG),
-        ("D", 2, SO_EVEN_PAIRED),
-        ("D", 4, SO_EVEN_PAIRED),
-        ("D", 3, SO_ODD_SKEW),
-    ],
+    [("C", n, SP_ANTIDIAG) for n in range(2, 6)]
+    + [("D", n, SO_ODD_SKEW if n % 2 else SO_EVEN_PAIRED) for n in range(2, 7)],
 )
 def test_specialization_families(groups, family, n, kind):
-    g = groups[(family, n)]
+    g = groups.get((family, n)) or build_group_datum(family, n)
     fam = specialization_family(levi_center_chart(big_cell_chart(g)))
     assert fam.kind == kind
+    placement, literal = PLACEMENTS[kind]
+    assert fam.sign_assignment["placement"] == placement
+    assert fam.sign_assignment["literal_reading_failed"] == literal
+    if (family, n) in ENTRIES:
+        assert fam.sign_assignment["entries"] == ENTRIES[(family, n)]
     assert fam.parameter_count() == expected_parameter_count(kind, n)
     assert fam.matrix.transpose() * g.form * fam.matrix - g.form == 0
     # the k-th trailing minor is nonzero homogeneous of degree k

@@ -5,7 +5,8 @@ that only the tests reach belongs in tests/reference.py.
 The check goes by name alone.  A method counts as reached when any non-test
 code mentions its name, so a test-only method is missed while another
 definition shares its name (as `Monomial.variables` once did with
-`Polynomial.variables`)."""
+`Polynomial.variables`, and `Chart.serialize`, which nothing called, with the
+`serialize` of other classes)."""
 
 import ast
 from collections import Counter

@@ -122,6 +122,34 @@ def test_simple_reflection_representatives_in_group(groups):
             assert g.in_group(PolyMatrix(g.simple_reflection_representative(i)))
 
 
+@pytest.mark.parametrize("family,n", [("A", 3), ("C", 2), ("D", 3)])
+def test_simple_reflection_rejects_the_other_sign(family, n):
+    """exp(X) exp(Y) exp(X) is never a representative, so a negated
+    generator of -alpha is a convention error, not a retry."""
+    g = build_group_datum(family, n)
+    for i, alpha in enumerate(g.simple_roots, start=1):
+        Y = g.root_generator[-alpha]
+        g.root_generator[-alpha] = [[-y for y in row] for row in Y]
+        with pytest.raises(ConventionError):
+            g.simple_reflection_representative(i)
+        g.root_generator[-alpha] = Y
+
+
+def test_levi_longest_representative_builds_each_reflection_once(monkeypatch):
+    g = build_group_datum("D", 4)
+    built = []
+    build = type(g).simple_reflection_representative
+
+    def counted(self, i):
+        built.append(i)
+        return build(self, i)
+
+    monkeypatch.setattr(type(g), "simple_reflection_representative", counted)
+    g.levi_longest_representative()
+    assert g.levi_longest_word().word == (1, 2, 1, 3, 2, 1)
+    assert sorted(built) == [1, 2, 3]
+
+
 def test_root_heights_positive(groups):
     for g in groups.values():
         for root in g.positive_roots:

@@ -85,7 +85,7 @@ def test_order_invariant_under_torus_twisted_representative(family, n, r, signs)
     chart = levi_center_chart(big_cell_chart(g), r)
     baseline, _ = order_at_center(minus, chart)
     d = _sign_diagonal(g, signs)
-    twisted = Chart(g, chart.center_word, chart.variables, d * chart.matrix)
+    twisted = Chart(g, chart.variables, d * chart.matrix)
     orders, _ = order_at_center(minus, twisted)
     assert orders == baseline
 
