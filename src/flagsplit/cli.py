@@ -16,13 +16,13 @@ import sys
 import time
 
 from . import __version__
-from .poly import _is_prime
 from .rootdata import FAMILY_A, FAMILY_C, FAMILY_D, build_group_datum
 from .sections import GroupSections, equivariance_suite
 from .splitting import (
     NOT_COMPUTED,
     ResourceGuard,
     RncCertificate,
+    is_odd_prime,
     rnc_search,
     rnc_verify,
     skew_minor_claim,
@@ -70,7 +70,7 @@ class SuiteConfig:
         if not primes:
             raise ConfigError("the prime list is empty")
         for p in primes:
-            if p < 3 or not _is_prime(p):
+            if not is_odd_prime(p):
                 raise ConfigError(f"primes must be odd primes >= 3, got {p}")
         checks = list(checks) if checks is not None else list(CHECK_SEQUENCE)
         for c in checks:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 
 
 class MinorSpec:
@@ -235,10 +235,10 @@ def exp_nilpotent(matrix, t):
     Raises as `exp_series` does.
     """
     terms = exp_series(matrix)
-    t_powers = [Monomial({t: m}) for m in range(len(terms))]
     size = len(matrix)
     return PolyMatrix([
-        [Polynomial({mono: term[i][j] for mono, term in zip(t_powers, terms)})
+        [Polynomial([({t: m}, term[i][j]) for m, term in enumerate(terms)
+                     if term[i][j]])
          for j in range(size)]
         for i in range(size)
     ])

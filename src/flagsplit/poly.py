@@ -17,12 +17,15 @@ one int addition and a divisibility test is one subtraction (a field that
 borrows clears its guard bit).  Exponents and total degrees are limited to
 MAX_DEGREE; a product that would pass it raises DegreeOverflowError before
 any key is formed, so a carry never reaches the neighbouring field.
+
+The packed key is the only monomial; `Layout.exponents` decodes one into
+(name, exponent) pairs for text.  Printing sorts terms by total degree, then
+by those pairs, both descending, which is not the order of the keys.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -34,11 +37,11 @@ _GUARD_BIT = 1 << (FIELD_BITS - 1)
 
 
 class NotDivisibleError(ArithmeticError):
-    """Raised by zero_out_and_divide when some monomial resists division."""
+    """Raised by divide_by_variable when some monomial lacks the variable."""
 
-    def __init__(self, monomial):
-        self.monomial = monomial
-        super().__init__(f"monomial {monomial!r} not divisible by divisor")
+    def __init__(self, exponents, divisor):
+        monomial = _monomial_text(exponents) or "1"
+        super().__init__(f"monomial {monomial} not divisible by {divisor}")
 
 
 class DegreeOverflowError(ArithmeticError):
@@ -58,64 +61,6 @@ def _integer(c):
     if n != c:
         raise ValueError(f"{c} is not an integer")
     return n
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-class Monomial:
-    """A power product, stored as a sorted tuple of (variable, exponent).
-
-    Zero exponents are never stored; the empty monomial is 1.
-    """
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exponents=()):
-        if isinstance(exponents, dict):
-            items = exponents.items()
-        else:
-            items = exponents
-        cleaned = []
-        for var, e in items:
-            if e < 0:
-                raise ValueError("negative exponent")
-            if e:
-                cleaned.append((var, e))
-        cleaned.sort()
-        self.exps = tuple(cleaned)
-
-    @classmethod
-    def _raw(cls, exps):
-        m = object.__new__(cls)
-        m.exps = exps
-        return m
-
-    def degree(self):
-        return sum(e for _, e in self.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def sort_key(self):
-        # graded lexicographic by variable-id; for determinism only
-        return (self.degree(), self.exps)
-
-    def __repr__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
 
 
 class Layout:
@@ -146,7 +91,7 @@ class Layout:
 
     def pack(self, exps):
         """Key of a monomial given as (name, exponent) pairs, or None when
-        it uses a name outside the layout."""
+        it uses a name outside the layout.  A repeated name adds up."""
         degree = sum(e for _, e in exps)
         if degree > MAX_DEGREE:
             raise DegreeOverflowError(degree)
@@ -156,13 +101,15 @@ class Layout:
             s = shifts.get(v)
             if s is None:
                 return None
-            key |= e << s
+            key += e << s
         return key
 
-    def monomial(self, key):
-        return Monomial._raw(tuple(
+    def exponents(self, key):
+        """The (name, exponent) pairs of a key's nonzero fields, in name
+        order."""
+        return tuple(
             (v, e) for v, s in self.fields if (e := (key >> s) & _FIELD)
-        ))
+        )
 
     def union(self, other):
         """(layout of both name sets, moves for self's keys, moves for
@@ -233,74 +180,43 @@ def _repack(packed, moves):
     return out
 
 
-class _Terms(Mapping):
-    """Read-only Monomial -> coefficient view of a polynomial's terms."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly):
-        self._poly = poly
-
-    def __len__(self):
-        return len(self._poly.packed)
-
-    def __iter__(self):
-        return map(self._poly.layout.monomial, self._poly.packed)
-
-    def __getitem__(self, mono):
-        try:
-            return self._poly.packed[self._poly._key(mono)]
-        except KeyError:
-            raise KeyError(mono) from None
-
-    def items(self):
-        return _TermItems(self)
-
-
-class _TermItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        poly = self._mapping._poly
-        monomial = poly.layout.monomial
-        for k, c in poly.packed.items():
-            yield monomial(k), c
-
-
 class Polynomial:
     """Sparse multivariate polynomial with integer coefficients.
 
-    `packed` maps packed monomials over `layout` to nonzero coefficients;
-    `terms` is the same as a Monomial -> coefficient view.
+    `terms` is the storage, a dict from packed monomials over `layout` to
+    nonzero coefficients.  The constructor sums (exponents, coefficient)
+    pairs, the exponents a dict or (name, exponent) pairs.  Terms print in
+    graded pair order: total degree, then those pairs, both descending.
     """
 
-    __slots__ = ("layout", "packed")
+    __slots__ = ("layout", "terms")
 
-    def __init__(self, terms=None):
-        canonical = {}
-        if terms:
-            for mono, c in (terms.items() if isinstance(terms, Mapping) else terms):
-                if not isinstance(mono, Monomial):
-                    mono = Monomial(mono)
-                c = _integer(c)
-                if c:
-                    acc = canonical.get(mono)
-                    if acc is None:
-                        canonical[mono] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            canonical[mono] = acc
-                        else:
-                            del canonical[mono]
-        self.layout = layout_of(sorted({v for m in canonical for v, _ in m.exps}))
-        self.packed = {self.layout.pack(m.exps): c for m, c in canonical.items()}
+    def __init__(self, terms=()):
+        monomials = []
+        for exps, c in terms:
+            pairs = [(v, e) for v, e in
+                     (exps.items() if isinstance(exps, dict) else exps) if e]
+            if any(e < 0 for _, e in pairs):
+                raise ValueError("negative exponent")
+            c = _integer(c)
+            if c:
+                monomials.append((pairs, c))
+        layout = layout_of(sorted({v for pairs, _ in monomials for v, _ in pairs}))
+        packed = {}
+        for pairs, c in monomials:
+            key = layout.pack(pairs)
+            packed[key] = packed.get(key, 0) + c
+        if len(packed) < len(monomials):  # terms met, so some may cancel
+            canonical = Polynomial._trimmed(
+                layout, {k: c for k, c in packed.items() if c})
+            layout, packed = canonical.layout, canonical.terms
+        self.layout, self.terms = layout, packed
 
     @classmethod
-    def _raw(cls, layout, packed):
+    def _raw(cls, layout, terms):
         p = object.__new__(cls)
         p.layout = layout
-        p.packed = packed
+        p.terms = terms
         return p
 
     @classmethod
@@ -333,34 +249,20 @@ class Polynomial:
     def one(cls):
         return cls.constant(1)
 
-    @property
-    def terms(self):
-        return _Terms(self)
-
-    def _key(self, mono):
-        """Packed key of a monomial in this layout, or None if no term of
-        this polynomial can have it."""
-        if not isinstance(mono, Monomial):
-            mono = Monomial(mono)
-        try:
-            return self.layout.pack(mono.exps)
-        except DegreeOverflowError:
-            return None
-
     def is_zero(self):
-        return not self.packed
+        return not self.terms
 
     def is_constant(self):
         return self.layout is EMPTY_LAYOUT
 
     def constant_value(self):
-        return self.packed.get(0, 0)
+        return self.terms.get(0, 0)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.packed:
+        if not self.terms:
             return -1
-        return max(self.packed) >> self.layout.degree_shift
+        return max(self.terms) >> self.layout.degree_shift
 
     def variables(self):
         return list(self.layout.names)
@@ -376,17 +278,17 @@ class Polynomial:
         1 in every layout)."""
         a, b = self.layout, other.layout
         if a is b or b is EMPTY_LAYOUT:
-            return a, self.packed, other.packed
+            return a, self.terms, other.terms
         if a is EMPTY_LAYOUT:
-            return b, self.packed, other.packed
+            return b, self.terms, other.terms
         union, moves_a, moves_b = a.union(b)
-        return union, _repack(self.packed, moves_a), _repack(other.packed, moves_b)
+        return union, _repack(self.terms, moves_a), _repack(other.terms, moves_b)
 
     def __add__(self, other):
         other = self._wrap(other)
-        if not other.packed:
+        if not other.terms:
             return self
-        if not self.packed:
+        if not self.terms:
             return other
         layout, a, b = self._aligned(other)
         if len(a) < len(b):
@@ -411,7 +313,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.layout, {m: -c for m, c in self.packed.items()})
+        return Polynomial._raw(self.layout, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
@@ -468,11 +370,11 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.layout is other.layout
-            and self.packed == other.packed
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.layout.names, frozenset(self.packed.items())))
+        return hash((self.layout.names, frozenset(self.terms.items())))
 
     def substitute(self, assignment):
         """Substitute polynomials (or integers) for variables.
@@ -488,14 +390,14 @@ class Polynomial:
         for v, s in layout.fields:
             if v in assignment:
                 rep = self._wrap(assignment[v])
-                if rep.packed:
+                if rep.terms:
                     subs.append((s, rep))
                 else:
                     zero_mask |= _FIELD << s
         keep = ~(zero_mask | sum(_FIELD << s for s, _ in subs))
         top = layout.degree_shift
         groups = {}
-        for k, c in self.packed.items():
+        for k, c in self.terms.items():
             if not k & zero_mask:
                 exps = tuple((k >> s) & _FIELD for s, _ in subs)
                 groups.setdefault(exps, {})[(k & keep) - (sum(exps) << top)] = c
@@ -521,13 +423,13 @@ class Polynomial:
         for v, shift in self.layout.fields:
             p, d = point[v], direction[v]
             powers = [[1]]
-            for _ in range(max((k >> shift) & _FIELD for k in self.packed)):
+            for _ in range(max((k >> shift) & _FIELD for k in self.terms)):
                 prev = powers[-1]
                 powers.append([p * a + d * b
                                for a, b in zip(prev + [0], [0] + prev)])
             fields.append((shift, powers))
         out = [0] * (self.degree() + 1)
-        for k, c in self.packed.items():
+        for k, c in self.terms.items():
             acc = [c]
             for shift, powers in fields:
                 e = (k >> shift) & _FIELD
@@ -550,70 +452,26 @@ class Polynomial:
         return poly_to_string(self)
 
 
-class InfiniteOrder:
-    """Order of the zero polynomial: larger than every integer, not a number."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __gt__(self, other):
-        return not isinstance(other, InfiniteOrder)
-
-    def __lt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return True
-
-    def __le__(self, other):
-        return isinstance(other, InfiniteOrder)
-
-    def __repr__(self):
-        return "INFINITE_ORDER"
-
-
-INFINITE_ORDER = InfiniteOrder()
-
-
 def order_at_origin(a):
-    """Minimum total degree of the stored monomials; INFINITE_ORDER for 0."""
+    """Minimum total degree of the stored monomials; None for 0."""
     if a.is_zero():
-        return INFINITE_ORDER
+        return None
     # the degree is the most significant field, so the least key has it
-    return min(a.packed) >> a.layout.degree_shift
+    return min(a.terms) >> a.layout.degree_shift
 
 
-def zero_out_and_divide(a, zeroed, divisor):
-    """Set the given variables to zero, then divide exactly by `divisor`.
-
-    Returns the quotient, or None when the substitution kills the whole
-    polynomial (a dead end for certificate search, not an error).  Raises
-    NotDivisibleError, carrying the offending monomial, when some surviving
-    monomial lacks the divisor.
-    """
-    if divisor in zeroed:
-        raise ValueError("divisor must not be among the zeroed variables")
+def divide_by_variable(a, v):
+    """The exact quotient a / v.  Raises NotDivisibleError, naming the
+    monomial, when some monomial of a lacks v."""
     layout = a.layout
-    zero_mask = 0
-    for v in zeroed:
-        if v in layout.shifts:
-            zero_mask |= _FIELD << layout.shifts[v]
-    shift = layout.shifts.get(divisor)
+    shift = layout.shifts.get(v)
     if shift is not None:
         step = (1 << shift) | (1 << layout.degree_shift)
     out = {}
-    for m, c in a.packed.items():
-        if m & zero_mask:
-            continue
+    for m, c in a.terms.items():
         if shift is None or not (m >> shift) & _FIELD:
-            raise NotDivisibleError(layout.monomial(m))
+            raise NotDivisibleError(layout.exponents(m), v)
         out[m - step] = c
-    if not out:
-        return None
     return Polynomial._trimmed(layout, out)
 
 
@@ -622,15 +480,22 @@ def zero_out_and_divide(a, zeroed, divisor):
 # coefficient and `*`-separated factors `var` or `var^k`.
 # ---------------------------------------------------------------------------
 
+def _monomial_text(exponents):
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in exponents)
+
+
 def poly_to_string(a):
     if a.is_zero():
         return "0"
     parts = []
-    for m, c in sorted(a.terms.items(), key=lambda mc: mc[0].sort_key(),
-                       reverse=True):
+    layout = a.layout
+    top = layout.degree_shift
+    # graded pair order, descending; key order would put x*z before y^2
+    terms = [(k >> top, layout.exponents(k), c) for k, c in a.terms.items()]
+    for _, exps, c in sorted(terms, reverse=True):
         neg = c < 0
         mag = -c if neg else c
-        factors = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m.exps)
+        factors = _monomial_text(exps)
         if not factors:
             body = str(mag)
         elif mag == 1:
@@ -676,7 +541,7 @@ def poly_from_string(text):
                 raise ValueError(f"bad factor {factor!r}")
             var, e = fm.group(1), int(fm.group(2) or 1)
             exps[var] = exps.get(var, 0) + e
-        terms.append((Monomial(exps), coeff))
+        terms.append((exps, coeff))
         pos = m.end()
         first = False
     return Polynomial(terms)

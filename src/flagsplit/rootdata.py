@@ -118,8 +118,6 @@ class GroupDatum:
         self.family = family
         self.n = n
         self.size = n if family == FAMILY_A else 2 * n
-        self.rank = n - 1 if family == FAMILY_A else n
-        self.not_simple = family == FAMILY_D and n == 2  # D_2 = A_1 x A_1, flagged
         form = self._form_rows()
         self.form = PolyMatrix(form) if form else None
         self._build_root_data()
@@ -209,7 +207,6 @@ class GroupDatum:
                 raise ConventionError("root generator is neither upper nor lower")
 
         self.simple_roots = self._expected_simple_roots()
-        self._simple_root_index = {a: i for i, a in enumerate(self.simple_roots)}
         self.fundamental_weights = self._fundamental_weights()
         self.rho = Weight.zero(self.family, self.n)
         for w in self.fundamental_weights:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 from .charts import big_cell_chart
 from .matrix import (
@@ -22,18 +23,22 @@ from .matrix import (
 )
 from .poly import (
     DegreeOverflowError,
-    Monomial,
     NotDivisibleError,
     Polynomial,
-    _is_prime,
+    divide_by_variable,
+    order_at_origin,
     poly_from_string,
     poly_to_string,
-    zero_out_and_divide,
 )
 from .sections import build_sigma_pair
 
 COMPUTED = "computed"
 NOT_COMPUTED = "not_computed"
+
+
+def is_odd_prime(p):
+    return (isinstance(p, int) and p >= 3
+            and all(p % d for d in range(2, isqrt(p) + 1)))
 
 
 class ResourceGuard:
@@ -92,7 +97,7 @@ def splitting_coefficient(f, variables, p, guard=None):
     full square.  A degree past the packed-exponent limit gives a
     not-computed verdict whose reason names the limit.
     """
-    if p < 3 or not _is_prime(p):
+    if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     variables = list(variables)
     n = len(variables)
@@ -115,7 +120,7 @@ def splitting_coefficient(f, variables, p, guard=None):
                 if not guard.check(base):
                     return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
                                         guard_reason=guard.tripped)
-        target = g.layout.pack(Monomial({v: p - 1 for v in variables}).exps)
+        target = g.layout.pack([(v, p - 1) for v in variables])
     except DegreeOverflowError as exc:
         return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
                             guard_reason=str(exc))
@@ -126,7 +131,7 @@ def splitting_coefficient(f, variables, p, guard=None):
         # difference with the guard bits cleared
         guard_bits = g.layout.guard
         top = target | guard_bits
-        terms = g.packed
+        terms = g.terms
         for t, c in terms.items():
             rest = top - t
             if rest & guard_bits == guard_bits:
@@ -233,7 +238,7 @@ def rnc_search(f0):
                 continue
             try:
                 # state is f_i at t_1..t_i = 0, so this is f_{i+1}
-                quotient = zero_out_and_divide(state, (), v)
+                quotient = divide_by_variable(state, v)
             except NotDivisibleError:
                 # divisibility depends on the predecessor set, so the
                 # target set may still be reachable another way
@@ -404,7 +409,7 @@ def skew_minor_claim(n, k, seed=11):
     minor = column_minor(B, tuple(range(n - k + 1, n + 1)))
     if minor.is_zero():
         raise AssertionError(f"corner minor vanished for n={n}, k={k}")
-    if any(m.degree() != k for m in minor.terms):
+    if not order_at_origin(minor) == minor.degree() == k:
         raise AssertionError("corner minor is not homogeneous of degree k")
 
     # rank-(n-1) form: symplectic pairs on the first n-1 basis vectors,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .charts import sl_explicit_chart
 from .matrix import column_minor
-from .poly import INFINITE_ORDER, order_at_origin
+from .poly import order_at_origin
 from .rootdata import FAMILY_A, ConventionError
 
 
@@ -84,7 +84,7 @@ def order_at_center(section, chart):
     for spec in section.factors:
         value = column_minor(chart.matrix, spec, memo)
         order = order_at_origin(value)
-        if order is INFINITE_ORDER:
+        if order is None:
             raise ConventionError(f"factor {spec} vanishes identically on chart")
         orders.append(order)
     return orders, sum(orders)

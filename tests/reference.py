@@ -11,7 +11,8 @@ simple-root coordinates, and exp of a nilpotent matrix from products of
 `PolyMatrix`es, with t set to 1 by substitution for the Weyl
 representatives.
 
-The other helpers were library code that only the tests used.
+`term_items` decodes a polynomial's packed keys into exponent dicts.  The
+other helpers were library code that only the tests used.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from flagsplit.matrix import PolyMatrix, row_reduce
-from flagsplit.poly import Monomial, Polynomial
+from flagsplit.poly import Polynomial
 from flagsplit.rootdata import FAMILY_A
 
 
@@ -29,7 +30,12 @@ def _clean(terms):
 
 
 def ref_of(poly):
-    return {m.exps: c for m, c in poly.terms.items()}
+    return {poly.layout.exponents(k): c for k, c in poly.terms.items()}
+
+
+def term_items(poly):
+    """(dict variable -> exponent, coefficient) pairs of poly's terms."""
+    return [(dict(exps), c) for exps, c in ref_of(poly).items()]
 
 
 def ref_from_terms(terms):
@@ -87,18 +93,16 @@ def ref_substitute(a, assignment):
     return out
 
 
-def ref_zero_out_and_divide(a, zeroed, divisor):
-    """The quotient, None when nothing survives, or "not divisible"."""
+def ref_divide_by_variable(a, v):
+    """The exact quotient a / v, or None when some monomial lacks v."""
     out = {}
     for m, c in a.items():
         exps = dict(m)
-        if any(v in exps for v in zeroed):
-            continue
-        if divisor not in exps:
-            return "not divisible"
-        exps[divisor] -= 1
-        out[tuple(sorted((v, e) for v, e in exps.items() if e))] = c
-    return out or None
+        if v not in exps:
+            return None
+        exps[v] -= 1
+        out[tuple(sorted((w, e) for w, e in exps.items() if e))] = c
+    return out
 
 
 def chain_state(f0, chosen):
@@ -111,12 +115,11 @@ def chain_state(f0, chosen):
     divisibility conditions hold.
     """
     out = []
-    for m, c in f0.terms.items():
-        exps = dict(m.exps)
+    for exps, c in term_items(f0):
         if all(exps.get(v) == 1 for v in chosen):
             for v in chosen:
                 del exps[v]
-            out.append((Monomial(exps), c))
+            out.append((exps, c))
     if not out:
         return None
     return Polynomial(out)
@@ -129,7 +132,8 @@ def sigma_plus_is_one_on_big_cell(plus, chart):
 
 def homogeneous_part(poly, d):
     """The terms of poly of total degree d."""
-    return Polynomial([(m, c) for m, c in poly.terms.items() if m.degree() == d])
+    return Polynomial([(exps, c) for exps, c in term_items(poly)
+                       if sum(exps.values()) == d])
 
 
 def leibniz_determinant(matrix, rows=None, cols=None):
@@ -205,7 +209,7 @@ def ref_exp_nilpotent(matrix, t):
                 if any(c % factorial for c in e.terms.values()):
                     raise ArithmeticError(f"{factorial} does not divide {e}")
                 scaled[-1].append(Polynomial(
-                    [(mono, c // factorial) for mono, c in e.terms.items()]))
+                    [(exps, c // factorial) for exps, c in term_items(e)]))
         result = result + PolyMatrix(scaled) * tpow
     return result
 

@@ -28,6 +28,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SuiteConfig("C", 2, primes=[2])
     with pytest.raises(ConfigError):
+        SuiteConfig("C", 2, primes=[3.0])
+    with pytest.raises(ConfigError):
         SuiteConfig("C", 2, checks=["nonsense"])
     with pytest.raises(ConfigError):
         SuiteConfig("C", 2, max_terms=0)

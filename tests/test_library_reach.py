@@ -1,12 +1,13 @@
 """Every top-level function and class of the library, and every method of a
 library class other than a dunder, has a caller outside the tests: a name
-that only the tests reach belongs in tests/reference.py.
+that only the tests reach belongs in tests/reference.py.  Likewise every
+instance attribute a library class sets (`self.<name> = ...`) is read as an
+attribute somewhere outside the tests.
 
-The check goes by name alone.  A method counts as reached when any non-test
-code mentions its name, so a test-only method is missed while another
-definition shares its name (as `Monomial.variables` once did with
-`Polynomial.variables`, and `Chart.serialize`, which nothing called, with the
-`serialize` of other classes)."""
+The check goes by name alone.  A method or attribute counts as reached when
+any non-test code mentions its name, so a test-only one is missed while
+another definition shares its name (as `Chart.serialize`, which nothing
+called, did with the `serialize` of other classes)."""
 
 import ast
 from collections import Counter
@@ -59,3 +60,27 @@ def test_every_library_definition_has_a_non_test_caller():
             if total[node.name] == identifiers(node)[node.name]:
                 unreached.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unreached, unreached
+
+
+def assigned_attributes(tree):
+    """(class, attribute, line) for each `self.<name> = ...` in a method of a
+    top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for n in ast.walk(node):
+                if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == "self"):
+                    yield node.name, n.attr, n.lineno
+
+
+def test_every_library_attribute_is_read_outside_the_tests():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in LIBRARY + BENCHMARK}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{path.name}:{line} {cls}.{attr}"
+              for path in LIBRARY
+              for cls, attr, line in assigned_attributes(trees[path])
+              if attr not in read]
+    assert not unread, unread

@@ -8,20 +8,19 @@ from flagsplit.poly import (
     FIELD_BITS,
     MAX_DEGREE,
     DegreeOverflowError,
-    Monomial,
     NotDivisibleError,
     Polynomial,
-    zero_out_and_divide,
+    divide_by_variable,
 )
 from reference import (
     ref_add,
+    ref_divide_by_variable,
     ref_from_terms,
     ref_mul,
     ref_neg,
     ref_of,
     ref_pow,
     ref_substitute,
-    ref_zero_out_and_divide,
 )
 
 # Operands draw their variables from overlapping pools, so most pairs have
@@ -39,7 +38,7 @@ operand = st.sampled_from(POOLS).flatmap(raw_terms)
 
 def build(terms):
     """The same polynomial through the library and through the reference."""
-    return Polynomial([(Monomial(m), c) for m, c in terms]), ref_from_terms(terms)
+    return Polynomial(terms), ref_from_terms(terms)
 
 
 @given(operand, operand)
@@ -93,7 +92,8 @@ def test_restrict_to_line_matches_substitute(ta, point, direction):
     s = Polynomial.variable("s")
     restricted = a.substitute(
         {v: s * direction[v] + point[v] for v in a.variables()})
-    want = [restricted.terms.get({"s": j}, 0)
+    coefficients = ref_of(restricted)
+    want = [coefficients.get((("s", j),) if j else (), 0)
             for j in range(restricted.degree() + 1)]
     assert a.restrict_to_line(point, direction) == want
 
@@ -104,23 +104,24 @@ def test_restrict_to_line_matches_substitute(ta, point, direction):
 def test_terms_get_matches_reference(ta, probe):
     a, ra = build(ta)
     for m, c in ra.items():
-        assert a.terms.get(Monomial(m), 0) == c
-    assert a.terms.get(probe, 0) == ra.get(Monomial(probe).exps, 0)
+        key = a.layout.pack(m)
+        assert a.terms[key] == c
+        assert a.layout.exponents(key) == m
+    # pack gives None for a name outside the layout, which no key equals
+    pairs = tuple(sorted((v, e) for v, e in probe.items() if e))
+    assert a.terms.get(a.layout.pack(pairs), 0) == ra.get(pairs, 0)
 
 
-@given(operand, st.sets(st.sampled_from(["x", "y", "z", "w"]), max_size=2),
-       st.sampled_from(["x", "y", "z", "w", "a"]))
+@given(operand, st.sampled_from(["x", "y", "z", "w", "a"]))
 @settings(max_examples=80, deadline=None)
-def test_zero_out_and_divide_matches_reference(ta, zeroed, divisor):
-    zeroed.discard(divisor)
+def test_divide_by_variable_matches_reference(ta, divisor):
     a, ra = build(ta)
-    want = ref_zero_out_and_divide(ra, zeroed, divisor)
-    if want == "not divisible":
+    want = ref_divide_by_variable(ra, divisor)
+    if want is None:
         with pytest.raises(NotDivisibleError):
-            zero_out_and_divide(a, zeroed, divisor)
-        return
-    got = zero_out_and_divide(a, zeroed, divisor)
-    assert (None if got is None else ref_of(got)) == want
+            divide_by_variable(a, divisor)
+    else:
+        assert ref_of(divide_by_variable(a, divisor)) == want
 
 
 @given(operand, operand)
@@ -142,14 +143,15 @@ def test_product_at_the_degree_limit_keeps_fields_apart():
     f = x**half * y
     g = f * x**half  # total degree exactly MAX_DEGREE
     assert g.degree() == MAX_DEGREE
-    assert dict(g.terms) == {Monomial({"x": 2 * half, "y": 1}): 1}
+    assert ref_of(g) == {(("x", 2 * half), ("y", 1)): 1}
     with pytest.raises(DegreeOverflowError):
         g * x
     with pytest.raises(DegreeOverflowError):
         x ** (MAX_DEGREE + 1)
     with pytest.raises(DegreeOverflowError):
-        Polynomial([(Monomial({"x": MAX_DEGREE, "y": 1}), 1)])
-    assert x.terms.get({"x": MAX_DEGREE + 1}, 0) == 0
+        Polynomial([({"x": MAX_DEGREE, "y": 1}, 1)])
+    with pytest.raises(DegreeOverflowError):
+        x.layout.pack([("x", MAX_DEGREE + 1)])
 
 
 def test_field_positions_ignore_unrelated_names():
@@ -159,4 +161,4 @@ def test_field_positions_ignore_unrelated_names():
     x, y, z = (Polynomial.variable(v) for v in ("m", "u0500", "v"))
     f = (x + 2 * y * z + 1) ** 2 - x * z
     limit = (len(f.variables()) + 1) * FIELD_BITS
-    assert all(key.bit_length() <= limit for key in (f * f).packed)
+    assert all(key.bit_length() <= limit for key in (f * f).terms)

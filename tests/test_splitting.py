@@ -1,5 +1,7 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 from flagsplit import splitting
 from flagsplit.charts import big_cell_chart, sl_entry_big_cell
 from flagsplit.cli import appendix_check, load_golden_chain
-from flagsplit.poly import MAX_DEGREE, Monomial, Polynomial, poly_from_string
+from flagsplit.poly import (
+    MAX_DEGREE,
+    NotDivisibleError,
+    Polynomial,
+    divide_by_variable,
+    order_at_origin,
+    poly_from_string,
+)
 from flagsplit.rootdata import build_group_datum
 from flagsplit.sections import build_sigma_pair
 from flagsplit.splitting import (
@@ -15,6 +24,7 @@ from flagsplit.splitting import (
     ResourceGuard,
     RncCertificate,
     RncVerifyError,
+    is_odd_prime,
     local_splitting_coefficient,
     rnc_search,
     rnc_verify,
@@ -22,7 +32,7 @@ from flagsplit.splitting import (
     splitting_coefficient,
     squarefree_probe,
 )
-from reference import chain_state, homogeneous_part
+from reference import chain_state, homogeneous_part, term_items
 
 
 def sigma_minus_on_entry_cell(n):
@@ -50,6 +60,13 @@ def test_golden_chain_anchor_values():
     assert chain[8] == poly_from_string("f*j")
     assert chain[9] == poly_from_string("j")
     assert chain[10] == Polynomial.one()
+
+
+def test_golden_chain_serializes_to_the_shipped_file():
+    # the shipped strings are in print order, so this pins that order
+    shipped = (Path(splitting.__file__).parent / "data"
+               / "appendix_n5_chain.json")
+    assert load_golden_chain().serialize() == json.loads(shipped.read_text())
 
 
 def test_golden_chain_tamper_detection():
@@ -98,12 +115,12 @@ def test_rnc_search_exhausted_matches_brute_force():
         state = f0
         alive = True
         for v in order:
-            if any(v not in dict(m.exps) for m in state.terms):
+            items = term_items(state)
+            if any(v not in exps for exps, _ in items):
                 alive = False
                 break
             state = Polynomial([
-                (Monomial({**dict(m.exps), v: dict(m.exps)[v] - 1}), c)
-                for m, c in state.terms.items()
+                ({**exps, v: exps[v] - 1}, c) for exps, c in items
             ]).substitute({v: 0})
             if state.is_zero():
                 alive = False
@@ -120,13 +137,11 @@ def test_rnc_search_finds_chain_for_sigma_minus(n):
     assert rnc_verify(f, out)  # round trip
     assert out.unit in (1, -1)
     # RNC with unit implies the coefficient of t_1...t_N in f is that unit
-    square_free_mono = Monomial({v: 1 for v in out.variable_order})
-    assert f.terms.get(square_free_mono, 0) in (1, -1)
+    square_free = f.layout.pack([(v, 1) for v in out.variable_order])
+    assert f.terms.get(square_free, 0) in (1, -1)
 
 
 def test_chain_state_set_independence():
-    from flagsplit.poly import NotDivisibleError, zero_out_and_divide
-
     f, _ = sigma_minus_on_entry_cell(4)
     out = rnc_search(f)
     chosen = out.variable_order[:3]
@@ -136,7 +151,7 @@ def test_chain_state_set_independence():
         state = f
         try:
             for v in order:
-                state = zero_out_and_divide(state, (), v).substitute({v: 0})
+                state = divide_by_variable(state, v).substitute({v: 0})
         except NotDivisibleError:
             continue  # this ordering is not a valid chain prefix
         valid_orders += 1
@@ -150,7 +165,7 @@ def test_chain_state_set_independence():
     for order in itertools.permutations("xy"):
         state = g
         for v in order:
-            state = zero_out_and_divide(state, (), v).substitute({v: 0})
+            state = divide_by_variable(state, v).substitute({v: 0})
         states.add(state)
     assert states == {chain_state(g, ("x", "y"))}
     assert chain_state(g, ("x", "y")) == poly_from_string("z + z^2")
@@ -224,6 +239,11 @@ def test_rejects_composite_p():
     for p in (9, 15, 21):
         with pytest.raises(ValueError):
             splitting_coefficient(poly_from_string("t"), ["t"], p)
+
+
+def test_is_odd_prime():
+    assert [p for p in range(-3, 40) if is_odd_prime(p)] == [
+        3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
 @pytest.mark.parametrize("family,n,p,coefficient", [
@@ -430,7 +450,7 @@ def test_skew_minor_full_range(n):
     for k in range(1, n):
         res = skew_minor_claim(n, k)
         assert res.nonzero
-        assert all(m.degree() == k for m in res.minor.terms)
+        assert order_at_origin(res.minor) == res.minor.degree() == k
         assert res.witness["gram_determinant"] != 0
 
 
