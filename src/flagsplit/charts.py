@@ -11,8 +11,10 @@ per kind, and one sign resolver with one sign order for every kind.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import mul
 
-from .matrix import PolyMatrix, exp_nilpotent
+from .matrix import PolyMatrix, exp_nilpotent, signed_rows
 from .poly import Polynomial
 from .rootdata import FAMILY_C, FAMILY_D, ConventionError
 
@@ -30,7 +32,8 @@ class Chart:
         self.matrix = matrix
 
     def center_matrix(self):
-        return self.matrix.substitute({v: 0 for v in self.variables})
+        """The matrix at t = 0, as integer rows."""
+        return [[e.constant_value() for e in row] for row in self.matrix.entries]
 
     def verify_membership(self):
         if not self.group.in_group(self.matrix):
@@ -48,9 +51,7 @@ def unipotent_factor(group, generator_order=None):
     if generator_order is not None:
         gens = [gens[i] for i in generator_order]
     names = _chart_variable_names(len(gens))
-    u = PolyMatrix.identity(group.size)
-    for (_, X), name in zip(gens, names):
-        u = u * exp_nilpotent(X, name)
+    u = reduce(mul, (exp_nilpotent(X, name) for (_, X), name in zip(gens, names)))
     return u, names
 
 
@@ -73,7 +74,7 @@ def levi_center_chart(big_cell, r=None):
     over the big cell's free root coordinates."""
     group = big_cell.group
     rep = group.levi_longest_representative(r)
-    chart = Chart(group, big_cell.variables, rep * big_cell.matrix)
+    chart = Chart(group, big_cell.variables, signed_rows(rep, big_cell.matrix))
     chart.verify_membership()
     if chart.center_matrix() != rep:
         raise ConventionError("chart center does not match the representative")
@@ -245,14 +246,14 @@ def _resolve_link(group, rep, var, entries):
 
 
 def _try_placement(group, rep, placements):
-    """rep + sum of s*x at entry (i, j); returns (matrix, membership holds)."""
-    size = group.size
-    entries = [[rep[i, j] for j in range(1, size + 1)] for i in range(1, size + 1)]
+    """rep + sum of s*x at entry (i, j); returns (matrix, whether it preserves
+    the form)."""
+    entries = [list(row) for row in rep]
     for (i, j), (s, var) in placements.items():
-        entries[i - 1][j - 1] = entries[i - 1][j - 1] + Polynomial.variable(var) * s
+        x = Polynomial.variable(var)
+        entries[i - 1][j - 1] += x if s > 0 else -x
     matrix = PolyMatrix(entries)
-    lhs = matrix.transpose() * group.form * matrix - group.form
-    return matrix, lhs.is_zero()
+    return matrix, group.preserves_form(matrix)
 
 
 # Each layout gives (literal label, literal placement, resolved label, links);

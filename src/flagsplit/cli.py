@@ -16,6 +16,7 @@ import sys
 import time
 
 from . import __version__
+from .poly import MAX_DEGREE
 from .rootdata import FAMILY_A, FAMILY_C, FAMILY_D, build_group_datum
 from .sections import GroupSections, equivariance_suite
 from .splitting import (
@@ -70,6 +71,11 @@ class SuiteConfig:
         if not primes:
             raise ConfigError("the prime list is empty")
         for p in primes:
+            # f^(p-1) needs exponents up to p - 1 in a packed field; checked
+            # first, since the primality test of a huge p never ends
+            if isinstance(p, int) and p - 1 > MAX_DEGREE:
+                raise ConfigError(f"p - 1 exceeds the packed-exponent limit "
+                                  f"{MAX_DEGREE}, got p = {p}")
             if not is_odd_prime(p):
                 raise ConfigError(f"primes must be odd primes >= 3, got {p}")
         checks = list(checks) if checks is not None else list(CHECK_SEQUENCE)

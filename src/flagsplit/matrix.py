@@ -1,7 +1,9 @@
 """Matrices with polynomial entries, column-initial minors, nilpotent exp.
 
 Constant matrices are plain lists of integer rows; `PolyMatrix` holds the
-matrices whose entries carry variables.
+matrices whose entries carry variables.  The constant matrices that act on a
+`PolyMatrix` (a form, a Weyl representative) are signed permutations, so
+`signed_rows` applies one by picking and negating rows, with no products.
 
 The determinant workhorse is `column_minor`: expansion along the last column
 with memoization keyed by row subsets, so that the nested leading minors of a
@@ -44,12 +46,6 @@ class MinorSpec:
     def __repr__(self):
         return f"MinorSpec({self.rows})"
 
-    def __eq__(self, other):
-        return isinstance(other, MinorSpec) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
 
 class PolyMatrix:
     """Dense matrix of integer polynomials."""
@@ -70,63 +66,32 @@ class PolyMatrix:
         self.nrows = len(self.entries)
         self.ncols = ncols
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij  # 1-based
         return self.entries[i - 1][j - 1]
 
     def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            zero = Polynomial.zero()
-            out = []
-            for i in range(self.nrows):
-                row = []
-                for j in range(other.ncols):
-                    acc = zero
-                    for k in range(self.ncols):
-                        a = self.entries[i][k]
-                        b = other.entries[k][j]
-                        if a.is_zero() or b.is_zero():
-                            continue
-                        acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return PolyMatrix(out)
-        # scalar
-        return PolyMatrix([[e * other for e in row] for row in self.entries])
-
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+        if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return PolyMatrix([
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
-
-    def __sub__(self, other):
-        return self + (other * (-1))
+        zero = Polynomial.zero()
+        out = []
+        for i in range(self.nrows):
+            row = []
+            for j in range(other.ncols):
+                acc = zero
+                for k in range(self.ncols):
+                    a = self.entries[i][k]
+                    b = other.entries[k][j]
+                    if a.is_zero() or b.is_zero():
+                        continue
+                    acc = acc + a * b
+                row.append(acc)
+            out.append(row)
+        return PolyMatrix(out)
 
     def transpose(self):
         return PolyMatrix(
             [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self.is_zero()
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def substitute(self, assignment):
-        return PolyMatrix(
-            [[e.substitute(assignment) for e in row] for row in self.entries]
         )
 
     def to_strings(self):
@@ -134,6 +99,20 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols})"
+
+
+def signed_rows(perm, matrix):
+    """perm * matrix for a +-1 permutation matrix `perm` given as integer
+    rows: each row of the product is a row of `matrix` or its negation.
+    Raises ValueError on a row of perm that is not a single +-1."""
+    out = []
+    for row in perm:
+        (k, s), = [(k, s) for k, s in enumerate(row) if s]
+        if s not in (1, -1):
+            raise ValueError(f"{s} is not a sign")
+        source = matrix.entries[k]
+        out.append(source if s == 1 else [-e for e in source])
+    return PolyMatrix(out)
 
 
 def column_minor(matrix, spec, memo=None):

@@ -377,41 +377,20 @@ class Polynomial:
         return hash((self.layout.names, frozenset(self.terms.items())))
 
     def substitute(self, assignment):
-        """Substitute polynomials (or integers) for variables.
-
-        Terms divisible by a variable sent to zero are dropped; the rest are
-        grouped by the exponents of the substituted variables.  A group's
-        remaining keys are distinct, so it is one polynomial, multiplied once
-        by its powers of the values; each power is computed once.
+        """Send the variables of `assignment` to zero: drop every term that
+        one of them divides, and the names that no longer occur.  Every
+        value must be zero; any other raises ValueError.
         """
-        layout = self.layout
-        subs = []  # (shift, value) of each variable sent to a nonzero value
+        for v, value in assignment.items():
+            if value != 0:
+                raise ValueError(f"{v} is sent to {value}, not to zero")
         zero_mask = 0
-        for v, s in layout.fields:
+        for v, s in self.layout.fields:
             if v in assignment:
-                rep = self._wrap(assignment[v])
-                if rep.terms:
-                    subs.append((s, rep))
-                else:
-                    zero_mask |= _FIELD << s
-        keep = ~(zero_mask | sum(_FIELD << s for s, _ in subs))
-        top = layout.degree_shift
-        groups = {}
-        for k, c in self.terms.items():
-            if not k & zero_mask:
-                exps = tuple((k >> s) & _FIELD for s, _ in subs)
-                groups.setdefault(exps, {})[(k & keep) - (sum(exps) << top)] = c
-        powers = {}
-        out = Polynomial.zero()
-        for exps, group in groups.items():
-            term = Polynomial._trimmed(layout, group)
-            for i, e in enumerate(exps):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = subs[i][1] ** e
-                    term = term * powers[i, e]
-            out = out + term
-        return out
+                zero_mask |= _FIELD << s
+        return Polynomial._trimmed(
+            self.layout,
+            {k: c for k, c in self.terms.items() if not k & zero_mask})
 
     def restrict_to_line(self, point, direction):
         """Integer coefficients of f(point + direction*s), constant term

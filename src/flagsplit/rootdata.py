@@ -10,8 +10,9 @@ Root data is computed, not hardcoded: the Lie algebra is cut out by
 X^T J + J X = 0 (trace zero for A), weight-decomposed under the diagonal
 torus, and the resulting roots are checked against the expected lists.
 Heights come from one walk up from the simple roots.  Constant matrices (the
-root generators and Weyl representatives) are lists of integer rows; `form`
-and the Levi representative are `PolyMatrix`es, for products with charts.
+form, the root generators and the Weyl representatives) are lists of integer
+rows; the form and the representatives are signed permutations, which act on
+a chart's `PolyMatrix` through `signed_rows`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .matrix import (
     exp_series,
     integer_product,
     rational_nullspace,
+    signed_rows,
 )
 from .poly import Polynomial
 
@@ -118,10 +120,9 @@ class GroupDatum:
         self.family = family
         self.n = n
         self.size = n if family == FAMILY_A else 2 * n
-        form = self._form_rows()
-        self.form = PolyMatrix(form) if form else None
+        self.form = self._form_rows()
         self._build_root_data()
-        self._verify_invariants(form)
+        self._verify_invariants()
 
     # -- construction -----------------------------------------------------
 
@@ -163,11 +164,11 @@ class GroupDatum:
         """Folded torus weight of the matrix unit E_ij (adjoint action)."""
         return self.chi(i) - self.chi(j)
 
-    def _lie_constraint_ok(self, X, form):
+    def _lie_constraint_ok(self, X):
         if self.family == FAMILY_A:
             return sum(X[i][i] for i in range(self.size)) == 0
-        lhs = integer_product(list(zip(*X)), form)
-        rhs = integer_product(form, X)
+        lhs = integer_product(list(zip(*X)), self.form)
+        rhs = integer_product(self.form, X)
         return all(a == -b for r1, r2 in zip(lhs, rhs) for a, b in zip(r1, r2))
 
     def _build_root_data(self):
@@ -310,7 +311,7 @@ class GroupDatum:
             return n * n
         return n * (n - 1)
 
-    def _verify_invariants(self, form):
+    def _verify_invariants(self):
         if len(self.positive_roots) != self.dim_flag_variety():
             raise ConventionError(
                 f"{len(self.positive_roots)} positive roots, expected "
@@ -323,7 +324,7 @@ class GroupDatum:
             if alpha not in pos:
                 raise ConventionError(f"simple root {alpha} is not a positive root")
         for X, _ in self.lie_basis:
-            if not self._lie_constraint_ok(X, form):
+            if not self._lie_constraint_ok(X):
                 raise ConventionError("Lie-algebra constraint violated")
         # rho is also half the sum of positive roots
         total = Weight.zero(self.family, self.n)
@@ -353,11 +354,14 @@ class GroupDatum:
                        key=lambda root: (-self.root_height(root), root.doubled))
         return [(root, self.root_generator[root]) for root in roots]
 
+    def preserves_form(self, M):
+        """M^T F M = F, exactly, for a polynomial matrix M and the form F."""
+        return (M.transpose() * signed_rows(self.form, M)).entries == self.form
+
     def in_group(self, M):
         """Exact membership identity for a polynomial matrix."""
-        if self.family != FAMILY_A:
-            if not (M.transpose() * self.form * M - self.form).is_zero():
-                return False
+        if self.family != FAMILY_A and not self.preserves_form(M):
+            return False
         if self.family in (FAMILY_A, FAMILY_D):
             if determinant(M) != Polynomial.one():
                 return False
@@ -400,8 +404,9 @@ class GroupDatum:
         return WeylWord(perm, word, n * (n - 1) // 2)
 
     def levi_longest_representative(self, r=None):
-        """Matrix representative of w_0^P, a monomial matrix with entries +-1;
-        each distinct simple reflection of the word is built once."""
+        """Representative of w_0^P, a monomial matrix with entries +-1, as
+        integer rows; each distinct simple reflection of the word is built
+        once."""
         weyl = self.levi_longest_word(r)
         size = self.size
         rep = [[int(i == j) for j in range(size)] for i in range(size)]
@@ -409,14 +414,13 @@ class GroupDatum:
                        for i in set(weyl.word)}
         for i in weyl.word:
             rep = integer_product(rep, reflections[i])
-        matrix = PolyMatrix(rep)
-        if not self.in_group(matrix):
+        if not self.in_group(PolyMatrix(rep)):
             raise ConventionError("representative fails group membership")
         if not _is_sign_monomial(rep):
             raise ConventionError("representative is not a +-1 monomial matrix")
         if _monomial_permutation(rep) != weyl.permutation:
             raise ConventionError("representative has the wrong permutation")
-        return matrix
+        return rep
 
 
 def build_group_datum(family, n):

@@ -8,7 +8,7 @@ back through a chart and its order at the origin read off the exponents.
 from __future__ import annotations
 
 from .charts import sl_explicit_chart
-from .matrix import column_minor
+from .matrix import PolyMatrix, column_minor
 from .poly import order_at_origin
 from .rootdata import FAMILY_A, ConventionError
 
@@ -92,8 +92,7 @@ def order_at_center(section, chart):
 
 def sigma_plus_unit_at_identity(plus, chart):
     """sigma_plus evaluated at the big-cell center; must be +1 or -1."""
-    center = chart.center_matrix()
-    value = plus.evaluate(center)
+    value = plus.evaluate(PolyMatrix(chart.center_matrix()))
     if not value.is_constant() or value.constant_value() not in (1, -1):
         raise ConventionError("sigma_plus is not a unit at the identity coset")
     return value.constant_value()

@@ -8,8 +8,10 @@ operation is written out term by term.
 The `ref_*` functions on group data are the earlier implementation of
 `flagsplit.rootdata`: root heights from an exact Fraction solve in
 simple-root coordinates, and exp of a nilpotent matrix from products of
-`PolyMatrix`es, with t set to 1 by substitution for the Weyl
-representatives.
+`PolyMatrix`es, with t set to 1 by `ref_substitute` for the Weyl
+representatives.  Their identity, sum and scalar multiple of matrices are
+the `ref_matrix_*` helpers here, and `ref_form_residual` writes out
+M^T F M - F with every product formed.
 
 `term_items` decodes a polynomial's packed keys into exponent dicts.  The
 other helpers were library code that only the tests used.
@@ -91,6 +93,19 @@ def ref_substitute(a, assignment):
             term = ref_mul(term, ref_pow(factor, e))
         out = ref_add(out, term)
     return out
+
+
+def poly_of(ref):
+    """The library polynomial of a reference polynomial."""
+    return Polynomial([(dict(m), c) for m, c in ref.items()])
+
+
+def substituted(poly, values):
+    """A library polynomial with each variable of `values` replaced by an
+    int or a Polynomial, through ref_substitute."""
+    return poly_of(ref_substitute(ref_of(poly), {
+        v: ref_of(Polynomial.constant(p) if isinstance(p, int) else p)
+        for v, p in values.items()}))
 
 
 def ref_divide_by_variable(a, v):
@@ -184,19 +199,55 @@ def ref_negative_roots(group):
                   key=lambda root: (-ref_root_height(group, root), root.doubled))
 
 
+def ref_matrix_identity(n):
+    return PolyMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def ref_matrix_add(a, b):
+    return PolyMatrix([[x + y for x, y in zip(r, s)]
+                       for r, s in zip(a.entries, b.entries)])
+
+
+def ref_matrix_scale(a, c):
+    """Every entry of the PolyMatrix a times c, an int or a Polynomial."""
+    return PolyMatrix([[e * c for e in row] for row in a.entries])
+
+
+def ref_matrix_substitute(a, values):
+    return PolyMatrix([[substituted(e, values) for e in row] for row in a.entries])
+
+
+def ref_matrix_product(a, b):
+    """The product of two matrices given as rows of ints or Polynomials,
+    with every product formed, zeros included."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def ref_form_residual(matrix, form):
+    """The rows of M^T F M - F for a PolyMatrix M and integer rows F."""
+    rows = matrix.entries
+    product = ref_matrix_product(ref_matrix_product(list(zip(*rows)), form), rows)
+    return [[x - f for x, f in zip(row, frow)] for row, frow in zip(product, form)]
+
+
+def is_zero_rows(rows):
+    return all(e == 0 for row in rows for e in row)
+
+
 def ref_exp_nilpotent(matrix, t):
     """I + tX + t^2 X^2/2! + ... for a nilpotent PolyMatrix X."""
     powers = []
-    power = PolyMatrix.identity(matrix.nrows)
+    power = ref_matrix_identity(matrix.nrows)
     for _ in range(matrix.nrows):
         power = power * matrix
-        if power.is_zero():
+        if is_zero_rows(power.entries):
             break
         powers.append(power)
     else:
         raise ValueError("matrix is not nilpotent")
     tvar = Polynomial.variable(t)
-    result = PolyMatrix.identity(matrix.nrows)
+    result = ref_matrix_identity(matrix.nrows)
     tpow = Polynomial.one()
     factorial = 1
     for m, power in enumerate(powers, start=1):
@@ -210,7 +261,7 @@ def ref_exp_nilpotent(matrix, t):
                     raise ArithmeticError(f"{factorial} does not divide {e}")
                 scaled[-1].append(Polynomial(
                     [(exps, c // factorial) for exps, c in term_items(e)]))
-        result = result + PolyMatrix(scaled) * tpow
+        result = ref_matrix_add(result, ref_matrix_scale(PolyMatrix(scaled), tpow))
     return result
 
 
@@ -222,8 +273,9 @@ def ref_simple_reflection(group, i):
     Y = PolyMatrix(group.root_generator[-alpha])
     for s in (1, -1):
         try:
-            ex = ref_exp_nilpotent(X, "_t").substitute({"_t": 1})
-            ey = ref_exp_nilpotent(Y * (-s), "_t").substitute({"_t": 1})
+            ex = ref_matrix_substitute(ref_exp_nilpotent(X, "_t"), {"_t": 1})
+            ey = ref_matrix_substitute(
+                ref_exp_nilpotent(ref_matrix_scale(Y, -s), "_t"), {"_t": 1})
         except (ValueError, ArithmeticError):
             continue
         rep = ex * ey * ex
@@ -235,7 +287,7 @@ def ref_simple_reflection(group, i):
 
 
 def ref_levi_longest_representative(group, r=None):
-    rep = PolyMatrix.identity(group.size)
+    rep = ref_matrix_identity(group.size)
     for i in group.levi_longest_word(r).word:
         rep = rep * ref_simple_reflection(group, i)
     return rep
@@ -243,7 +295,7 @@ def ref_levi_longest_representative(group, r=None):
 
 def ref_unipotent_factor(group, names):
     """The product of exp(t_b X_b) over the negative roots in reference order."""
-    u = PolyMatrix.identity(group.size)
+    u = ref_matrix_identity(group.size)
     for root, name in zip(ref_negative_roots(group), names):
         u = u * ref_exp_nilpotent(PolyMatrix(group.root_generator[root]), name)
     return u

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -49,6 +50,28 @@ def test_report_determinism():
     first = emit_report(run_suite(config), out=None)
     second = emit_report(run_suite(SuiteConfig("C", 2, primes=[3])), out=None)
     assert first == second
+
+
+# sha256 of the JSON report of each suite_mix configuration of flagbench
+# (all checks, p = 3, 5, 7, seed 0); a deliberate report change updates them
+REPORT_PINS = {
+    ("A", 2, 1): "c08a5e5a9da1a243cbe74cb4587ffc400d0b885bcd6d0a90fb24b60cf0104be4",
+    ("A", 3, 1): "2db1d736cecacc02dd039d4b5db5432d6e449c18aca2b3b7b3755ac8a4e24d3e",
+    ("A", 3, 2): "8b9e2eae305e79a2b11be93593231704e0afd04ab3bb8696daa8a69186b583e2",
+    ("A", 4, 1): "1bb5640f1d682e692a4bc0ffde9410c4be6e37054cfd59433b940a79f88c21ce",
+    ("A", 4, 2): "25d9029e5fde85bb7d6893c864bc744427611b38d3e556c9426ee611c5258d81",
+    ("A", 4, 3): "51f0e947120adf4a49be5e831b3ef12df7e09a5cca4a730b776ff1fa381ccc24",
+    ("C", 2, None): "5bb2f0eeeaf6ed2f1076422b7b27134ea5ffbe65b547c6857b592d0add0304ed",
+    ("D", 2, None): "580482a135633f3c7c0b626ac16ebd83e82a46de708c02610a0a8feb5f209495",
+    ("D", 3, None): "1ccfb000c65ab91e76ad34078a364d9625003355f6a797341fec48ecd533f58b",
+}
+
+
+def test_report_bytes_are_pinned():
+    for (family, n, r), pin in REPORT_PINS.items():
+        report = run_suite(SuiteConfig(family, n, r=r, primes=[3, 5, 7], seed=0))
+        text = json.dumps(report.serialize(), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == pin, (family, n, r)
 
 
 def test_report_schema_and_statuses():
@@ -108,6 +131,18 @@ def test_main_rejects_composite_p(capsys):
     assert "9" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         SuiteConfig("C", 2, primes=[3, 15])
+
+
+def test_primes_past_the_degree_limit_are_refused_before_primality(capsys):
+    # p - 1 must fit a packed exponent field; trial division of 2^89 - 1
+    # would never finish
+    for p in (32771, 2**89 - 1):
+        with pytest.raises(ConfigError, match="32767"):
+            SuiteConfig("C", 2, primes=[p])
+    SuiteConfig("C", 2, primes=[32749])
+    assert main(["verify", "--family", "sp", "--n", "2",
+                 "--p", str(2**89 - 1)]) == 2
+    assert "32767" in capsys.readouterr().err
 
 
 def test_main_verify_sl2(capsys, tmp_path):

@@ -11,9 +11,15 @@ from flagsplit.matrix import (
     rational_matrix_rank,
     rational_nullspace,
     row_reduce,
+    signed_rows,
 )
 from flagsplit.poly import Polynomial, poly_from_string
-from reference import leibniz_determinant, ref_exp_nilpotent
+from reference import (
+    leibniz_determinant,
+    ref_exp_nilpotent,
+    ref_matrix_identity,
+    ref_matrix_product,
+)
 
 
 def random_matrix(rng, size, with_variables=False):
@@ -79,7 +85,7 @@ def test_exp_nilpotent_group_law():
     x = [[0, 0, 0], [2, 0, 0], [0, 1, 0]]
     e = exp_nilpotent(x, "t")
     minus = exp_nilpotent([[-v for v in row] for row in x], "t")
-    assert e * minus == PolyMatrix.identity(3)
+    assert (e * minus).entries == ref_matrix_identity(3).entries
     assert determinant(e) == Polynomial.one()
 
 
@@ -108,18 +114,48 @@ def test_exp_nilpotent_against_polymatrix_reference():
         size = rng.randint(2, 5)
         x = [[12 * rng.randint(-2, 2) if j < i else 0 for j in range(size)]
              for i in range(size)]
-        assert exp_nilpotent(x, "t") == ref_exp_nilpotent(PolyMatrix(x), "t"), trial
+        got = exp_nilpotent(x, "t").entries
+        assert got == ref_exp_nilpotent(PolyMatrix(x), "t").entries, trial
 
 
-def test_matrix_equals_zero_exactly_when_zero():
-    zero = PolyMatrix([[0, 0], [0, 0]])
-    assert zero == 0 and 0 == zero
-    x = Polynomial.variable("x")
-    assert PolyMatrix([[0, 0], [x - x, 0]]) == 0
-    assert PolyMatrix([[0, x], [0, 0]]) != 0
-    # other objects that are not a PolyMatrix still compare unequal
-    for other in (1, "0", None, [[0, 0], [0, 0]]):
-        assert zero != other
+def random_signed_permutation(rng, size):
+    perm = list(range(size))
+    rng.shuffle(perm)
+    return [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(size)]
+            for i in range(size)]
+
+
+def test_signed_rows_against_dense_product(monkeypatch):
+    rng = random.Random(41)
+    products = []
+    multiply = Polynomial.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return multiply(self, other)
+
+    for trial in range(60):
+        size, ncols = rng.randint(1, 6), rng.randint(1, 5)
+        perm = random_signed_permutation(rng, size)
+        m = PolyMatrix([
+            [Polynomial([({rng.choice("uvw"): rng.randint(1, 2)}, rng.randint(-3, 3)),
+                         ({}, rng.randint(-3, 3))]) for _ in range(ncols)]
+            for _ in range(size)
+        ])
+        want = ref_matrix_product(perm, m.entries)
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "__mul__", counted)
+            patch.setattr(Polynomial, "__rmul__", counted)
+            got = signed_rows(perm, m)
+        assert got.entries == want, trial
+    assert not products
+
+
+def test_signed_rows_rejects_rows_that_are_not_one_sign():
+    m = PolyMatrix([[poly_from_string("x")], [1]])
+    for perm in ([[2, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 0], [1, 0]]):
+        with pytest.raises(ValueError):
+            signed_rows(perm, m)
 
 
 def test_rational_rank_and_nullspace():

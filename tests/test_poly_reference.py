@@ -62,22 +62,33 @@ def test_power_matches_reference(ta, e):
     assert ref_of(a**e) == ref_pow(ra, e)
 
 
-# A value is 0, a nonzero integer or a polynomial, as a (library value,
-# reference polynomial) pair; "q" occurs in no operand.
-value = st.one_of(
-    st.just((0, {(): 0})),
-    st.integers(-9, 9).filter(bool).map(lambda c: (c, {(): c})),
-    st.sampled_from(POOLS).flatmap(raw_terms).map(build),
+# "q" occurs in no operand
+names = st.sampled_from(["a", "w", "x", "y", "z", "q"])
+zero = st.sampled_from([0, Polynomial.zero()])
+nonzero = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.sampled_from(POOLS).flatmap(raw_terms).map(Polynomial).filter(
+        lambda p: not p.is_zero()),
 )
 
 
-@given(operand, st.dictionaries(st.sampled_from(["a", "w", "x", "y", "z", "q"]),
-                                value, max_size=4))
+@given(operand, st.dictionaries(names, zero, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_substitute_matches_reference(ta, assignment):
     a, ra = build(ta)
-    got = a.substitute({v: val for v, (val, _) in assignment.items()})
-    assert ref_of(got) == ref_substitute(ra, {v: r for v, (_, r) in assignment.items()})
+    got = a.substitute(assignment)
+    want = ref_substitute(ra, dict.fromkeys(assignment, {}))
+    assert ref_of(got) == want
+    # the layout keeps exactly the names that still occur
+    assert got.variables() == sorted({v for m in want for v, _ in m})
+
+
+@given(operand, st.dictionaries(names, zero, max_size=3), names, nonzero)
+@settings(max_examples=60, deadline=None)
+def test_substitute_rejects_nonzero_values(ta, assignment, name, value):
+    a, _ = build(ta)
+    with pytest.raises(ValueError):
+        a.substitute({**assignment, name: value})
 
 
 # every pool name, plus "q" and "u", which no operand uses
@@ -88,13 +99,15 @@ line = st.fixed_dictionaries(
 @given(operand, line, line)
 @settings(max_examples=100, deadline=None)
 def test_restrict_to_line_matches_substitute(ta, point, direction):
-    a, _ = build(ta)
-    s = Polynomial.variable("s")
-    restricted = a.substitute(
-        {v: s * direction[v] + point[v] for v in a.variables()})
-    coefficients = ref_of(restricted)
-    want = [coefficients.get((("s", j),) if j else (), 0)
-            for j in range(restricted.degree() + 1)]
+    a, ra = build(ta)
+    restricted = ref_substitute(ra, {
+        v: ref_from_terms([({"s": 1}, direction[v]), ({}, point[v])])
+        for v in a.variables()})
+    degree = max((e for m in restricted for _, e in m), default=0)
+    want = [restricted.get((("s", j),) if j else (), 0)
+            for j in range(degree + 1)]
+    while want and not want[-1]:
+        want.pop()
     assert a.restrict_to_line(point, direction) == want
 
 

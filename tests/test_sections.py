@@ -9,7 +9,11 @@ from flagsplit.sections import (
     equivariance_suite,
     row_exponent_vector,
 )
-from reference import homogeneous_part, sigma_plus_is_one_on_big_cell
+from reference import (
+    homogeneous_part,
+    ref_matrix_identity,
+    sigma_plus_is_one_on_big_cell,
+)
 
 GRID = [("A", n) for n in range(2, 6)] + [("C", 2), ("C", 3), ("D", 2), ("D", 3)]
 
@@ -85,9 +89,7 @@ def test_sigma_minus_on_entry_cell_matches_hand_expansion(groups):
 def test_sigma_minus_vanishes_at_identity(groups):
     g = groups[("A", 4)]
     _, minus = build_sigma_pair(g)
-    from flagsplit.matrix import PolyMatrix
-
-    value = minus.evaluate(PolyMatrix.identity(4))
+    value = minus.evaluate(ref_matrix_identity(4))
     assert value.is_zero()
 
 
