@@ -78,6 +78,8 @@ class SuiteConfig:
                                   f"{MAX_DEGREE}, got p = {p}")
             if not is_odd_prime(p):
                 raise ConfigError(f"primes must be odd primes >= 3, got {p}")
+            if primes.count(p) > 1:
+                raise ConfigError(f"prime {p} is repeated")
         checks = list(checks) if checks is not None else list(CHECK_SEQUENCE)
         for c in checks:
             if c not in CHECK_SEQUENCE:

@@ -267,6 +267,38 @@ class Polynomial:
     def variables(self):
         return list(self.layout.names)
 
+    def degrees(self):
+        """The largest exponent of each name of the layout."""
+        return {v: max((k >> s) & _FIELD for k in self.terms)
+                for v, s in self.layout.fields}
+
+    def within(self, top, room):
+        """The terms whose exponent e_v of each name v of `room` satisfies
+        top - room[v] <= e_v <= top; the other names are free.  A name of
+        `room` outside the layout has exponent 0 in every term.
+
+        Each bound is one borrow test on the packed key: a field of
+        (hi | guard) - key keeps its guard bit iff e_v <= hi_v, and a field
+        of (key | guard) - lo keeps it iff e_v >= lo_v.
+        """
+        layout = self.layout
+        guard = layout.guard
+        hi = (1 << (layout.degree_shift + FIELD_BITS)) - 1  # every field free
+        lo = 0
+        for v, r in room.items():
+            s = layout.shifts.get(v)
+            if top - r > (MAX_DEGREE if s is not None else 0):
+                return Polynomial.zero()  # no exponent reaches the window
+            if s is not None:
+                hi -= max(MAX_DEGREE - top, 0) << s
+                lo |= max(top - r, 0) << s
+        kept = {k: c for k, c in self.terms.items()
+                if (hi - k) & guard == guard
+                and ((k | guard) - lo) & guard == guard}
+        if len(kept) == len(self.terms):
+            return self
+        return Polynomial._trimmed(layout, kept)
+
     def _wrap(self, other):
         if isinstance(other, Polynomial):
             return other
@@ -399,10 +431,11 @@ class Polynomial:
         direction_v*s are built once and convolved per packed term.
         """
         fields = []  # (shift, powers of point_v + direction_v*s) per variable
+        degrees = self.degrees()
         for v, shift in self.layout.fields:
             p, d = point[v], direction[v]
             powers = [[1]]
-            for _ in range(max((k >> shift) & _FIELD for k in self.terms)):
+            for _ in range(degrees[v]):
                 prev = powers[-1]
                 powers.append([p * a + d * b
                                for a, b in zip(prev + [0], [0] + prev)])

@@ -45,10 +45,36 @@ class SectionProduct:
         memo = {}
         return [column_minor(matrix, spec, memo) for spec in self.factors]
 
-    def evaluate(self, matrix):
+    def evaluate(self, matrix, p=None, factors=None):
+        """The product f of the factors on `matrix`; the list `factors`, if
+        given, receives each factor's value.
+
+        With a prime p the result keeps only the terms of f that can reach
+        (t_1 ... t_N)^(p-1) in f^(p-1), t running over the names of f, so
+        the coefficient there is unchanged.  With d_v the sum of the
+        factors' v-degrees, the rest of f^(p-1) adds at most room_v, the
+        v-degrees of the later factors plus (p - 2) d_v, to a term of the
+        running product; after each factor it keeps only its terms with
+        p - 1 - room_v <= e_v <= p - 1 (`Polynomial.within`).
+        """
+        values = self.evaluate_factors(matrix)
+        if factors is not None:
+            factors.extend(values)
         product = Polynomial.one()
-        for value in self.evaluate_factors(matrix):
+        if p is None:
+            for value in values:
+                product = product * value
+            return product
+        degrees = [value.degrees() for value in values]
+        room = {}  # (p - 1) d_v(f), less the factors multiplied in so far
+        for d in degrees:
+            for v, e in d.items():
+                room[v] = room.get(v, 0) + (p - 1) * e
+        for value, d in zip(values, degrees):
             product = product * value
+            for v, e in d.items():
+                room[v] -= e
+            product = product.within(p - 1, room)
         return product
 
     def serialize(self):

@@ -88,35 +88,55 @@ class SplitVerdict:
         }
 
 
-def splitting_coefficient(f, variables, p, guard=None):
+def splitting_coefficient(f, variables, p, guard=None, degree=None):
     """Coefficient of prod(v^(p-1)) in f^(p-1), exact over the integers,
     reduced mod p only at the very end.
 
     f^(p-1) is assembled as g*g with g = f^((p-1)/2); the target coefficient
     is then a single hash-join over the terms of g, never materializing the
-    full square.  A degree past the packed-exponent limit gives a
-    not-computed verdict whose reason names the limit.
+    full square.  No exponent is negative, so a partial power f^a, whose
+    other p - 1 - a copies add at most (p - 1 - a) d_v to the exponent of v
+    (d_v the v-degree of f), reaches the target only through its terms with
+    p - 1 - (p - 1 - a) d_v <= e_v <= p - 1 for every v.  f and every
+    product of the power stage keep just those terms (`Polynomial.within`),
+    which leaves the coefficient unchanged.
+
+    The verdict reports `degree`, f's own degree by default; a caller that
+    passes only a window of its polynomial passes the full degree.  A
+    degree past the packed-exponent limit gives a not-computed verdict
+    whose reason names the limit.
     """
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     variables = list(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"repeated variable names in {variables}")
     n = len(variables)
-    degree = f.degree()
+    if degree is None:
+        degree = f.degree()
     guard = guard or ResourceGuard()
-    half = (p - 1) // 2
-    g = Polynomial.one()
-    base = f
-    e = half
+    degrees = f.degrees()
+
+    def window(power, a):
+        """The terms of the partial power f^a that can reach the target."""
+        return power.within(p - 1, {v: (p - 1 - a) * degrees.get(v, 0)
+                                    for v in variables})
+
+    g, a = Polynomial.one(), 0
+    base, b = window(f, 1), 1
+    e = (p - 1) // 2
     try:
         while e:
             if e & 1:
-                g = g * base
+                a += b
+                g = window(g * base, a)
                 if not guard.check(g):
                     return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
                                         guard_reason=guard.tripped)
             e >>= 1
             if e:
-                base = base * base
+                b *= 2
+                base = window(base * base, b)
                 if not guard.check(base):
                     return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
                                         guard_reason=guard.tripped)
@@ -141,11 +161,17 @@ def splitting_coefficient(f, variables, p, guard=None):
 
 def local_splitting_coefficient(group, p, guard=None):
     """Splitting verdict for sigma_minus on the big cell, where sigma_plus
-    restricts to 1, so f = sigma_minus pulled back to chart coordinates."""
+    restricts to 1, so f = sigma_minus pulled back to chart coordinates.
+
+    f is evaluated inside the window of p (`SectionProduct.evaluate`); the
+    verdict reports the degree of the whole f, the sum of its factors'.
+    """
     chart = big_cell_chart(group)
     _, minus = build_sigma_pair(group)
-    f = minus.evaluate(chart.matrix)
-    return splitting_coefficient(f, chart.variables, p, guard=guard)
+    factors = []
+    f = minus.evaluate(chart.matrix, p, factors)
+    return splitting_coefficient(f, chart.variables, p, guard=guard,
+                                 degree=sum(v.degree() for v in factors))
 
 
 # ---------------------------------------------------------------------------

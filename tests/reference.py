@@ -13,6 +13,9 @@ representatives.  Their identity, sum and scalar multiple of matrices are
 the `ref_matrix_*` helpers here, and `ref_form_residual` writes out
 M^T F M - F with every product formed.
 
+`ref_splitting_coefficient` is the splitting coefficient without the
+window of `Polynomial.within`: it forms every term of f^((p-1)/2).
+
 `term_items` decodes a polynomial's packed keys into exponent dicts.  The
 other helpers were library code that only the tests used.
 """
@@ -81,6 +84,22 @@ def ref_pow(a, e):
     for _ in range(e):
         out = ref_mul(out, a)
     return out
+
+
+def ref_splitting_coefficient(f, variables, p):
+    """The coefficient of prod(v^(p-1)) in f^(p-1) with no window: every
+    term of g = f^((p-1)/2) is formed, and the target is read off g*g one
+    pair at a time.  This was the library path before the window."""
+    g = ref_of(f ** ((p - 1) // 2))
+    total = 0
+    for m, c in g.items():
+        rest = dict.fromkeys(variables, p - 1)
+        for v, e in m:
+            rest[v] = rest.get(v, 0) - e
+        if min(rest.values(), default=0) >= 0:
+            total += c * g.get(tuple(sorted((v, e) for v, e in rest.items()
+                                            if e)), 0)
+    return total
 
 
 def ref_substitute(a, assignment):

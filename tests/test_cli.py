@@ -30,6 +30,8 @@ def test_config_validation():
         SuiteConfig("C", 2, primes=[2])
     with pytest.raises(ConfigError):
         SuiteConfig("C", 2, primes=[3.0])
+    with pytest.raises(ConfigError, match="prime 5 is repeated"):
+        SuiteConfig("C", 2, primes=[5, 3, 5])
     with pytest.raises(ConfigError):
         SuiteConfig("C", 2, checks=["nonsense"])
     with pytest.raises(ConfigError):
@@ -97,7 +99,8 @@ def test_order_table_payload_example():
 
 
 def test_guard_trip_gives_exit_3():
-    config = SuiteConfig("A", 4, r=2, primes=[5], checks=["splitcoeff"],
+    # the windowed g of sl5 at p = 5 has 223 terms (sl4's fits in 2)
+    config = SuiteConfig("A", 5, r=2, primes=[5], checks=["splitcoeff"],
                          max_terms=2)
     report = run_suite(config)
     assert report.checks[0]["status"] == "not-computed"
@@ -123,6 +126,8 @@ def test_main_config_error_exit_2(capsys):
     assert main(sp2 + ["--checks", "weights", "--max-seconds", "nan"]) == 2
     assert main(sp2 + ["--checks", "weights", "--max-seconds", "inf"]) == 2
     capsys.readouterr()
+    assert main(sp2 + ["--p", "3,3", "--checks", "splitcoeff"]) == 2
+    assert "prime 3 is repeated" in capsys.readouterr().err
 
 
 def test_main_rejects_composite_p(capsys):

@@ -72,6 +72,34 @@ nonzero = st.one_of(
 )
 
 
+# a room above the top leaves no lower bound
+@given(operand, st.integers(0, 4),
+       st.dictionaries(names, st.integers(0, 6), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_within_matches_decoded_exponents(ta, top, room):
+    a, _ = build(ta)
+    want = {}
+    for k, c in a.terms.items():
+        exps = a.layout.exponents(k)
+        if all(top - r <= dict(exps).get(v, 0) <= top for v, r in room.items()):
+            want[exps] = c
+    got = a.within(top, room)
+    assert ref_of(got) == want
+    assert got.layout.names == tuple(sorted({v for m in want for v, _ in m}))
+
+
+def test_within_at_the_field_limits():
+    assert Polynomial.zero().within(2, {"x": 0}) == 0
+    assert Polynomial.zero().within(2, {"x": 5}) == 0
+    x = Polynomial.variable("x")
+    top = x**MAX_DEGREE
+    assert top.within(MAX_DEGREE, {"x": 0}) == top
+    assert top.within(MAX_DEGREE - 1, {"x": MAX_DEGREE}) == 0
+    # past MAX_DEGREE the top bounds nothing, and a bottom keeps nothing
+    assert (x + top).within(MAX_DEGREE + 1, {"x": 2}) == top
+    assert top.within(MAX_DEGREE + 1, {"x": 0}) == 0
+
+
 @given(operand, st.dictionaries(names, zero, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_substitute_matches_reference(ta, assignment):

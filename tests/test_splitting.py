@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from flagsplit import splitting
 from flagsplit.charts import big_cell_chart, sl_entry_big_cell
 from flagsplit.cli import appendix_check, load_golden_chain
+from flagsplit.matrix import PolyMatrix
 from flagsplit.poly import (
     MAX_DEGREE,
     NotDivisibleError,
@@ -18,7 +19,7 @@ from flagsplit.poly import (
     poly_from_string,
 )
 from flagsplit.rootdata import build_group_datum
-from flagsplit.sections import build_sigma_pair
+from flagsplit.sections import SectionProduct, build_sigma_pair
 from flagsplit.splitting import (
     NOT_COMPUTED,
     ResourceGuard,
@@ -32,7 +33,14 @@ from flagsplit.splitting import (
     splitting_coefficient,
     squarefree_probe,
 )
-from reference import chain_state, homogeneous_part, term_items
+from reference import (
+    chain_state,
+    homogeneous_part,
+    ref_of,
+    ref_pow,
+    ref_splitting_coefficient,
+    term_items,
+)
 
 
 def sigma_minus_on_entry_cell(n):
@@ -222,12 +230,64 @@ def test_top_degree_shortcut_agrees():
 
 
 def test_resource_guard_reports_not_computed():
-    g = build_group_datum("A", 4)
+    # the windowed g of sl5 at p = 5 still has 223 terms (sl4 fits in 2)
+    g = build_group_datum("A", 5)
     guard = ResourceGuard(max_terms=2, max_seconds=60)
     verdict = local_splitting_coefficient(g, 5, guard=guard)
     assert verdict.status == NOT_COMPUTED
     assert verdict.splits is None
     assert "term count" in verdict.guard_reason
+
+
+def test_rejects_repeated_variable_names():
+    # a repeated name would add up in the target, asking for t^4 here
+    with pytest.raises(ValueError, match="repeated"):
+        splitting_coefficient(poly_from_string("t^2"), ["t", "t"], 3)
+
+
+@pytest.mark.parametrize("family,n,p", [
+    ("D", 4, 3), ("A", 5, 5), ("A", 6, 3), ("C", 3, 5), ("A", 5, 7),
+    ("A", 4, 7), ("C", 2, 7), ("D", 3, 7),
+])
+def test_windowed_coefficient_matches_reference_on_big_cells(family, n, p):
+    group = build_group_datum(family, n)
+    chart = big_cell_chart(group)
+    f = build_sigma_pair(group)[1].evaluate(chart.matrix)
+    verdict = local_splitting_coefficient(group, p)
+    assert verdict.coefficient == ref_splitting_coefficient(
+        f, chart.variables, p)
+    assert verdict.degree == f.degree()
+    # the splitcoeff check's path: the whole f, windowed in the power stage
+    assert splitting_coefficient(
+        f, chart.variables, p).serialize() == verdict.serialize()
+
+
+@st.composite
+def factor_lists(draw):
+    """Names a, b, ... (one to four of them) and one to three factors over
+    them, each of one to three terms with exponents 0 to 3."""
+    names = ["a", "b", "c", "d"][:draw(st.integers(1, 4))]
+    term = st.tuples(st.dictionaries(st.sampled_from(names), st.integers(0, 3)),
+                     st.integers(-3, 3))
+    factor = st.lists(term, min_size=1, max_size=3).map(Polynomial)
+    return names, draw(st.lists(factor, min_size=1, max_size=3))
+
+
+@given(factor_lists(), st.sampled_from([3, 5, 7]))
+@settings(max_examples=150, deadline=None)
+def test_windowed_coefficient_matches_brute_force(case, p):
+    names, factors = case
+    f = Polynomial.one()
+    for factor in factors:
+        f = f * factor
+    want = ref_pow(ref_of(f), p - 1).get(tuple((v, p - 1) for v in names), 0)
+    assert splitting_coefficient(f, names, p).coefficient == want
+    # the running product windowed too, as local_splitting_coefficient does
+    section = SectionProduct(None, [(i,) for i in range(1, len(factors) + 1)],
+                             "factors")
+    window = section.evaluate(PolyMatrix([[v] for v in factors]), p)
+    verdict = splitting_coefficient(window, names, p, degree=f.degree())
+    assert (verdict.coefficient, verdict.degree) == (want, f.degree())
 
 
 def test_rejects_even_p():
@@ -248,7 +308,8 @@ def test_is_odd_prime():
 
 @pytest.mark.parametrize("family,n,p,coefficient", [
     ("D", 4, 3, 2353), ("A", 5, 5, -27999), ("A", 6, 3, -161),
-    ("C", 3, 5, 11571), ("A", 5, 7, 3161089),
+    ("C", 3, 5, 11571), ("A", 5, 7, 3161089), ("C", 4, 3, 125437),
+    ("A", 7, 3, 480781),
 ])
 def test_golden_coefficients(family, n, p, coefficient):
     verdict = local_splitting_coefficient(build_group_datum(family, n), p)
@@ -257,15 +318,21 @@ def test_golden_coefficients(family, n, p, coefficient):
 
 
 def test_degree_limit_gives_not_computed():
-    # for p = 5, g = f^2 squares f, so x^k trips once 2k > MAX_DEGREE
+    # x^k with k > 4 lies outside the window of p = 5, so it is dropped
+    # before g = f^2 squares it: 0 is the exact coefficient
     half = (MAX_DEGREE + 1) // 2
-    past = splitting_coefficient(Polynomial.variable("x") ** half, ["x"], 5)
+    for k in (half, half - 1):
+        verdict = splitting_coefficient(Polynomial.variable("x") ** k, ["x"], 5)
+        assert verdict.status == "computed" and verdict.coefficient == 0
+        assert verdict.degree == k
+    # every power of x*y*z*w stays inside the window of p = 16411, so the
+    # power stage squares it up to (x*y*z*w)^8192, past the limit
+    f = poly_from_string("x*y*z*w")
+    past = splitting_coefficient(f, ["w", "x", "y", "z"], 16411)
     assert past.status == NOT_COMPUTED
     assert past.splits is None
+    assert "total degree 32768" in past.guard_reason
     assert str(MAX_DEGREE) in past.guard_reason
-    below = splitting_coefficient(
-        Polynomial.variable("x") ** (half - 1), ["x"], 5)
-    assert below.status == "computed" and below.coefficient == 0
 
 
 # ---------------------------------------------------------------------------
