@@ -208,7 +208,7 @@ def _run_check(name, config, sections):
         for p in config.primes:
             guard = ResourceGuard(config.max_terms, config.max_seconds)
             verdict = splitting_coefficient(
-                sections.f_big, sections.big_cell.variables, p, guard=guard
+                sections.big_minors, sections.big_cell.variables, p, guard=guard
             )
             verdicts.append(verdict.serialize())
             if verdict.status == NOT_COMPUTED:

@@ -4,6 +4,7 @@ minors, their evaluation on charts, and the equivariance identity suite."""
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 
 from .charts import (
     big_cell_chart,
@@ -45,37 +46,9 @@ class SectionProduct:
         memo = {}
         return [column_minor(matrix, spec, memo) for spec in self.factors]
 
-    def evaluate(self, matrix, p=None, factors=None):
-        """The product f of the factors on `matrix`; the list `factors`, if
-        given, receives each factor's value.
-
-        With a prime p the result keeps only the terms of f that can reach
-        (t_1 ... t_N)^(p-1) in f^(p-1), t running over the names of f, so
-        the coefficient there is unchanged.  With d_v the sum of the
-        factors' v-degrees, the rest of f^(p-1) adds at most room_v, the
-        v-degrees of the later factors plus (p - 2) d_v, to a term of the
-        running product; after each factor it keeps only its terms with
-        p - 1 - room_v <= e_v <= p - 1 (`Polynomial.within`).
-        """
-        values = self.evaluate_factors(matrix)
-        if factors is not None:
-            factors.extend(values)
-        product = Polynomial.one()
-        if p is None:
-            for value in values:
-                product = product * value
-            return product
-        degrees = [value.degrees() for value in values]
-        room = {}  # (p - 1) d_v(f), less the factors multiplied in so far
-        for d in degrees:
-            for v, e in d.items():
-                room[v] = room.get(v, 0) + (p - 1) * e
-        for value, d in zip(values, degrees):
-            product = product * value
-            for v, e in d.items():
-                room[v] -= e
-            product = product.within(p - 1, room)
-        return product
+    def evaluate(self, matrix):
+        """The product of the factors on the given matrix."""
+        return prod(self.evaluate_factors(matrix), start=Polynomial.one())
 
     def serialize(self):
         return {"label": self.label, "factors": [list(s.rows) for s in self.factors]}
@@ -140,9 +113,14 @@ class GroupSections:
         return specialization_family(self.levi_chart)
 
     @cached_property
+    def big_minors(self):
+        """sigma_minus's factors on the big cell."""
+        return self.pair[1].evaluate_factors(self.big_cell.matrix)
+
+    @cached_property
     def f_big(self):
-        """sigma_minus on the big cell."""
-        return self.pair[1].evaluate(self.big_cell.matrix)
+        """sigma_minus on the big cell, the product of `big_minors`."""
+        return prod(self.big_minors, start=Polynomial.one())
 
     @cached_property
     def f_entry(self):

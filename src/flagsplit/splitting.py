@@ -88,22 +88,23 @@ class SplitVerdict:
         }
 
 
-def splitting_coefficient(f, variables, p, guard=None, degree=None):
-    """Coefficient of prod(v^(p-1)) in f^(p-1), exact over the integers,
-    reduced mod p only at the very end.
+def splitting_coefficient(factors, variables, p, guard=None):
+    """Coefficient of prod(v^(p-1)) in f^(p-1), f the product of
+    `factors`, exact over the integers, reduced mod p only at the very end.
 
-    f^(p-1) is assembled as g*g with g = f^((p-1)/2); the target coefficient
-    is then a single hash-join over the terms of g, never materializing the
-    full square.  No exponent is negative, so a partial power f^a, whose
-    other p - 1 - a copies add at most (p - 1 - a) d_v to the exponent of v
-    (d_v the v-degree of f), reaches the target only through its terms with
-    p - 1 - (p - 1 - a) d_v <= e_v <= p - 1 for every v.  f and every
-    product of the power stage keep just those terms (`Polynomial.within`),
-    which leaves the coefficient unchanged.
+    No exponent is negative, so a partial product of f^(p-1) reaches the
+    target only through its terms with p - 1 - room_v <= e_v <= p - 1 for
+    each v of `variables`, room_v being the most the rest of f^(p-1) can
+    add to the exponent of v.  Every product keeps just those terms
+    (`Polynomial.within`): first the running product of the factors, with
+    room_v the later factors' v-degrees plus (p - 2) d_v (d_v the sum of
+    all their v-degrees), then each partial power f^a of that windowed f,
+    with room_v = (p - 1 - a) d_v (d_v its own v-degree).  f^(p-1) is g*g
+    with g = f^((p-1)/2), so the target is a single hash-join over the
+    terms of g.  The guard checks the products of the power stage.
 
-    The verdict reports `degree`, f's own degree by default; a caller that
-    passes only a window of its polynomial passes the full degree.  A
-    degree past the packed-exponent limit gives a not-computed verdict
+    The verdict's `degree` is that of the whole f, -1 if a factor is zero.
+    A degree past the packed-exponent limit gives a not-computed verdict
     whose reason names the limit.
     """
     if not is_odd_prime(p):
@@ -112,20 +113,30 @@ def splitting_coefficient(f, variables, p, guard=None, degree=None):
     if len(set(variables)) != len(variables):
         raise ValueError(f"repeated variable names in {variables}")
     n = len(variables)
-    if degree is None:
-        degree = f.degree()
+    factors = list(factors)
+    degree = (-1 if any(v.is_zero() for v in factors)
+              else sum(v.degree() for v in factors))
     guard = guard or ResourceGuard()
-    degrees = f.degrees()
-
-    def window(power, a):
-        """The terms of the partial power f^a that can reach the target."""
-        return power.within(p - 1, {v: (p - 1 - a) * degrees.get(v, 0)
-                                    for v in variables})
-
-    g, a = Polynomial.one(), 0
-    base, b = window(f, 1), 1
-    e = (p - 1) // 2
+    factor_degrees = [v.degrees() for v in factors]
+    room = {v: (p - 1) * sum(d.get(v, 0) for d in factor_degrees)
+            for v in variables}
     try:
+        f = Polynomial.one()
+        for value, d in zip(factors, factor_degrees):
+            f = f * value
+            for v in variables:
+                room[v] -= d.get(v, 0)
+            f = f.within(p - 1, room)
+        degrees = f.degrees()
+
+        def window(power, a):
+            """The terms of the partial power f^a that can reach the target."""
+            return power.within(p - 1, {v: (p - 1 - a) * degrees.get(v, 0)
+                                        for v in variables})
+
+        g, a = Polynomial.one(), 0
+        base, b = window(f, 1), 1
+        e = (p - 1) // 2
         while e:
             if e & 1:
                 a += b
@@ -161,17 +172,15 @@ def splitting_coefficient(f, variables, p, guard=None, degree=None):
 
 def local_splitting_coefficient(group, p, guard=None):
     """Splitting verdict for sigma_minus on the big cell, where sigma_plus
-    restricts to 1, so f = sigma_minus pulled back to chart coordinates.
-
-    f is evaluated inside the window of p (`SectionProduct.evaluate`); the
-    verdict reports the degree of the whole f, the sum of its factors'.
+    restricts to 1, so f = sigma_minus pulled back to chart coordinates,
+    given to `splitting_coefficient` as its minors.
     """
+    if not is_odd_prime(p):
+        raise ValueError("p must be an odd prime")
     chart = big_cell_chart(group)
     _, minus = build_sigma_pair(group)
-    factors = []
-    f = minus.evaluate(chart.matrix, p, factors)
-    return splitting_coefficient(f, chart.variables, p, guard=guard,
-                                 degree=sum(v.degree() for v in factors))
+    return splitting_coefficient(minus.evaluate_factors(chart.matrix),
+                                 chart.variables, p, guard=guard)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_criterion_6_splitting_coefficients():
             if isinstance(cert, RncCertificate):
                 from flagsplit.splitting import splitting_coefficient
 
-                same_f = splitting_coefficient(f, chart.variables, p)
+                same_f = splitting_coefficient([f], chart.variables, p)
                 ok = ok and same_f.splits
     report(6, "splitting coefficients", ok)
 

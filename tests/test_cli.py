@@ -283,6 +283,38 @@ def test_run_suite_builds_each_section_once(monkeypatch, family, n, r):
     assert max(evaluated.values()) == 1
 
 
+@pytest.mark.parametrize("family,n,r", [("A", 4, 2), ("D", 3, None)])
+def test_splitcoeff_never_multiplies_out_sigma_minus(monkeypatch, family, n, r):
+    evaluated, factored = Counter(), Counter()
+    evaluate = SectionProduct.evaluate
+    evaluate_factors = SectionProduct.evaluate_factors
+
+    def counted_evaluate(self, matrix):
+        if self.label == SIGMA_MINUS:
+            evaluated[str(matrix.to_strings())] += 1
+        return evaluate(self, matrix)
+
+    def counted_evaluate_factors(self, matrix):
+        if self.label == SIGMA_MINUS:
+            factored[str(matrix.to_strings())] += 1
+        return evaluate_factors(self, matrix)
+
+    def no_f_big(self):
+        raise AssertionError("f_big was built")
+
+    monkeypatch.setattr(SectionProduct, "evaluate", counted_evaluate)
+    monkeypatch.setattr(SectionProduct, "evaluate_factors",
+                        counted_evaluate_factors)
+    monkeypatch.setattr(sections.GroupSections, "f_big", property(no_f_big))
+    big = str(charts.big_cell_chart(
+        rootdata.build_group_datum(family, n)).matrix.to_strings())
+    report = run_suite(SuiteConfig(family, n, r=r, checks=["splitcoeff"],
+                                   primes=[3, 5, 7]))
+    assert report.exit_code == 0
+    assert evaluated[big] == 0
+    assert factored == {big: 1}
+
+
 @pytest.mark.parametrize("family,n,r,failing", [
     ("A", 4, 2, ["orders", "splitcoeff"]),
     ("D", 3, None, ["specializations", "orders", "squarefree", "splitcoeff"]),

@@ -4,12 +4,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagsplit import splitting
 from flagsplit.charts import big_cell_chart, sl_entry_big_cell
 from flagsplit.cli import appendix_check, load_golden_chain
-from flagsplit.matrix import PolyMatrix
 from flagsplit.poly import (
     MAX_DEGREE,
     NotDivisibleError,
@@ -19,7 +18,7 @@ from flagsplit.poly import (
     poly_from_string,
 )
 from flagsplit.rootdata import build_group_datum
-from flagsplit.sections import SectionProduct, build_sigma_pair
+from flagsplit.sections import build_sigma_pair
 from flagsplit.splitting import (
     NOT_COMPUTED,
     ResourceGuard,
@@ -195,7 +194,7 @@ def test_certificate_serialization_round_trip():
 def test_coefficient_one_variable():
     f = poly_from_string("t")
     for p in (3, 5, 7):
-        verdict = splitting_coefficient(f, ["t"], p)
+        verdict = splitting_coefficient([f], ["t"], p)
         assert verdict.coefficient == 1 and verdict.splits
 
 
@@ -215,7 +214,7 @@ def test_two_routes_agree_on_entry_cell():
         f, chart = sigma_minus_on_entry_cell(n)
         cert = rnc_search(f)
         assert isinstance(cert, RncCertificate)
-        verdict = splitting_coefficient(f, chart.variables, 3)
+        verdict = splitting_coefficient([f], chart.variables, 3)
         assert verdict.splits  # RNC implies the coefficient route splits
 
 
@@ -223,8 +222,8 @@ def test_top_degree_shortcut_agrees():
     # on the entry cell deg sigma_minus equals the variable count
     f, chart = sigma_minus_on_entry_cell(4)
     assert f.degree() == len(chart.variables)
-    full = splitting_coefficient(f, chart.variables, 3)
-    top = splitting_coefficient(homogeneous_part(f, len(chart.variables)),
+    full = splitting_coefficient([f], chart.variables, 3)
+    top = splitting_coefficient([homogeneous_part(f, len(chart.variables))],
                                 chart.variables, 3)
     assert full.coefficient == top.coefficient
 
@@ -242,7 +241,21 @@ def test_resource_guard_reports_not_computed():
 def test_rejects_repeated_variable_names():
     # a repeated name would add up in the target, asking for t^4 here
     with pytest.raises(ValueError, match="repeated"):
-        splitting_coefficient(poly_from_string("t^2"), ["t", "t"], 3)
+        splitting_coefficient([poly_from_string("t^2")], ["t", "t"], 3)
+
+
+@pytest.mark.parametrize("p", [4, 9, 3.0])
+def test_local_coefficient_checks_p_before_any_work(monkeypatch, p):
+    built = []
+
+    def broken(group, generator_order=None):
+        built.append(group)
+        raise AssertionError("chart built")
+
+    monkeypatch.setattr(splitting, "big_cell_chart", broken)
+    with pytest.raises(ValueError, match="odd prime"):
+        local_splitting_coefficient(build_group_datum("A", 3), p)
+    assert built == []
 
 
 @pytest.mark.parametrize("family,n,p", [
@@ -257,9 +270,9 @@ def test_windowed_coefficient_matches_reference_on_big_cells(family, n, p):
     assert verdict.coefficient == ref_splitting_coefficient(
         f, chart.variables, p)
     assert verdict.degree == f.degree()
-    # the splitcoeff check's path: the whole f, windowed in the power stage
+    # f as a single factor: its window must agree with the minors' window
     assert splitting_coefficient(
-        f, chart.variables, p).serialize() == verdict.serialize()
+        [f], chart.variables, p).serialize() == verdict.serialize()
 
 
 @st.composite
@@ -274,6 +287,10 @@ def factor_lists(draw):
 
 
 @given(factor_lists(), st.sampled_from([3, 5, 7]))
+@example((["a"], [Polynomial.zero(), Polynomial.zero()]), 3)
+@example((["a"], [Polynomial.variable("a"), Polynomial.zero()]), 3)
+# a name outside the target must stay free: a^2 b^0 needs the terms without b
+@example((["a"], [poly_from_string("1 + b"), Polynomial.variable("a")]), 3)
 @settings(max_examples=150, deadline=None)
 def test_windowed_coefficient_matches_brute_force(case, p):
     names, factors = case
@@ -281,24 +298,22 @@ def test_windowed_coefficient_matches_brute_force(case, p):
     for factor in factors:
         f = f * factor
     want = ref_pow(ref_of(f), p - 1).get(tuple((v, p - 1) for v in names), 0)
-    assert splitting_coefficient(f, names, p).coefficient == want
-    # the running product windowed too, as local_splitting_coefficient does
-    section = SectionProduct(None, [(i,) for i in range(1, len(factors) + 1)],
-                             "factors")
-    window = section.evaluate(PolyMatrix([[v] for v in factors]), p)
-    verdict = splitting_coefficient(window, names, p, degree=f.degree())
+    whole = splitting_coefficient([f], names, p)
+    assert (whole.coefficient, whole.degree) == (want, f.degree())
+    # the running product of the factors windowed too
+    verdict = splitting_coefficient(factors, names, p)
     assert (verdict.coefficient, verdict.degree) == (want, f.degree())
 
 
 def test_rejects_even_p():
     with pytest.raises(ValueError):
-        splitting_coefficient(poly_from_string("t"), ["t"], 4)
+        splitting_coefficient([poly_from_string("t")], ["t"], 4)
 
 
 def test_rejects_composite_p():
     for p in (9, 15, 21):
         with pytest.raises(ValueError):
-            splitting_coefficient(poly_from_string("t"), ["t"], p)
+            splitting_coefficient([poly_from_string("t")], ["t"], p)
 
 
 def test_is_odd_prime():
@@ -322,13 +337,14 @@ def test_degree_limit_gives_not_computed():
     # before g = f^2 squares it: 0 is the exact coefficient
     half = (MAX_DEGREE + 1) // 2
     for k in (half, half - 1):
-        verdict = splitting_coefficient(Polynomial.variable("x") ** k, ["x"], 5)
+        verdict = splitting_coefficient([Polynomial.variable("x") ** k],
+                                        ["x"], 5)
         assert verdict.status == "computed" and verdict.coefficient == 0
         assert verdict.degree == k
     # every power of x*y*z*w stays inside the window of p = 16411, so the
     # power stage squares it up to (x*y*z*w)^8192, past the limit
     f = poly_from_string("x*y*z*w")
-    past = splitting_coefficient(f, ["w", "x", "y", "z"], 16411)
+    past = splitting_coefficient([f], ["w", "x", "y", "z"], 16411)
     assert past.status == NOT_COMPUTED
     assert past.splits is None
     assert "total degree 32768" in past.guard_reason
