@@ -4,6 +4,8 @@ Constant matrices are plain lists of integer rows; `PolyMatrix` holds the
 matrices whose entries carry variables.  The constant matrices that act on a
 `PolyMatrix` (a form, a Weyl representative) are signed permutations, so
 `signed_rows` applies one by picking and negating rows, with no products.
+Products of integer and of polynomial matrices visit only nonzero entries,
+and `exp_nilpotent` builds only the nonzero entries of exp(tX).
 
 The determinant workhorse is `column_minor`: expansion along the last column
 with memoization keyed by row subsets, so that the nested leading minors of a
@@ -71,22 +73,23 @@ class PolyMatrix:
         return self.entries[i - 1][j - 1]
 
     def __mul__(self, other):
+        # Only the nonzero (j, b) pairs of each row of `other` are visited;
+        # each entry sums its nonzero products a * b in k order.
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
+        nonzero = [[(j, b) for j, b in enumerate(row) if b.terms]
+                   for row in other.entries]
         zero = Polynomial.zero()
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            acc = [zero] * other.ncols
+            for a, pairs in zip(row, nonzero):
+                if a.terms:
+                    for j, b in pairs:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
         return PolyMatrix(out)
 
     def transpose(self):
@@ -174,10 +177,19 @@ def determinant(matrix):
 
 
 def integer_product(a, b):
-    """Product of two integer matrices given as lists of rows."""
-    columns = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in columns]
-            for row in a]
+    """Product of two integer matrices given as lists of rows: each row
+    adds x * (row k of b) for its nonzero entries x, over b's nonzero y."""
+    width = len(b[0]) if b else 0
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, pairs in zip(row, nonzero):
+            if x:
+                for j, y in pairs:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def exp_series(matrix):
@@ -213,14 +225,17 @@ def exp_nilpotent(matrix, t):
 
     Raises as `exp_series` does.
     """
-    terms = exp_series(matrix)
-    size = len(matrix)
-    return PolyMatrix([
-        [Polynomial([({t: m}, term[i][j]) for m, term in enumerate(terms)
-                     if term[i][j]])
-         for j in range(size)]
-        for i in range(size)
-    ])
+    pairs = {}  # (i, j) -> the (t^m, c) terms of the entry, m ascending
+    for m, term in enumerate(exp_series(matrix)):
+        for i, row in enumerate(term):
+            for j, c in enumerate(row):
+                if c:
+                    pairs.setdefault((i, j), []).append(({t: m}, c))
+    zero = Polynomial.zero()
+    entries = [[zero] * len(matrix) for _ in matrix]
+    for (i, j), terms in pairs.items():
+        entries[i][j] = Polynomial(terms)
+    return PolyMatrix(entries)
 
 
 def row_reduce(rows, ncols):

@@ -163,6 +163,7 @@ def layout_of(names):
 
 
 EMPTY_LAYOUT = layout_of(())
+_UNIT = {0: 1}  # the terms of the constant 1
 
 
 def _repack(packed, moves):
@@ -356,7 +357,12 @@ class Polynomial:
     def __mul__(self, other):
         # The integers have no zero divisors, so a nonzero product keeps
         # every variable of both factors and the union layout stays exact.
+        # A factor 1 returns the other unchanged: no code mutates `terms`.
         other = self._wrap(other)
+        if other.terms == _UNIT:
+            return self
+        if self.terms == _UNIT:
+            return other
         layout, a, b = self._aligned(other)
         if not a or not b:
             return Polynomial.zero()
@@ -406,6 +412,8 @@ class Polynomial:
         )
 
     def __hash__(self):
+        if self.layout is EMPTY_LAYOUT:  # equal to an int, so hash as one
+            return hash(self.constant_value())
         return hash((self.layout.names, frozenset(self.terms.items())))
 
     def substitute(self, assignment):

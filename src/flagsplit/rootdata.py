@@ -219,27 +219,22 @@ class GroupDatum:
         if self.family == FAMILY_A:
             return [self._unit_matrix({pos: 1}) for pos in group]
         # constraint: s_{b*} X[b*,a] + s_a X[a*,b] = 0 for all (a,b),
-        # where J[c,c*] = s_c.  Restricted to the unknowns in this class.
+        # where J[c,c*] = s_c.  Restricted to the unknowns in this class,
+        # only the rows (a,b) = (j,i*) and (i*,j) of a position (i,j) of the
+        # class are nonzero; they are taken in the order of the full loop.
         index = {pos: i for i, pos in enumerate(group)}
-        sign = {}
-        N = self.size
-        for c in range(1, N + 1):
-            sign[c] = 1 if (self.family == FAMILY_D or c < self.star(c)) else -1
+        star = self.star
+        sign = {c: 1 if (self.family == FAMILY_D or c < star(c)) else -1
+                for c in range(1, self.size + 1)}
         rows = []
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                p1 = (self.star(b), a)
-                p2 = (self.star(a), b)
-                row = [0] * len(group)
-                touched = False
-                if p1 in index:
-                    row[index[p1]] += sign[self.star(b)]
-                    touched = True
-                if p2 in index:
-                    row[index[p2]] += sign[a]
-                    touched = True
-                if touched:
-                    rows.append(row)
+        for a, b in sorted({ab for i, j in group
+                            for ab in ((j, star(i)), (star(i), j))}):
+            row = [0] * len(group)
+            for pos, s in (((star(b), a), sign[star(b)]),
+                           ((star(a), b), sign[a])):
+                if pos in index:
+                    row[index[pos]] += s
+            rows.append(row)
         basis = rational_nullspace(rows, len(group))
         out = []
         for vec in basis:

@@ -7,10 +7,13 @@ operation is written out term by term.
 
 The `ref_*` functions on group data are the earlier implementation of
 `flagsplit.rootdata`: root heights from an exact Fraction solve in
-simple-root coordinates, and exp of a nilpotent matrix from products of
-`PolyMatrix`es, with t set to 1 by `ref_substitute` for the Weyl
-representatives.  Their identity, sum and scalar multiple of matrices are
-the `ref_matrix_*` helpers here, and `ref_form_residual` writes out
+simple-root coordinates, root spaces from the Lie-algebra constraint of
+every (a, b), and exp of a nilpotent matrix from powers of a `PolyMatrix`,
+with t set to 1 by `ref_substitute` for the Weyl representatives.  Their
+identity, product, sum and scalar multiple of matrices are the
+`ref_matrix_*` helpers here; `ref_matrix_product` forms every product,
+zeros included, so these references never use the sparse
+`PolyMatrix.__mul__` they check.  `ref_form_residual` writes out
 M^T F M - F with every product formed.
 
 `ref_splitting_coefficient` is the splitting coefficient without the
@@ -25,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from flagsplit.matrix import PolyMatrix, row_reduce
+from flagsplit.matrix import PolyMatrix, rational_nullspace, row_reduce
 from flagsplit.poly import Polynomial
-from flagsplit.rootdata import FAMILY_A
+from flagsplit.rootdata import FAMILY_A, FAMILY_D, _primitive
 
 
 def _clean(terms):
@@ -243,6 +246,11 @@ def ref_matrix_product(a, b):
             for row in a]
 
 
+def ref_polymatrix_product(a, b):
+    """The PolyMatrix a * b through ref_matrix_product."""
+    return PolyMatrix(ref_matrix_product(a.entries, b.entries))
+
+
 def ref_form_residual(matrix, form):
     """The rows of M^T F M - F for a PolyMatrix M and integer rows F."""
     rows = matrix.entries
@@ -259,7 +267,7 @@ def ref_exp_nilpotent(matrix, t):
     powers = []
     power = ref_matrix_identity(matrix.nrows)
     for _ in range(matrix.nrows):
-        power = power * matrix
+        power = ref_polymatrix_product(power, matrix)
         if is_zero_rows(power.entries):
             break
         powers.append(power)
@@ -297,7 +305,7 @@ def ref_simple_reflection(group, i):
                 ref_exp_nilpotent(ref_matrix_scale(Y, -s), "_t"), {"_t": 1})
         except (ValueError, ArithmeticError):
             continue
-        rep = ex * ey * ex
+        rep = ref_polymatrix_product(ref_polymatrix_product(ex, ey), ex)
         values = [[e.constant_value() for e in row] for row in rep.entries]
         if all(sorted(map(abs, line)) == [0] * (len(line) - 1) + [1]
                for line in (*values, *zip(*values))) and group.in_group(rep):
@@ -308,7 +316,7 @@ def ref_simple_reflection(group, i):
 def ref_levi_longest_representative(group, r=None):
     rep = ref_matrix_identity(group.size)
     for i in group.levi_longest_word(r).word:
-        rep = rep * ref_simple_reflection(group, i)
+        rep = ref_polymatrix_product(rep, ref_simple_reflection(group, i))
     return rep
 
 
@@ -316,5 +324,59 @@ def ref_unipotent_factor(group, names):
     """The product of exp(t_b X_b) over the negative roots in reference order."""
     u = ref_matrix_identity(group.size)
     for root, name in zip(ref_negative_roots(group), names):
-        u = u * ref_exp_nilpotent(PolyMatrix(group.root_generator[root]), name)
+        u = ref_polymatrix_product(
+            u, ref_exp_nilpotent(PolyMatrix(group.root_generator[root]), name))
     return u
+
+
+def ref_root_space_basis(group, positions):
+    """Root-space basis on one weight class of positions (i, j), as integer
+    rows: for C and D, the nullspace of the constraint
+    s_{b*} X[b*,a] + s_a X[a*,b] = 0 written out for every (a, b) of the
+    N x N grid, keeping each row that names a position of the class."""
+    N = group.size
+
+    def unit(coeffs):
+        rows = [[0] * N for _ in range(N)]
+        for (i, j), c in coeffs.items():
+            rows[i - 1][j - 1] = c
+        return rows
+
+    if group.family == FAMILY_A:
+        return [unit({pos: 1}) for pos in positions]
+    index = {pos: i for i, pos in enumerate(positions)}
+    star = group.star
+    sign = {c: 1 if group.family == FAMILY_D or c < star(c) else -1
+            for c in range(1, N + 1)}
+    rows = []
+    for a in range(1, N + 1):
+        for b in range(1, N + 1):
+            row = [0] * len(positions)
+            touched = False
+            for pos, s in (((star(b), a), sign[star(b)]),
+                           ((star(a), b), sign[a])):
+                if pos in index:
+                    row[index[pos]] += s
+                    touched = True
+            if touched:
+                rows.append(row)
+    return [unit({pos: c for pos, c in zip(positions, _primitive(vec)) if c})
+            for vec in rational_nullspace(rows, len(positions))]
+
+
+def ref_lie_basis(group):
+    """(root generator, weight) per root, weight classes in sorted order,
+    each class's basis from ref_root_space_basis."""
+    N = group.size
+    classes = {}
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            if i != j:
+                classes.setdefault(group.chi(i) - group.chi(j), []).append((i, j))
+    out = []
+    for weight, positions in sorted(classes.items(),
+                                    key=lambda kv: (kv[0].doubled, kv[1])):
+        if not weight.is_zero():
+            out.extend((X, weight)
+                       for X in ref_root_space_basis(group, positions))
+    return out

@@ -8,6 +8,7 @@ from flagsplit.matrix import (
     column_minor,
     determinant,
     exp_nilpotent,
+    integer_product,
     rational_matrix_rank,
     rational_nullspace,
     row_reduce,
@@ -116,6 +117,54 @@ def test_exp_nilpotent_against_polymatrix_reference():
              for i in range(size)]
         got = exp_nilpotent(x, "t").entries
         assert got == ref_exp_nilpotent(PolyMatrix(x), "t").entries, trial
+
+
+def random_sparse_rows(rng, nrows, ncols, density, entry):
+    """Rows with each entry nonzero with probability `density`, then one
+    row and one column cleared at random."""
+    rows = [[entry() if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    rows[rng.randrange(nrows)] = [0] * ncols
+    j = rng.randrange(ncols)
+    for row in rows:
+        row[j] = 0
+    return rows
+
+
+def test_integer_product_against_dense_product():
+    rng = random.Random(51)
+    for trial in range(300):
+        n, k, m = (rng.randint(1, 8) for _ in range(3))
+        density = rng.choice((0, 0.1, 0.3, 0.6, 1))
+        a = random_sparse_rows(rng, n, k, density, lambda: rng.randint(-5, 5))
+        b = random_sparse_rows(rng, k, m, density, lambda: rng.randint(-5, 5))
+        assert integer_product(a, b) == ref_matrix_product(a, b), trial
+
+
+def test_polymatrix_product_against_dense_product():
+    rng = random.Random(52)
+
+    def entry():
+        return Polynomial([({rng.choice("uvw"): rng.randint(1, 2)},
+                            rng.randint(-3, 3)), ({}, rng.randint(-3, 3))])
+
+    for trial in range(150):
+        n, k, m = (rng.randint(1, 6) for _ in range(3))
+        density = rng.choice((0, 0.2, 0.5, 1))
+        a = PolyMatrix(random_sparse_rows(rng, n, k, density, entry))
+        b = PolyMatrix(random_sparse_rows(rng, k, m, density, entry))
+        assert (a * b).entries == ref_matrix_product(a.entries, b.entries), trial
+
+
+def test_polymatrix_times_a_scalar_is_a_type_error():
+    m = PolyMatrix([[poly_from_string("x"), 1], [0, 1]])
+    for scalar in (2, Polynomial.constant(2)):
+        with pytest.raises(TypeError):
+            m * scalar
+        with pytest.raises(TypeError):
+            scalar * m
+    with pytest.raises(ValueError):
+        m * PolyMatrix([[1, 2, 3]])
 
 
 def random_signed_permutation(rng, size):

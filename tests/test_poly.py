@@ -177,3 +177,24 @@ def test_print_order_is_graded_by_exponent_pairs():
     # which packed-key order would reverse
     assert str(poly_from_string("x*z + y^2 + x^2 + z")) == "y^2 + x^2 + x*z + z"
     assert str(poly_from_string("3 - x*y^2 + 2*x^3")) == "2*x^3 - x*y^2 + 3"
+
+
+@given(poly_strategy())
+@settings(max_examples=60)
+def test_unit_factor_returns_the_other_factor(a):
+    for product in (1 * a, a * 1, Polynomial.one() * a, a * Polynomial.one()):
+        assert product.layout is a.layout
+        assert product.terms == a.terms
+
+
+def test_constant_polynomials_hash_as_their_value():
+    for c in (0, 3, -7, 2**70):
+        p = Polynomial.constant(c)
+        assert hash(p) == hash(c) == hash(Fraction(c))
+        assert len({p, c}) == 1
+        assert len({p, Fraction(c)}) == 1
+        assert {p: "poly"}[c] == "poly"
+        assert {c: "int"}[p] == "int"
+        assert {Fraction(c): "fraction"}[p] == "fraction"
+    assert len({Polynomial.zero(), 0, Polynomial.constant(0)}) == 1
+    assert len({Polynomial.constant(3), 3, poly_from_string("x")}) == 2

@@ -1,6 +1,7 @@
 """The integer root data of flagsplit.rootdata against the earlier Fraction
-and PolyMatrix implementation kept in tests/reference.py, and the form
-residual against the one written out there."""
+and PolyMatrix implementation kept in tests/reference.py, the root spaces
+against the constraint loop over every (a, b), and the form residual against
+the one written out there."""
 
 import random
 
@@ -14,8 +15,10 @@ from reference import (
     is_zero_rows,
     ref_form_residual,
     ref_levi_longest_representative,
+    ref_lie_basis,
     ref_matrix_product,
     ref_negative_roots,
+    ref_polymatrix_product,
     ref_root_height,
     ref_simple_reflection,
     ref_unipotent_factor,
@@ -37,6 +40,10 @@ def levi_parabolics(group):
 def test_root_heights_match_reference(group):
     for root in group.positive_roots + group.negative_roots:
         assert group.root_height(root) == ref_root_height(group, root)
+
+
+def test_lie_basis_matches_reference(group):
+    assert group.lie_basis == ref_lie_basis(group)
 
 
 def test_negative_root_generators_match_reference(group):
@@ -75,7 +82,8 @@ def test_charts_match_reference(group):
     assert big.matrix.entries == u.entries
     for r in levi_parabolics(group):
         rep = ref_levi_longest_representative(group, r)
-        assert levi_center_chart(big, r).matrix.entries == (rep * u).entries
+        assert (levi_center_chart(big, r).matrix.entries
+                == ref_polymatrix_product(rep, u).entries)
 
 
 @pytest.mark.parametrize("key", [key for key in GRID if key[0] != FAMILY_A],
