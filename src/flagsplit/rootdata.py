@@ -161,8 +161,14 @@ class GroupDatum:
         return total
 
     def _entry_weight(self, i, j):
-        """Folded torus weight of the matrix unit E_ij (adjoint action)."""
-        return self.chi(i) - self.chi(j)
+        """Folded torus weight of the matrix unit E_ij (adjoint action),
+        chi(i) - chi(j) as one Weight."""
+        coords = [0] * self.n
+        for a, c in ((i, 2), (j, -2)):
+            if a > self.n:
+                a, c = self.star(a), -c
+            coords[a - 1] += c
+        return Weight(self.family, coords)
 
     def _lie_constraint_ok(self, X):
         if self.family == FAMILY_A:

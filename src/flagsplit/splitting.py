@@ -353,11 +353,12 @@ def squarefree_probe(f, trials=20, seed=0):
     """Restrict f to random affine lines and test each restriction for
     squarefreeness via its gcd with the derivative.
 
-    A trial restricts f in integers to point + direction*s, both with 7-digit
-    entries; a constant restriction is discarded and redrawn.  The trial
-    passes when the restriction is squarefree over Q: a gcd mod 2^61 - 1
-    settles that where it is sound, the exact Fraction gcd everywhere else,
-    so each trial is exact.  The report is evidence only, not a proof.
+    A trial restricts f to point + direction*s, both with 7-digit entries,
+    by one big-integer evaluation; f is decoded once for all trials.  A
+    constant restriction is discarded and redrawn.  The trial passes when
+    the restriction is squarefree over Q: a gcd mod 2^61 - 1 settles that
+    where it is sound, the exact Fraction gcd everywhere else, so each trial
+    is exact.  The report is evidence only, not a proof.
     """
     if f.is_constant():
         raise ValueError(f"constant polynomial {f}: nothing to restrict")
@@ -365,6 +366,7 @@ def squarefree_probe(f, trials=20, seed=0):
         raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     rng = random.Random(seed)
     variables = sorted(f.variables())
+    restrict = f.line_restrictor()
     passes = 0
     completed = 0
     discarded = 0
@@ -372,7 +374,7 @@ def squarefree_probe(f, trials=20, seed=0):
     while completed < trials:
         point = {v: rng.randint(-bound, bound) for v in variables}
         direction = {v: rng.randint(-bound, bound) for v in variables}
-        coeffs = f.restrict_to_line(point, direction)
+        coeffs = restrict(point, direction)
         if len(coeffs) <= 1:
             discarded += 1
             if discarded > 50 * trials:

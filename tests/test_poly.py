@@ -132,8 +132,9 @@ def test_line_restrict():
     g = substituted(f, {"x": 2 * s + 1, "y": 3 * s, "z": 5 * s + 4})
     assert g == poly_from_string("6*s^2 + 8*s + 4")
     # the same line as an integer coefficient list, constant term first
-    assert f.restrict_to_line({"x": 1, "y": 0, "z": 4},
-                              {"x": 2, "y": 3, "z": 5}) == [4, 8, 6]
+    restrict = f.line_restrictor()
+    assert restrict({"x": 1, "y": 0, "z": 4},
+                    {"x": 2, "y": 3, "z": 5}) == [4, 8, 6]
 
 
 def test_homogeneous_part():

@@ -2,7 +2,7 @@
 plus the guarantees of the packed format itself."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagsplit.poly import (
     FIELD_BITS,
@@ -119,24 +119,56 @@ def test_substitute_rejects_nonzero_values(ta, assignment, name, value):
         a.substitute({**assignment, name: value})
 
 
-# every pool name, plus "q" and "u", which no operand uses
+# every pool name, plus "q" and "u", which no operand uses; values from a
+# small range, the probe's 7-digit range and +-2^80
+value = st.one_of(st.integers(-4, 4), st.integers(-10**6, 10**6),
+                  st.integers(-2**80, 2**80))
 line = st.fixed_dictionaries(
-    {v: st.integers(-4, 4) for v in ("a", "w", "x", "y", "z", "q", "u")})
+    {v: value for v in ("a", "w", "x", "y", "z", "q", "u")})
+R = 2**80 - 1  # the largest reach of 80 bits
 
 
-@given(operand, line, line)
-@settings(max_examples=100, deadline=None)
-def test_restrict_to_line_matches_substitute(ta, point, direction):
-    a, ra = build(ta)
+def ref_line(ra, point, direction):
+    """Coefficients of the reference polynomial on point + direction*s,
+    constant term first, without trailing zeros."""
     restricted = ref_substitute(ra, {
         v: ref_from_terms([({"s": 1}, direction[v]), ({}, point[v])])
-        for v in a.variables()})
+        for m in ra for v, _ in m})
     degree = max((e for m in restricted for _, e in m), default=0)
     want = [restricted.get((("s", j),) if j else (), 0)
             for j in range(degree + 1)]
     while want and not want[-1]:
         want.pop()
-    assert a.restrict_to_line(point, direction) == want
+    return want
+
+
+@given(operand, line, line)
+@example([], {}, {})  # zero
+@example([({}, -7)], {"q": 2**80}, {})  # a constant; q is outside the layout
+@example([({"x": 1, "y": 1}, 1)], {"x": 3, "y": -2, "q": 2**80},
+         {"x": 1, "y": 5, "u": -2**80})
+# p = 0 puts all of ||f||_1 * reach^deg f = 7 * R^2 in one digit, 7/8 of
+# X/2: positive, then, with alternating signs, negative
+@example([({"x": 2}, 3), ({"x": 1, "y": 1}, 4)], {"x": 0, "y": 0},
+         {"x": R, "y": R})
+@example([({"x": 2}, -3), ({"x": 1, "y": 1}, 4)], {"x": 0, "y": 0},
+         {"x": R, "y": -R})
+@example([({"x": 2}, 3), ({"x": 1, "y": 1}, 4)], {"x": R, "y": R},
+         {"x": R, "y": R})
+@example([({"x": 2}, 3), ({"x": 1, "y": 1}, -4)], {"x": R, "y": -R},
+         {"x": -R, "y": R})
+@settings(max_examples=100, deadline=None)
+def test_restrict_to_line_matches_substitute(ta, point, direction):
+    a, ra = build(ta)
+    restrict = a.line_restrictor()
+    # one restrictor serves many lines
+    for p, d in ((point, direction), (direction, point)):
+        want = ref_line(ra, p, d)
+        assert restrict(p, d) == want
+        # the bound that sizes the digits holds
+        norm = sum(abs(c) for c in ra.values())
+        reach = max((abs(p[v]) + abs(d[v]) for v in a.variables()), default=0)
+        assert all(abs(c) <= norm * reach ** max(a.degree(), 0) for c in want)
 
 
 @given(operand, st.dictionaries(st.sampled_from(["a", "w", "x", "y", "z", "q"]),

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -441,6 +442,23 @@ def test_probe_report_is_pinned_and_substitutes_nothing(source, seed, want,
     monkeypatch.setattr(Polynomial, "substitute", counting)
     assert squarefree_probe(f, trials=want["trials"], seed=seed) == want
     assert not calls
+
+
+def test_probe_decodes_f_once(monkeypatch):
+    f = probe_input("A", 5, "entry")
+    calls = Counter()
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("degrees", "degree"):
+        monkeypatch.setattr(Polynomial, name,
+                            count(name, getattr(Polynomial, name)))
+    assert squarefree_probe(f, trials=20, seed=0) == sigma_minus_report(0)
+    assert calls == {"degrees": 1, "degree": 1}
 
 
 Q = (1 << 61) - 1
