@@ -11,8 +11,6 @@ per kind, and one sign resolver with one sign order for every kind.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
-from operator import mul
 
 from .matrix import PolyMatrix, exp_nilpotent, signed_rows
 from .poly import Polynomial
@@ -51,7 +49,9 @@ def unipotent_factor(group, generator_order=None):
     if generator_order is not None:
         gens = [gens[i] for i in generator_order]
     names = _chart_variable_names(len(gens))
-    u = reduce(mul, (exp_nilpotent(X, name) for (_, X), name in zip(gens, names)))
+    u = None
+    for (_, X), name in zip(gens, names):
+        u = exp_nilpotent(X, name, u)
     return u, names
 
 

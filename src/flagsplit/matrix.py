@@ -5,7 +5,8 @@ matrices whose entries carry variables.  The constant matrices that act on a
 `PolyMatrix` (a form, a Weyl representative) are signed permutations, so
 `signed_rows` applies one by picking and negating rows, with no products.
 Products of integer and of polynomial matrices visit only nonzero entries,
-and `exp_nilpotent` builds only the nonzero entries of exp(tX).
+and `exp_nilpotent` multiplies by exp(tX) as updates of the columns that
+X's powers reach.
 
 The determinant workhorse is `column_minor`: expansion along the last column
 with memoization keyed by row subsets, so that the nested leading minors of a
@@ -213,28 +214,43 @@ def exp_series(matrix):
     factorial = 1
     for m, power in enumerate(powers, start=1):
         factorial *= m
-        if any(x % factorial for row in power for x in row):
-            raise ArithmeticError(f"{m}! does not divide X^{m} exactly")
-        terms.append([[x // factorial for x in row] for row in power])
+        if factorial > 1:  # X^1 / 1! is X itself
+            if any(x % factorial for row in power for x in row):
+                raise ArithmeticError(f"{m}! does not divide X^{m} exactly")
+            power = [[x // factorial for x in row] for row in power]
+        terms.append(power)
     return terms
 
 
-def exp_nilpotent(matrix, t):
-    """exp(tX) = I + tX + t^2 X^2/2! + ... for a nilpotent integer matrix X
-    given as a list of rows: one polynomial in the variable id `t` per entry.
+def exp_nilpotent(matrix, t, left=None):
+    """left * exp(tX), exp(tX) = I + tX + t^2 X^2/2! + ..., for a nilpotent
+    integer matrix X given as a list of rows, the variable id `t` and a
+    `PolyMatrix` `left` (the identity when None).
 
-    Raises as `exp_series` does.
+    Column j of the product is column j of `left` plus, for each nonzero
+    c = (X^m/m!)[k][j], m >= 1, t^m c times column k of `left`; no other
+    column changes.  Raises as `exp_series` does, before any product.
     """
-    pairs = {}  # (i, j) -> the (t^m, c) terms of the entry, m ascending
-    for m, term in enumerate(exp_series(matrix)):
-        for i, row in enumerate(term):
+    pairs = {}  # (k, j) -> the (t^m, c) terms of exp(tX) - I, m ascending
+    for m, term in enumerate(exp_series(matrix)[1:], start=1):
+        for k, row in enumerate(term):
+            if not any(row):
+                continue
             for j, c in enumerate(row):
                 if c:
-                    pairs.setdefault((i, j), []).append(({t: m}, c))
-    zero = Polynomial.zero()
-    entries = [[zero] * len(matrix) for _ in matrix]
-    for (i, j), terms in pairs.items():
-        entries[i][j] = Polynomial(terms)
+                    pairs.setdefault((k, j), []).append(({t: m}, c))
+    size = len(matrix)
+    if left is None:
+        left = PolyMatrix([[int(i == j) for j in range(size)]
+                           for i in range(size)])
+    elif left.ncols != size:
+        raise ValueError("shape mismatch")
+    entries = [list(row) for row in left.entries]
+    for (k, j), terms in pairs.items():
+        step = Polynomial(terms)
+        for row, old in zip(entries, left.entries):
+            if old[k].terms:
+                row[j] = row[j] + old[k] * step
     return PolyMatrix(entries)
 
 

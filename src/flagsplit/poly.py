@@ -269,9 +269,31 @@ class Polynomial:
         return list(self.layout.names)
 
     def degrees(self):
-        """The largest exponent of each name of the layout."""
-        return {v: max((k >> s) & _FIELD for k in self.terms)
-                for v, s in self.layout.fields}
+        """The largest exponent of each name of the layout, in name order.
+
+        Every field at once.  The OR of the keys has each field's top bit
+        set by some key and none above it.  Then for each lower bit, from
+        the top down, one borrow test per key, as in `within`, tells every
+        field whether some e_v reaches the exponent found so far with that
+        bit added.
+        """
+        layout = self.layout
+        if layout is EMPTY_LAYOUT:
+            return {}
+        keys = self.terms
+        guard = layout.guard
+        names = guard & ((1 << layout.degree_shift) - 1)  # their guard bits
+        used = reduce(or_, keys)
+        found = bits = 0
+        for _, s in layout.fields:
+            width = ((used >> s) & _FIELD).bit_length()
+            found |= (1 << width >> 1) << s
+            bits = max(bits, width)
+        for b in reversed(range(bits - 1)):
+            probe = found | (names >> (FIELD_BITS - 1 - b))
+            hits = reduce(or_, map(probe.__rsub__, map(guard.__or__, keys)))
+            found |= (hits & names) >> (FIELD_BITS - 1 - b)
+        return {v: (found >> s) & _FIELD for v, s in layout.fields}
 
     def within(self, top, room):
         """The terms whose exponent e_v of each name v of `room` satisfies
@@ -439,7 +461,7 @@ class Polynomial:
 
         The keys are decoded here, once.  Each line is one big-integer
         evaluation at s = X = 2^B (Kronecker substitution).  No coefficient
-        exceeds ||f||_1 * reach^deg f in size, with reach the largest
+        exceeds ||f||_1 * max(reach, 1)^deg f in size, with reach the largest
         |point_v| + |direction_v|, so B below puts each one strictly inside
         (-X/2, X/2) and the signed base-X digits of the value are exactly
         the coefficients.

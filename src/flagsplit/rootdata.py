@@ -171,11 +171,22 @@ class GroupDatum:
         return Weight(self.family, coords)
 
     def _lie_constraint_ok(self, X):
+        """Trace zero for A; X^T F + F X = 0 for C and D, from X's nonzero
+        entries.  F is one +-1 per row, s_c at (c, c*), so X[i][j] adds
+        s_i X[i][j] to entry (j, i*) and s_{i*} X[i][j] to entry (i*, j),
+        and no other entry is nonzero."""
         if self.family == FAMILY_A:
             return sum(X[i][i] for i in range(self.size)) == 0
-        lhs = integer_product(list(zip(*X)), self.form)
-        rhs = integer_product(self.form, X)
-        return all(a == -b for r1, r2 in zip(lhs, rhs) for a, b in zip(r1, r2))
+        last = self.size - 1  # c* = last - c, 0-based
+        sign = [row[last - c] for c, row in enumerate(self.form)]
+        sums = {}
+        for i, row in enumerate(X):
+            for j, x in enumerate(row):
+                if x:
+                    for pos, s in (((j, last - i), sign[i]),
+                                   ((last - i, j), sign[last - i])):
+                        sums[pos] = sums.get(pos, 0) + s * x
+        return not any(sums.values())
 
     def _build_root_data(self):
         N = self.size

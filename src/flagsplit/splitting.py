@@ -140,7 +140,7 @@ def splitting_coefficient(factors, variables, p, guard=None):
         while e:
             if e & 1:
                 a += b
-                g = window(g * base, a)
+                g = base if a == b else window(g * base, a)
                 if not guard.check(g):
                     return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
                                         guard_reason=guard.tripped)

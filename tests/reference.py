@@ -14,7 +14,8 @@ identity, product, sum and scalar multiple of matrices are the
 `ref_matrix_*` helpers here; `ref_matrix_product` forms every product,
 zeros included, so these references never use the sparse
 `PolyMatrix.__mul__` they check.  `ref_form_residual` writes out
-M^T F M - F with every product formed.
+M^T F M - F with every product formed, and `ref_lie_constraint_ok` the
+Lie-algebra identity X^T F + F X = 0.
 
 `ref_splitting_coefficient` is the splitting coefficient without the
 window of `Polynomial.within`: it forms every term of f^((p-1)/2).
@@ -260,6 +261,14 @@ def ref_form_residual(matrix, form):
 
 def is_zero_rows(rows):
     return all(e == 0 for row in rows for e in row)
+
+
+def ref_lie_constraint_ok(group, X):
+    """X^T F + F X = 0 for integer rows X and the form F of a C or D group,
+    with every product formed."""
+    lhs = ref_matrix_product(list(zip(*X)), group.form)
+    rhs = ref_matrix_product(group.form, X)
+    return all(a + b == 0 for r1, r2 in zip(lhs, rhs) for a, b in zip(r1, r2))
 
 
 def ref_exp_nilpotent(matrix, t):

@@ -20,6 +20,7 @@ from reference import (
     ref_exp_nilpotent,
     ref_matrix_identity,
     ref_matrix_product,
+    ref_polymatrix_product,
 )
 
 
@@ -90,6 +91,25 @@ def test_exp_nilpotent_group_law():
     assert determinant(e) == Polynomial.one()
 
 
+@pytest.mark.parametrize("x", [
+    # X^2 = 2*E_31 != 0, so column 1 gains t^2 times column 3 as well
+    [[0, 0, 0], [2, 0, 0], [0, 1, 0]],
+    # the transpose: column 3 gains from column 2, which itself gains from
+    # column 1, and must read column 2 as it was in `left`
+    [[0, 2, 0], [0, 0, 1], [0, 0, 0]],
+])
+def test_exp_nilpotent_with_left_factor_against_reference(x):
+    want = ref_exp_nilpotent(PolyMatrix(x), "t")
+    assert exp_nilpotent(x, "t").entries == want.entries
+    poly_left = PolyMatrix([
+        [poly_from_string(s) for s in row]
+        for row in (["t + 1", "0", "u^2"], ["0", "0", "3"], ["-u*t", "2", "0"])
+    ])
+    for left in (ref_matrix_identity(3), poly_left):
+        assert (exp_nilpotent(x, "t", left).entries
+                == ref_polymatrix_product(left, want).entries)
+
+
 def test_exp_nilpotent_rejects_inexact_division():
     # X^2 = E_31, and 1/2! is not an integer
     with pytest.raises(ArithmeticError):
@@ -105,6 +125,27 @@ def test_exp_nilpotent_rejects_singular_non_nilpotent():
     # X^2 = X != 0; the rejection must come before dividing X^2 by 2!
     with pytest.raises(ValueError, match="not nilpotent"):
         exp_nilpotent([[1, 0], [0, 0]], "t")
+
+
+@pytest.mark.parametrize("left", ["identity", "polynomial"])
+def test_exp_nilpotent_with_left_factor_rejects_as_without(left):
+    def factor(size):
+        if left == "identity":
+            return ref_matrix_identity(size)
+        return PolyMatrix([[poly_from_string("u") if i == j else int(j < i)
+                            for j in range(size)] for i in range(size)])
+
+    with pytest.raises(ArithmeticError):
+        exp_nilpotent([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "t", factor(3))
+    with pytest.raises(ValueError):
+        exp_nilpotent([[1, 0], [0, 1]], "t", factor(2))
+    with pytest.raises(ValueError, match="not nilpotent"):
+        exp_nilpotent([[1, 0], [0, 0]], "t", factor(2))
+
+
+def test_exp_nilpotent_rejects_a_left_factor_of_the_wrong_width():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        exp_nilpotent([[0, 0], [1, 0]], "t", ref_matrix_identity(3))
 
 
 def test_exp_nilpotent_against_polymatrix_reference():

@@ -100,6 +100,32 @@ def test_within_at_the_field_limits():
     assert top.within(MAX_DEGREE + 1, {"x": 0}) == 0
 
 
+# exponents of every bit length up to the field's; three names stay within
+# MAX_DEGREE in total
+wide_operand = st.sampled_from(POOLS).flatmap(lambda pool: st.lists(st.tuples(
+    st.dictionaries(st.sampled_from(pool), st.integers(1, MAX_DEGREE // 3),
+                    max_size=3),
+    st.integers(-9, 9)), max_size=5))
+
+
+@given(st.one_of(operand, wide_operand))
+@example([({"x": MAX_DEGREE}, 1), ({"x": 1, "y": 2}, 3)])  # at MAX_DEGREE
+@example([({"y": 3}, 1), ({"y": 1}, -2)])  # one name
+@example([({"x": 2, "z": 5}, 4)])  # one term
+@example([])  # zero
+@example([({}, -7)])  # a constant
+@settings(max_examples=150, deadline=None)
+def test_degrees_match_decoded_exponents(ta):
+    a, _ = build(ta)
+    want = {v: max(dict(a.layout.exponents(k)).get(v, 0) for k in a.terms)
+            for v in a.layout.names}
+    got = a.degrees()
+    assert got == want
+    assert list(got) == list(a.layout.names)  # name order
+    if a.is_constant():
+        assert got == {}
+
+
 @given(operand, st.dictionaries(names, zero, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_substitute_matches_reference(ta, assignment):
@@ -157,6 +183,8 @@ def ref_line(ra, point, direction):
          {"x": R, "y": R})
 @example([({"x": 2}, 3), ({"x": 1, "y": 1}, -4)], {"x": R, "y": -R},
          {"x": -R, "y": R})
+# reach 0: the constant term survives although 0^deg f = 0
+@example([({}, 1), ({"x": 1}, 1)], {"x": 0}, {"x": 0})
 @settings(max_examples=100, deadline=None)
 def test_restrict_to_line_matches_substitute(ta, point, direction):
     a, ra = build(ta)
@@ -168,7 +196,8 @@ def test_restrict_to_line_matches_substitute(ta, point, direction):
         # the bound that sizes the digits holds
         norm = sum(abs(c) for c in ra.values())
         reach = max((abs(p[v]) + abs(d[v]) for v in a.variables()), default=0)
-        assert all(abs(c) <= norm * reach ** max(a.degree(), 0) for c in want)
+        assert all(abs(c) <= norm * max(reach, 1) ** max(a.degree(), 0)
+                   for c in want)
 
 
 @given(operand, st.dictionaries(st.sampled_from(["a", "w", "x", "y", "z", "q"]),

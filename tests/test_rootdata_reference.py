@@ -8,15 +8,17 @@ import random
 import pytest
 
 from flagsplit.charts import big_cell_chart, levi_center_chart, specialization_family
-from flagsplit.matrix import PolyMatrix
+from flagsplit.matrix import PolyMatrix, exp_nilpotent
 from flagsplit.poly import Polynomial
-from flagsplit.rootdata import FAMILY_A, build_group_datum
+from flagsplit.rootdata import FAMILY_A, FAMILY_C, build_group_datum
 from reference import (
     is_zero_rows,
     ref_form_residual,
+    ref_exp_nilpotent,
     ref_levi_longest_representative,
     ref_lie_basis,
-    ref_matrix_product,
+    ref_lie_constraint_ok,
+    ref_matrix_identity,
     ref_negative_roots,
     ref_polymatrix_product,
     ref_root_height,
@@ -26,6 +28,7 @@ from reference import (
 
 GRID = ([("A", n) for n in range(2, 7)] + [("C", n) for n in range(2, 5)]
         + [("D", n) for n in range(2, 6)])
+FORM_GRID = [key for key in GRID if key[0] != FAMILY_A]
 
 
 @pytest.fixture(scope="module", params=GRID, ids=lambda key: f"{key[0]}{key[1]}")
@@ -55,9 +58,7 @@ def test_negative_root_generators_match_reference(group):
         if group.family == FAMILY_A:
             assert sum(X[i][i] for i in range(group.size)) == 0
         else:
-            lhs = ref_matrix_product(list(zip(*X)), group.form)
-            rhs = ref_matrix_product(group.form, X)
-            assert lhs == [[-x for x in row] for row in rhs]
+            assert ref_lie_constraint_ok(group, X)
         support = {(i + 1, j + 1) for i, row in enumerate(X)
                    for j, x in enumerate(row) if x}
         assert support == {
@@ -76,6 +77,27 @@ def test_weyl_representatives_match_reference(group):
                 == ref_levi_longest_representative(group, r).entries)
 
 
+def test_exp_nilpotent_matches_reference(group):
+    """left * exp(tX) for every root generator X, with left None, the
+    identity, and a matrix of polynomials in t and two other names."""
+    rng = random.Random(group.size)
+    size = group.size
+
+    def entry():
+        if rng.random() < 0.5:
+            return 0
+        return Polynomial([({rng.choice("tuv"): rng.randint(1, 2)},
+                            rng.randint(-3, 3)), ({}, rng.randint(-3, 3))])
+
+    poly_left = PolyMatrix([[entry() for _ in range(size)] for _ in range(size)])
+    for X, _ in group.lie_basis:
+        want = ref_exp_nilpotent(PolyMatrix(X), "t")
+        assert exp_nilpotent(X, "t").entries == want.entries
+        for left in (ref_matrix_identity(size), poly_left):
+            assert (exp_nilpotent(X, "t", left).entries
+                    == ref_polymatrix_product(left, want).entries)
+
+
 def test_charts_match_reference(group):
     big = big_cell_chart(group)
     u = ref_unipotent_factor(group, big.variables)
@@ -86,8 +108,7 @@ def test_charts_match_reference(group):
                 == ref_polymatrix_product(rep, u).entries)
 
 
-@pytest.mark.parametrize("key", [key for key in GRID if key[0] != FAMILY_A],
-                         ids=lambda key: f"{key[0]}{key[1]}")
+@pytest.mark.parametrize("key", FORM_GRID, ids=lambda key: f"{key[0]}{key[1]}")
 def test_preserves_form_matches_reference(key):
     """M^T F M = F on chart and specialization matrices, and on copies with
     one entry bumped; a copy with its first row doubled always fails."""
@@ -112,3 +133,29 @@ def test_preserves_form_matches_reference(key):
             assert k or not holds
             failed += not holds
     assert failed > 3  # some bump fails too, not only the doubled rows
+
+
+@pytest.mark.parametrize("key", FORM_GRID, ids=lambda key: f"{key[0]}{key[1]}")
+def test_lie_constraint_matches_dense_reference(key):
+    """The sparse X^T F + F X = 0 check agrees with the dense one on every
+    root generator, on each copy with one entry's sign flipped, and on every
+    lone E_ij; a flip of one of two or more entries and a lone E_ij other
+    than a long-root E_{i,i*} of C are rejected."""
+    group = build_group_datum(*key)
+    size = group.size
+    for X, _ in group.lie_basis:
+        assert group._lie_constraint_ok(X) and ref_lie_constraint_ok(group, X)
+        support = [(i, j) for i in range(size) for j in range(size) if X[i][j]]
+        for i, j in support:
+            flipped = [list(row) for row in X]
+            flipped[i][j] = -flipped[i][j]
+            holds = group._lie_constraint_ok(flipped)
+            assert holds == ref_lie_constraint_ok(group, flipped)
+            assert holds == (len(support) == 1)
+    for i in range(size):
+        for j in range(size):
+            unit = [[int((a, b) == (i, j)) for b in range(size)]
+                    for a in range(size)]
+            holds = group._lie_constraint_ok(unit)
+            assert holds == ref_lie_constraint_ok(group, unit)
+            assert holds == (group.family == FAMILY_C and j == size - 1 - i)
