@@ -69,6 +69,14 @@ class PolyMatrix:
         self.nrows = len(self.entries)
         self.ncols = ncols
 
+    @classmethod
+    def _of(cls, entries):
+        """A PolyMatrix over rows of Polynomials, taken as they are."""
+        matrix = object.__new__(cls)
+        matrix.entries = entries
+        matrix.nrows, matrix.ncols = len(entries), len(entries[0])
+        return matrix
+
     def __getitem__(self, ij):
         i, j = ij  # 1-based
         return self.entries[i - 1][j - 1]
@@ -91,12 +99,10 @@ class PolyMatrix:
                     for j, b in pairs:
                         acc[j] = acc[j] + a * b
             out.append(acc)
-        return PolyMatrix(out)
+        return PolyMatrix._of(out)
 
     def transpose(self):
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        return PolyMatrix._of([list(column) for column in zip(*self.entries)])
 
     def to_strings(self):
         return [[str(e) for e in row] for row in self.entries]
@@ -115,8 +121,8 @@ def signed_rows(perm, matrix):
         if s not in (1, -1):
             raise ValueError(f"{s} is not a sign")
         source = matrix.entries[k]
-        out.append(source if s == 1 else [-e for e in source])
-    return PolyMatrix(out)
+        out.append(list(source) if s == 1 else [-e for e in source])
+    return PolyMatrix._of(out)
 
 
 def column_minor(matrix, spec, memo=None):
@@ -194,8 +200,8 @@ def integer_product(a, b):
 
 
 def exp_series(matrix):
-    """The terms X^m / m!, m = 0, 1, ..., of exp(X) for a nilpotent integer
-    matrix X given as a list of rows, up to the last nonzero power.
+    """The terms X^m / m!, m = 1, 2, ..., of exp(X) - I for a nilpotent
+    integer matrix X given as a list of rows, up to the last nonzero power.
 
     Raises ValueError if X^N != 0 for N = len(X), before any division, and
     ArithmeticError if m! fails to divide an entry of X^m exactly.
@@ -210,14 +216,15 @@ def exp_series(matrix):
         power = integer_product(power, matrix)
     else:
         raise ValueError("matrix is not nilpotent")
-    terms = [[[int(i == j) for j in range(size)] for i in range(size)]]
+    terms = []
     factorial = 1
     for m, power in enumerate(powers, start=1):
         factorial *= m
         if factorial > 1:  # X^1 / 1! is X itself
-            if any(x % factorial for row in power for x in row):
+            if any(x % factorial for row in power if any(row) for x in row):
                 raise ArithmeticError(f"{m}! does not divide X^{m} exactly")
-            power = [[x // factorial for x in row] for row in power]
+            power = [[x // factorial for x in row] if any(row) else row
+                     for row in power]
         terms.append(power)
     return terms
 
@@ -231,27 +238,28 @@ def exp_nilpotent(matrix, t, left=None):
     c = (X^m/m!)[k][j], m >= 1, t^m c times column k of `left`; no other
     column changes.  Raises as `exp_series` does, before any product.
     """
-    pairs = {}  # (k, j) -> the (t^m, c) terms of exp(tX) - I, m ascending
-    for m, term in enumerate(exp_series(matrix)[1:], start=1):
+    pairs = {}  # (k, j) -> the (m, c) of t^m c in exp(tX) - I, m ascending
+    for m, term in enumerate(exp_series(matrix), start=1):
         for k, row in enumerate(term):
             if not any(row):
                 continue
             for j, c in enumerate(row):
                 if c:
-                    pairs.setdefault((k, j), []).append(({t: m}, c))
+                    pairs.setdefault((k, j), []).append((m, c))
     size = len(matrix)
     if left is None:
-        left = PolyMatrix([[int(i == j) for j in range(size)]
-                           for i in range(size)])
+        one, zero = Polynomial.one(), Polynomial.zero()
+        left = PolyMatrix._of([[one if i == j else zero for j in range(size)]
+                               for i in range(size)])
     elif left.ncols != size:
         raise ValueError("shape mismatch")
     entries = [list(row) for row in left.entries]
     for (k, j), terms in pairs.items():
-        step = Polynomial(terms)
+        step = Polynomial.univariate(t, terms)
         for row, old in zip(entries, left.entries):
             if old[k].terms:
                 row[j] = row[j] + old[k] * step
-    return PolyMatrix(entries)
+    return PolyMatrix._of(entries)
 
 
 def row_reduce(rows, ncols):

@@ -247,6 +247,13 @@ class Polynomial:
         return cls._raw(layout_of((var,)), {(1 << FIELD_BITS) | 1: 1})
 
     @classmethod
+    def univariate(cls, var, pairs):
+        """The sum of c * var^m over (m, c) pairs: distinct exponents
+        1 <= m <= MAX_DEGREE, nonzero integers c."""
+        step = (1 << FIELD_BITS) | 1  # total degree 1, exponent 1
+        return cls._raw(layout_of((var,)), {m * step: c for m, c in pairs})
+
+    @classmethod
     def one(cls):
         return cls.constant(1)
 

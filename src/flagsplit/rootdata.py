@@ -18,13 +18,13 @@ a chart's `PolyMatrix` through `signed_rows`.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import add, sub
 
 from .matrix import (
     PolyMatrix,
     determinant,
     exp_series,
     integer_product,
-    rational_nullspace,
     signed_rows,
 )
 from .poly import Polynomial
@@ -32,6 +32,7 @@ from .poly import Polynomial
 FAMILY_A = "A"
 FAMILY_C = "C"
 FAMILY_D = "D"
+_FAMILIES = (FAMILY_A, FAMILY_C, FAMILY_D)
 
 
 class ConventionError(RuntimeError):
@@ -44,37 +45,52 @@ class Weight:
     Doubling keeps the half-integral spin weights of family D integral.
     For family A, weights are taken modulo the all-ones vector (the chi_k
     sum to zero on the SL torus); the canonical representative has last
-    coordinate zero.
+    coordinate zero and every coordinate even.  The constructor raises
+    ValueError on an unknown family, a non-integral coordinate or an odd
+    family-A one; +, - and `scale` keep weights canonical with no checks.
     """
 
     __slots__ = ("family", "doubled")
 
     def __init__(self, family, doubled):
-        doubled = tuple(int(x) for x in doubled)
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        doubled = tuple(doubled)
+        coords = tuple(map(int, doubled))
+        if coords != doubled:
+            raise ValueError(f"non-integral coordinates {doubled}")
         if family == FAMILY_A:
-            shift = doubled[-1]
-            if shift % 2:
+            if any(x % 2 for x in coords):
                 raise ValueError("family A weights have even doubled coordinates")
-            doubled = tuple(x - shift for x in doubled)
+            coords = tuple(x - coords[-1] for x in coords)
         self.family = family
-        self.doubled = doubled
+        self.doubled = coords
+
+    @classmethod
+    def _canonical(cls, family, doubled):
+        """A Weight from a tuple already in canonical form."""
+        w = object.__new__(cls)
+        w.family, w.doubled = family, doubled
+        return w
 
     def __add__(self, other):
         if self.family != other.family:
             raise ValueError("family mismatch")
-        return Weight(self.family, [a + b for a, b in zip(self.doubled, other.doubled)])
+        return Weight._canonical(
+            self.family, tuple(map(add, self.doubled, other.doubled)))
 
     def __neg__(self):
-        return Weight(self.family, [-a for a in self.doubled])
+        return Weight._canonical(self.family, tuple(-a for a in self.doubled))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, m):
-        return Weight(self.family, [m * a for a in self.doubled])
-
-    def is_zero(self):
-        return all(a == 0 for a in self.doubled)
+        """m times this weight; ValueError unless m is an integer."""
+        if m != int(m):
+            raise ValueError(f"{m} is not an integer")
+        m = int(m)
+        return Weight._canonical(self.family, tuple(m * a for a in self.doubled))
 
     def __eq__(self, other):
         return (
@@ -113,7 +129,7 @@ class GroupDatum:
     """Everything downstream modules need about one classical group."""
 
     def __init__(self, family, n):
-        if family not in (FAMILY_A, FAMILY_C, FAMILY_D):
+        if family not in _FAMILIES:
             raise ValueError(f"unsupported family {family!r}")
         if n < 2:
             raise ValueError("rank must be at least 2")
@@ -144,30 +160,17 @@ class GroupDatum:
 
     def chi(self, a):
         """chi_a folded into rank-length doubled coordinates."""
-        n = self.n
-        coords = [0] * n
-        if a <= n:
-            coords[a - 1] = 2
-        else:
-            coords[self.star(a) - 1] = -2
-        return Weight(self.family, coords)
+        return self.fold_sum([(1, a)])
 
     def fold_sum(self, signed_indices):
         """Weight of a formal sum of +-chi_a terms given as (sign, a) pairs."""
-        total = Weight.zero(self.family, self.n)
-        for sign, a in signed_indices:
-            term = self.chi(a)
-            total = total + (term if sign > 0 else -term)
-        return total
-
-    def _entry_weight(self, i, j):
-        """Folded torus weight of the matrix unit E_ij (adjoint action),
-        chi(i) - chi(j) as one Weight."""
         coords = [0] * self.n
-        for a, c in ((i, 2), (j, -2)):
-            if a > self.n:
-                a, c = self.star(a), -c
-            coords[a - 1] += c
+        for sign, a in signed_indices:
+            c = 2 if sign > 0 else -2
+            if a <= self.n:
+                coords[a - 1] += c
+            else:
+                coords[self.star(a) - 1] -= c
         return Weight(self.family, coords)
 
     def _lie_constraint_ok(self, X):
@@ -189,19 +192,21 @@ class GroupDatum:
         return not any(sums.values())
 
     def _build_root_data(self):
+        # positions by E_ij's weight chi_i - chi_j, a canonical tuple
         N = self.size
-        positions = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1) if i != j]
+        chis = [self.chi(a).doubled for a in range(1, N + 1)]
         groups = {}
-        for pos in positions:
-            groups.setdefault(self._entry_weight(*pos), []).append(pos)
+        for i, x in enumerate(chis, start=1):
+            for j, y in enumerate(chis, start=1):
+                if i != j:
+                    groups.setdefault(tuple(map(sub, x, y)), []).append((i, j))
+        classes = sorted(((Weight(self.family, raw), group)
+                          for raw, group in groups.items() if any(raw)),
+                         key=lambda kv: (kv[0].doubled, kv[1]))
 
         self.lie_basis = []
         root_generator = {}
-        for weight, group in sorted(
-            groups.items(), key=lambda kv: (kv[0].doubled, kv[1])
-        ):
-            if weight.is_zero():
-                continue
+        for weight, group in classes:
             basis = self._root_space_basis(group)
             if not basis:
                 continue
@@ -252,12 +257,8 @@ class GroupDatum:
                 if pos in index:
                     row[index[pos]] += s
             rows.append(row)
-        basis = rational_nullspace(rows, len(group))
-        out = []
-        for vec in basis:
-            coeffs = {pos: c for pos, c in zip(group, _primitive(vec)) if c}
-            out.append(self._unit_matrix(coeffs))
-        return out
+        return [self._unit_matrix({pos: c for pos, c in zip(group, vec) if c})
+                for vec in _primitive_nullspace(rows, len(group))]
 
     def _unit_matrix(self, coeffs):
         N = self.size
@@ -267,10 +268,11 @@ class GroupDatum:
         return entries
 
     def _walk_heights(self):
-        """Height of every positive root.  A positive root that is not simple
-        is a positive root plus a simple root (Humphreys, Introduction to Lie
-        Algebras and Representation Theory, 10.2), so one walk up from the
-        simple roots, staying inside the positive roots, reaches them all."""
+        """Height h of every positive root and -h of its negative, keyed by
+        doubled coordinates.  A positive root that is not simple is a positive
+        root plus a simple root (Humphreys, Introduction to Lie Algebras and
+        Representation Theory, 10.2), so one walk up from the simple roots,
+        staying inside the positive roots, reaches them all."""
         positive = set(self.positive_roots)
         heights = dict.fromkeys(self.simple_roots, 1)
         level = self.simple_roots
@@ -286,7 +288,8 @@ class GroupDatum:
         unreached = positive.difference(heights)
         if unreached:
             raise ConventionError(f"{unreached} not reached from the simple roots")
-        return heights
+        heights = {beta.doubled: h for beta, h in heights.items()}
+        return heights | {tuple(-x for x in b): -h for b, h in heights.items()}
 
     def _expected_simple_roots(self):
         n = self.n
@@ -348,10 +351,8 @@ class GroupDatum:
     def root_height(self, root):
         """h for a positive root of height h, -h for its negative; raises
         ConventionError on a weight that is not a root."""
-        if root in self._height:
-            return self._height[root]
-        if -root in self._height:
-            return -self._height[-root]
+        if root.family == self.family and root.doubled in self._height:
+            return self._height[root.doubled]
         raise ConventionError(f"{root} is not a root")
 
     # -- derived machinery --------------------------------------------------
@@ -367,8 +368,17 @@ class GroupDatum:
         return [(root, self.root_generator[root]) for root in roots]
 
     def preserves_form(self, M):
-        """M^T F M = F, exactly, for a polynomial matrix M and the form F."""
-        return (M.transpose() * signed_rows(self.form, M)).entries == self.form
+        """M^T F M = F, exactly, for a polynomial matrix M and the form F.
+        F is symmetric (D) or skew (C), so M^T F M is too, over any
+        commutative ring, and its entries (i, j) with i <= j decide."""
+        fm = signed_rows(self.form, M).entries
+        for i, column in enumerate(zip(*M.entries)):
+            pairs = [(a, row) for a, row in zip(column, fm) if a.terms]
+            for j in range(i, M.ncols):
+                if sum((a * row[j] for a, row in pairs if row[j].terms),
+                       Polynomial.zero()) != self.form[i][j]:
+                    return False
+        return True
 
     def in_group(self, M):
         """Exact membership identity for a polynomial matrix."""
@@ -448,13 +458,43 @@ def _reversal_word(lo, hi):
 
 
 def _primitive(vec):
-    """The primitive integer multiple of a nonzero rational vector whose
+    """The primitive integer multiple of a nonzero integer vector whose
     first nonzero entry is positive."""
-    scale = lcm(*(v.denominator for v in vec))
-    scaled = [int(v * scale) for v in vec]
-    sign = 1 if next(x for x in scaled if x) > 0 else -1
-    divisor = sign * gcd(*scaled)
-    return [x // divisor for x in scaled]
+    sign = 1 if next(x for x in vec if x) > 0 else -1
+    divisor = sign * gcd(*vec)
+    return [x // divisor for x in vec]
+
+
+def _primitive_nullspace(rows, ncols):
+    """`_primitive` of each vector of `rational_nullspace(rows, ncols)`, by
+    fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968),
+    whose rows are nonzero multiples of the rational ones."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top, p = m[rank], m[rank][col]
+        for r, row in enumerate(m):
+            factor = row[col]
+            if r != rank and factor:
+                row = [p * x - factor * y for x, y in zip(row, top)]
+                content = gcd(*row) or 1
+                m[r] = [x // content for x in row]
+        pivots.append(col)
+    scale = lcm(*(row[c] for row, c in zip(m, pivots)))
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [0] * ncols
+            vec[f] = scale
+            for row, c in zip(m, pivots):
+                vec[c] = -row[f] * scale // row[c]
+            basis.append(_primitive(vec))
+    return basis
 
 
 def _numeric_exp_triple(X, Y):
@@ -468,17 +508,19 @@ def _numeric_exp_triple(X, Y):
 
 
 def _exp_at_one(X):
-    """exp(X) of a nilpotent integer matrix: the sum of its series terms."""
-    return [[sum(entries) for entries in zip(*rows)]
-            for rows in zip(*exp_series(X))]
+    """exp(X) of a nilpotent integer matrix: the identity plus the sum of
+    its series terms."""
+    terms = exp_series(X)
+    return [[int(i == j) + sum(term[i][j] for term in terms)
+             for j in range(len(X))] for i in range(len(X))]
 
 
 def _is_strictly_upper(X):
-    return not any(X[i][j] for i in range(len(X)) for j in range(i + 1))
+    return not any(any(row[:i + 1]) for i, row in enumerate(X))
 
 
 def _is_strictly_lower(X):
-    return not any(X[i][j] for i in range(len(X)) for j in range(i, len(X)))
+    return not any(any(row[i:]) for i, row in enumerate(X))
 
 
 def _is_sign_monomial(M):

@@ -14,7 +14,7 @@ from .charts import (
 )
 from .matrix import MinorSpec, PolyMatrix, column_minor
 from .poly import Polynomial
-from .rootdata import FAMILY_A, ConventionError, Weight
+from .rootdata import FAMILY_A, ConventionError
 
 SIGMA_PLUS = "sigma_plus"
 SIGMA_MINUS = "sigma_minus"
@@ -36,10 +36,8 @@ class SectionProduct:
         ]
 
     def weight(self):
-        total = Weight.zero(self.group.family, self.group.n)
-        for w in self.factor_weights():
-            total = total + w
-        return total
+        return self.group.fold_sum(
+            [(-1, a) for spec in self.factors for a in spec.rows])
 
     def evaluate_factors(self, matrix):
         """Each factor's minor on the given matrix; memo shared per call."""

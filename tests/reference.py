@@ -8,8 +8,9 @@ operation is written out term by term.
 The `ref_*` functions on group data are the earlier implementation of
 `flagsplit.rootdata`: root heights from an exact Fraction solve in
 simple-root coordinates, root spaces from the Lie-algebra constraint of
-every (a, b), and exp of a nilpotent matrix from powers of a `PolyMatrix`,
-with t set to 1 by `ref_substitute` for the Weyl representatives.  Their
+every (a, b) solved by the Fraction `rational_nullspace`, and exp of a
+nilpotent matrix from powers of a `PolyMatrix`, with t set to 1 by
+`ref_substitute` for the Weyl representatives.  Their
 identity, product, sum and scalar multiple of matrices are the
 `ref_matrix_*` helpers here; `ref_matrix_product` forms every product,
 zeros included, so these references never use the sparse
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from flagsplit.matrix import PolyMatrix, rational_nullspace, row_reduce
 from flagsplit.poly import Polynomial
@@ -369,8 +371,18 @@ def ref_root_space_basis(group, positions):
                     touched = True
             if touched:
                 rows.append(row)
-    return [unit({pos: c for pos, c in zip(positions, _primitive(vec)) if c})
-            for vec in rational_nullspace(rows, len(positions))]
+    return [unit({pos: c for pos, c in zip(positions, vec) if c})
+            for vec in ref_primitive_nullspace(rows, len(positions))]
+
+
+def ref_primitive_nullspace(rows, ncols):
+    """`_primitive` of each vector of the Fraction `rational_nullspace`,
+    with its denominators cleared first."""
+    out = []
+    for vec in rational_nullspace(rows, ncols):
+        scale = lcm(*(v.denominator for v in vec))
+        out.append(_primitive([int(v * scale) for v in vec]))
+    return out
 
 
 def ref_lie_basis(group):
@@ -385,7 +397,7 @@ def ref_lie_basis(group):
     out = []
     for weight, positions in sorted(classes.items(),
                                     key=lambda kv: (kv[0].doubled, kv[1])):
-        if not weight.is_zero():
+        if any(weight.doubled):
             out.extend((X, weight)
                        for X in ref_root_space_basis(group, positions))
     return out

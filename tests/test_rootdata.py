@@ -72,6 +72,26 @@ def test_sl_weights_mod_all_ones():
     assert (a + c).doubled == (b + c).doubled
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Weight(FAMILY_A, [2.9, 0, 0]),
+    lambda: Weight(FAMILY_D, [1, 0.5]),
+    lambda: Weight(FAMILY_A, [1, 0, 0]),
+    lambda: Weight(FAMILY_A, [2, 3, 0]),
+    lambda: Weight("X", [1]),
+    lambda: Weight(FAMILY_A, [2, 0, 0]).scale(0.5),
+], ids=["non-integral", "non-integral-D", "odd-A", "odd-A-middle",
+        "unknown-family", "non-integral-scale"])
+def test_weight_rejects_what_its_docstring_forbids(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_weight_accepts_odd_spin_weights_and_integral_values():
+    assert Weight(FAMILY_D, [1, 1, -1]).doubled == (1, 1, -1)
+    assert Weight(FAMILY_A, [2.0, 0, 4]).doubled == (-2, -4, 0)
+    assert Weight(FAMILY_D, [1, -1]).scale(3.0).doubled == (3, -3)
+
+
 def test_rho_values(groups):
     assert groups[("A", 3)].rho.doubled == (4, 2, 0)
     assert groups[("C", 2)].rho.doubled == (4, 2)

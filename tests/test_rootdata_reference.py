@@ -1,16 +1,26 @@
 """The integer root data of flagsplit.rootdata against the earlier Fraction
 and PolyMatrix implementation kept in tests/reference.py, the root spaces
-against the constraint loop over every (a, b), and the form residual against
-the one written out there."""
+against the constraint loop over every (a, b) and the integer nullspace
+against the Fraction one, the form residual against the one written out
+there, and the fast Weight arithmetic against the validating constructor."""
 
 import random
+from operator import add
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flagsplit.charts import big_cell_chart, levi_center_chart, specialization_family
 from flagsplit.matrix import PolyMatrix, exp_nilpotent
 from flagsplit.poly import Polynomial
-from flagsplit.rootdata import FAMILY_A, FAMILY_C, build_group_datum
+from flagsplit.rootdata import (
+    FAMILY_A,
+    FAMILY_C,
+    FAMILY_D,
+    Weight,
+    _primitive_nullspace,
+    build_group_datum,
+)
 from reference import (
     is_zero_rows,
     ref_form_residual,
@@ -21,6 +31,7 @@ from reference import (
     ref_matrix_identity,
     ref_negative_roots,
     ref_polymatrix_product,
+    ref_primitive_nullspace,
     ref_root_height,
     ref_simple_reflection,
     ref_unipotent_factor,
@@ -118,6 +129,17 @@ def test_preserves_form_matches_reference(key):
     rng = random.Random(group.size)
     size = group.size
     failed = 0
+    if key in (("C", 2), ("D", 2), ("D", 3)):
+        # every single entry in turn, below the diagonal too, because only
+        # the entries (i, j) with i <= j of M^T F M are formed
+        for m in (big.matrix, levi.matrix):
+            for i in range(size):
+                for j in range(size):
+                    rows = [list(row) for row in m.entries]
+                    rows[i][j] = rows[i][j] + Polynomial.variable("z")
+                    copy = PolyMatrix(rows)
+                    assert group.preserves_form(copy) == is_zero_rows(
+                        ref_form_residual(copy, group.form))
     for m in (big.matrix, levi.matrix, specialization_family(levi).matrix):
         assert group.preserves_form(m)
         assert is_zero_rows(ref_form_residual(m, group.form))
@@ -159,3 +181,44 @@ def test_lie_constraint_matches_dense_reference(key):
             holds = group._lie_constraint_ok(unit)
             assert holds == ref_lie_constraint_ok(group, unit)
             assert holds == (group.family == FAMILY_C and j == size - 1 - i)
+
+
+@st.composite
+def integer_rows(draw):
+    ncols = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, max_size=6)), ncols
+
+
+@given(integer_rows())
+@settings(max_examples=300, deadline=None)
+@example(([[0, 0, 0]], 3))  # a zero row
+@example(([[1, 2, 0], [0, 1, -1], [2, 0, 1]], 3))  # full rank, square
+@example(([[1, 0, 2, -1], [0, 1, -1, 2], [1, 1, 1, 1]], 4))  # nullity 2
+def test_primitive_nullspace_matches_fraction_reference(case):
+    rows, ncols = case
+    want = ref_primitive_nullspace(rows, ncols)
+    assert _primitive_nullspace(rows, ncols) == want
+
+
+coordinates = st.lists(st.integers(-6, 6), min_size=3, max_size=3)
+
+
+@given(st.sampled_from([FAMILY_A, FAMILY_C, FAMILY_D]), coordinates,
+       coordinates, st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+@example(FAMILY_A, [1, 0, 1], [0, 1, 2], 3)  # raw sum ends in 6, not 0
+def test_weight_arithmetic_matches_constructor(family, x, y, m):
+    """a + b, -a, a - b and a.scale(m) equal the Weight built from the raw
+    coordinates, which for A end in a nonzero coordinate unless it is
+    normalised away."""
+    if family == FAMILY_A:  # doubled coordinates of A are even
+        x, y = [2 * v for v in x], [2 * v for v in y]
+    a, b = Weight(family, x), Weight(family, y)
+    for fast, raw in ((a + b, list(map(add, x, y))), (-a, [-v for v in x]),
+                      (a - b, [u - v for u, v in zip(x, y)]),
+                      (a.scale(m), [m * v for v in x])):
+        want = Weight(family, raw)
+        assert fast == want
+        assert hash(fast) == hash(want)
+        assert fast.doubled == want.doubled
