@@ -84,6 +84,8 @@ class SuiteConfig:
         for c in checks:
             if c not in CHECK_SEQUENCE:
                 raise ConfigError(f"unknown check {c!r}")
+            if checks.count(c) > 1:
+                raise ConfigError(f"check {c} is repeated")
         if not checks:
             raise ConfigError("the check list is empty")
         # written so that a NaN limit fails too

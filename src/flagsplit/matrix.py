@@ -10,12 +10,13 @@ X's powers reach.
 
 The determinant workhorse is `column_minor`: expansion along the last column
 with memoization keyed by row subsets, so that the nested leading minors of a
-fixed row family share all their subproblems.
+fixed row family share all their subproblems.  The one exact elimination is
+`integer_nullspace`, fraction-free over the integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from .poly import Polynomial
 
@@ -262,52 +263,42 @@ def exp_nilpotent(matrix, t, left=None):
     return PolyMatrix._of(entries)
 
 
-def row_reduce(rows, ncols):
-    """Exact Gauss-Jordan elimination over Q on the first `ncols` columns.
+def primitive(vec):
+    """The primitive integer multiple of a nonzero integer vector whose
+    first nonzero entry is positive."""
+    sign = 1 if next(x for x in vec if x) > 0 else -1
+    divisor = sign * gcd(*vec)
+    return [x // divisor for x in vec]
 
-    Entries are ints or Fractions; columns past `ncols` (an augmented
-    right-hand side) are carried along but never pivoted on.  Returns the
-    reduced row echelon form, its pivot columns, and the determinant, which
-    is 0 unless the matrix is square and of full rank.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
+
+def integer_nullspace(rows, ncols):
+    """A basis of the rational nullspace of the integer rows on `ncols`
+    columns, one primitive vector per free column, by fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968): each row
+    update is pivot * row - factor * pivot_row, divided by its content."""
+    m = [list(row) for row in rows]
     pivots = []
-    det = Fraction(1)
     for col in range(ncols):
         rank = len(pivots)
         pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            det = -det
-        det *= m[rank][col]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top, p = m[rank], m[rank][col]
+        for r, row in enumerate(m):
+            factor = row[col]
+            if r != rank and factor:
+                row = [p * x - factor * y for x, y in zip(row, top)]
+                content = gcd(*row) or 1
+                m[r] = [x // content for x in row]
         pivots.append(col)
-    if not len(pivots) == len(m) == ncols:
-        det = Fraction(0)
-    return m, pivots, det
-
-
-def rational_matrix_rank(rows):
-    """Rank of a numeric matrix (lists of ints/Fractions), exact elimination."""
-    return len(row_reduce(rows, len(rows[0]) if rows else 0)[1])
-
-
-def rational_nullspace(rows, ncols):
-    """Nullspace basis of a numeric constraint matrix, exact over Q."""
-    m, pivots, _ = row_reduce(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    scale = lcm(*(row[c] for row, c in zip(m, pivots)))
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][f]
-        basis.append(vec)
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [0] * ncols
+            vec[f] = scale
+            for row, c in zip(m, pivots):
+                vec[c] = -row[f] * scale // row[c]
+            basis.append(primitive(vec))
     return basis

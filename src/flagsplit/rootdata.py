@@ -17,13 +17,13 @@ a chart's `PolyMatrix` through `signed_rows`.
 
 from __future__ import annotations
 
-from math import gcd, lcm
 from operator import add, sub
 
 from .matrix import (
     PolyMatrix,
     determinant,
     exp_series,
+    integer_nullspace,
     integer_product,
     signed_rows,
 )
@@ -258,7 +258,7 @@ class GroupDatum:
                     row[index[pos]] += s
             rows.append(row)
         return [self._unit_matrix({pos: c for pos, c in zip(group, vec) if c})
-                for vec in _primitive_nullspace(rows, len(group))]
+                for vec in integer_nullspace(rows, len(group))]
 
     def _unit_matrix(self, coeffs):
         N = self.size
@@ -455,46 +455,6 @@ def _reversal_word(lo, hi):
     for top in range(lo, hi):
         word.extend(range(top, lo - 1, -1))
     return word
-
-
-def _primitive(vec):
-    """The primitive integer multiple of a nonzero integer vector whose
-    first nonzero entry is positive."""
-    sign = 1 if next(x for x in vec if x) > 0 else -1
-    divisor = sign * gcd(*vec)
-    return [x // divisor for x in vec]
-
-
-def _primitive_nullspace(rows, ncols):
-    """`_primitive` of each vector of `rational_nullspace(rows, ncols)`, by
-    fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968),
-    whose rows are nonzero multiples of the rational ones."""
-    m = [list(row) for row in rows]
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top, p = m[rank], m[rank][col]
-        for r, row in enumerate(m):
-            factor = row[col]
-            if r != rank and factor:
-                row = [p * x - factor * y for x, y in zip(row, top)]
-                content = gcd(*row) or 1
-                m[r] = [x // content for x in row]
-        pivots.append(col)
-    scale = lcm(*(row[c] for row, c in zip(m, pivots)))
-    basis = []
-    for f in range(ncols):
-        if f not in pivots:
-            vec = [0] * ncols
-            vec[f] = scale
-            for row, c in zip(m, pivots):
-                vec[c] = -row[f] * scale // row[c]
-            basis.append(_primitive(vec))
-    return basis
 
 
 def _numeric_exp_triple(X, Y):

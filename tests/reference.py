@@ -21,6 +21,12 @@ Lie-algebra identity X^T F + F X = 0.
 `ref_splitting_coefficient` is the splitting coefficient without the
 window of `Polynomial.within`: it forms every term of f^((p-1)/2).
 
+`row_reduce`, `rational_matrix_rank` and `rational_nullspace` are the
+earlier Fraction Gauss-Jordan kernel of `flagsplit.matrix`: the reference
+that `matrix.integer_nullspace` and the skew witness's integer rank are
+checked against, and the solver behind `ref_root_height` and
+`ref_primitive_nullspace`.
+
 `term_items` decodes a polynomial's packed keys into exponent dicts.  The
 other helpers were library code that only the tests used.
 """
@@ -31,9 +37,9 @@ from fractions import Fraction
 from itertools import permutations
 from math import lcm
 
-from flagsplit.matrix import PolyMatrix, rational_nullspace, row_reduce
+from flagsplit.matrix import PolyMatrix, primitive
 from flagsplit.poly import Polynomial
-from flagsplit.rootdata import FAMILY_A, FAMILY_D, _primitive
+from flagsplit.rootdata import FAMILY_A, FAMILY_D
 
 
 def _clean(terms):
@@ -193,6 +199,57 @@ def leibniz_determinant(matrix, rows=None, cols=None):
             prod = prod * matrix[rows[i], cols[p]]
         total = total + (-prod if inversions % 2 else prod)
     return total
+
+
+def row_reduce(rows, ncols):
+    """Exact Gauss-Jordan elimination over Q on the first `ncols` columns.
+
+    Entries are ints or Fractions; columns past `ncols` (an augmented
+    right-hand side) are carried along but never pivoted on.  Returns the
+    reduced row echelon form, its pivot columns, and the determinant, which
+    is 0 unless the matrix is square and of full rank.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        det *= m[rank][col]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+    if not len(pivots) == len(m) == ncols:
+        det = Fraction(0)
+    return m, pivots, det
+
+
+def rational_matrix_rank(rows):
+    """Rank of a numeric matrix (lists of ints/Fractions), exact elimination."""
+    return len(row_reduce(rows, len(rows[0]) if rows else 0)[1])
+
+
+def rational_nullspace(rows, ncols):
+    """Nullspace basis of a numeric constraint matrix, exact over Q."""
+    m, pivots, _ = row_reduce(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][f]
+        basis.append(vec)
+    return basis
 
 
 def ref_root_height(group, root):
@@ -376,12 +433,12 @@ def ref_root_space_basis(group, positions):
 
 
 def ref_primitive_nullspace(rows, ncols):
-    """`_primitive` of each vector of the Fraction `rational_nullspace`,
+    """`primitive` of each vector of the Fraction `rational_nullspace`,
     with its denominators cleared first."""
     out = []
     for vec in rational_nullspace(rows, ncols):
         scale = lcm(*(v.denominator for v in vec))
-        out.append(_primitive([int(v * scale) for v in vec]))
+        out.append(primitive([int(v * scale) for v in vec]))
     return out
 
 

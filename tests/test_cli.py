@@ -34,6 +34,8 @@ def test_config_validation():
         SuiteConfig("C", 2, primes=[5, 3, 5])
     with pytest.raises(ConfigError):
         SuiteConfig("C", 2, checks=["nonsense"])
+    with pytest.raises(ConfigError, match="check weights is repeated"):
+        SuiteConfig("C", 2, checks=["weights", "skew", "weights"])
     with pytest.raises(ConfigError):
         SuiteConfig("C", 2, max_terms=0)
     with pytest.raises(ConfigError):
@@ -128,6 +130,12 @@ def test_main_config_error_exit_2(capsys):
     capsys.readouterr()
     assert main(sp2 + ["--p", "3,3", "--checks", "splitcoeff"]) == 2
     assert "prime 3 is repeated" in capsys.readouterr().err
+
+
+def test_main_rejects_repeated_check(capsys):
+    assert main(["verify", "--family", "sl", "--n", "2", "--r", "1",
+                 "--checks", "weights,weights"]) == 2
+    assert "check weights is repeated" in capsys.readouterr().err
 
 
 def test_main_rejects_composite_p(capsys):

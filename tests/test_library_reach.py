@@ -7,7 +7,10 @@ attribute somewhere outside the tests.
 The check goes by name alone.  A method or attribute counts as reached when
 any non-test code mentions its name, so a test-only one is missed while
 another definition shares its name (as `Chart.serialize`, which nothing
-called, did with the `serialize` of other classes)."""
+called, did with the `serialize` of other classes).
+
+Only `sections.py` calls the builders of a request's charts and section
+pair, so `GroupSections` is the one place that builds them."""
 
 import ast
 from collections import Counter
@@ -84,3 +87,24 @@ def test_every_library_attribute_is_read_outside_the_tests():
               for cls, attr, line in assigned_attributes(trees[path])
               if attr not in read]
     assert not unread, unread
+
+
+# the builders of a request's charts and section pair
+SECTION_BUILDERS = {"big_cell_chart", "levi_center_chart", "sl_entry_big_cell",
+                    "specialization_family", "build_sigma_pair"}
+
+
+def test_only_group_sections_builds_charts_and_sections():
+    """`GroupSections` is the one place where a request's charts and
+    sigma_minus are built: no other library module calls a builder.  The
+    benchmark does not count."""
+    calls = []
+    for path in LIBRARY:
+        if path.name == "sections.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                if name in SECTION_BUILDERS:
+                    calls.append(f"{path.name}:{n.lineno} {name}")
+    assert not calls, calls

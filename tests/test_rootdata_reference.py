@@ -11,14 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flagsplit.charts import big_cell_chart, levi_center_chart, specialization_family
-from flagsplit.matrix import PolyMatrix, exp_nilpotent
+from flagsplit.matrix import PolyMatrix, exp_nilpotent, integer_nullspace
 from flagsplit.poly import Polynomial
 from flagsplit.rootdata import (
     FAMILY_A,
     FAMILY_C,
     FAMILY_D,
     Weight,
-    _primitive_nullspace,
     build_group_datum,
 )
 from reference import (
@@ -198,7 +197,7 @@ def integer_rows(draw):
 def test_primitive_nullspace_matches_fraction_reference(case):
     rows, ncols = case
     want = ref_primitive_nullspace(rows, ncols)
-    assert _primitive_nullspace(rows, ncols) == want
+    assert integer_nullspace(rows, ncols) == want
 
 
 coordinates = st.lists(st.integers(-6, 6), min_size=3, max_size=3)

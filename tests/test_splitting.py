@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -7,9 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flagsplit import splitting
+from flagsplit import sections, splitting
 from flagsplit.charts import big_cell_chart, sl_entry_big_cell
-from flagsplit.cli import appendix_check, load_golden_chain
+from flagsplit.cli import SuiteConfig, appendix_check, load_golden_chain, run_suite
 from flagsplit.poly import (
     MAX_DEGREE,
     NotDivisibleError,
@@ -19,7 +20,7 @@ from flagsplit.poly import (
     poly_from_string,
 )
 from flagsplit.rootdata import build_group_datum
-from flagsplit.sections import build_sigma_pair
+from flagsplit.sections import SectionProduct, build_sigma_pair
 from flagsplit.splitting import (
     NOT_COMPUTED,
     ResourceGuard,
@@ -36,6 +37,7 @@ from flagsplit.splitting import (
 from reference import (
     chain_state,
     homogeneous_part,
+    rational_matrix_rank,
     ref_of,
     ref_pow,
     ref_splitting_coefficient,
@@ -253,10 +255,44 @@ def test_local_coefficient_checks_p_before_any_work(monkeypatch, p):
         built.append(group)
         raise AssertionError("chart built")
 
-    monkeypatch.setattr(splitting, "big_cell_chart", broken)
+    monkeypatch.setattr(sections, "big_cell_chart", broken)
     with pytest.raises(ValueError, match="odd prime"):
         local_splitting_coefficient(build_group_datum("A", 3), p)
     assert built == []
+
+
+@pytest.mark.parametrize("family,n", [("A", 4), ("C", 2), ("D", 3)])
+def test_local_coefficient_builds_each_section_once(monkeypatch, family, n):
+    calls = Counter()
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("big_cell_chart", "build_sigma_pair"):
+        monkeypatch.setattr(sections, name,
+                            count(name, getattr(sections, name)))
+    monkeypatch.setattr(SectionProduct, "evaluate_factors", count(
+        "evaluate_factors", SectionProduct.evaluate_factors))
+    monkeypatch.setattr(SectionProduct, "evaluate",
+                        count("evaluate", SectionProduct.evaluate))
+    verdict = local_splitting_coefficient(build_group_datum(family, n), 3)
+    assert verdict.splits
+    assert calls == {"big_cell_chart": 1, "build_sigma_pair": 1,
+                     "evaluate_factors": 1}
+
+
+@pytest.mark.parametrize("family,n,r", [("A", 4, 2), ("C", 2, None),
+                                        ("D", 3, None)])
+def test_local_coefficient_matches_the_splitcoeff_check(family, n, r):
+    primes = [3, 5, 7]
+    report = run_suite(SuiteConfig(family, n, r=r, primes=primes,
+                                   checks=["splitcoeff"]))
+    group = build_group_datum(family, n)
+    assert report.checks[0]["payload"]["verdicts"] == [
+        local_splitting_coefficient(group, p).serialize() for p in primes]
 
 
 @pytest.mark.parametrize("family,n,p", [
@@ -553,6 +589,53 @@ def test_skew_minor_full_range(n):
         assert res.nonzero
         assert order_at_origin(res.minor) == res.minor.degree() == k
         assert res.witness["gram_determinant"] != 0
+
+
+# sha256 of the JSON lines of skew_minor_claim(n, k, seed).serialize(),
+# seeds 0-4, recorded from the Fraction implementation of the witness
+SKEW_PINS = {
+    (3, 1): "82cc0400e132d58eea862f2470605716171a00fb569c9052b7f0a824687701e0",
+    (3, 2): "402b9cd002261220d90db000162658aa6aec1de0f37329c939f6c9279a2f010e",
+    (5, 1): "c28e59c7836ee8cafd8806c59c957b592ed1c7a9bd26d1616456ac2fcb404e90",
+    (5, 2): "335def5facd44c3202ee358bf7572a7280df8fac05c9bfca5f4ae1bae1802fb1",
+    (5, 3): "ef1bf011c9f610fba2d254e3656e89dbcf20509429a4d0ed45657af513dbe1ea",
+    (5, 4): "dc408746c92a6a36ae373dab5a17143236896b92788f0918117482cf1769b9e1",
+    (7, 1): "7e8529b7c67d946efcf9b1d00ce21778e358319710fe0740a7ca869b5d553cae",
+    (7, 2): "d9290aa7b47d0318864473f60b54382b9957c64e7c72991e5f84861d3f1c0ecd",
+    (7, 3): "c1b781774ada0f552626eafdccb0c808d071c93ad13e259b566b719036580b90",
+    (7, 4): "ff9b3fe0d8c9fbf7f55e3a53ec0480735d8d848b79106aacaf5580e2e999096b",
+    (7, 5): "9d0e4f5a6b42838a4ac3675ad38641686071aaab4d741f15043e6908676b24fa",
+    (7, 6): "eaa92360c936febcfca392c56d5338dff0350ce8f56cdb4b1e603d730eb6629a",
+}
+
+
+def test_skew_witness_bytes_are_pinned():
+    for (n, k), pin in SKEW_PINS.items():
+        digest = hashlib.sha256()
+        for seed in range(5):
+            text = json.dumps(skew_minor_claim(n, k, seed).serialize(),
+                              sort_keys=True)
+            digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == pin, (n, k)
+
+
+@st.composite
+def skew_shaped_rows(draw):
+    """k x n integer rows, 1 <= k < n, entries as the witness draws them."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    row = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=k, max_size=k)), n
+
+
+@given(skew_shaped_rows())
+@settings(max_examples=200, deadline=None)
+@example(([[0, 0, 0], [1, -2, 3]], 3))  # a zero row
+# W + [radical] with W meeting the radical of the rank-4 form on Q^5
+@example(([[1, 0, 0, 0, 3], [0, 0, 0, 0, -2], [0, 0, 0, 0, 1]], 5))
+def test_rank_matches_fraction_reference(case):
+    rows, n = case
+    assert splitting._rank(rows, n) == rational_matrix_rank(rows)
 
 
 def test_skew_minor_rejects_even_n():
