@@ -233,7 +233,9 @@ def run_suite(config):
         try:
             status, payload = _run_check(name, config, sections)
         except Exception as exc:  # a failed identity raises; record it
-            status, payload = "fail", {"error": f"{type(exc).__name__}: {exc}"}
+            # exhausted memory decides nothing about the property
+            status = "not-computed" if isinstance(exc, MemoryError) else "fail"
+            payload = {"error": f"{type(exc).__name__}: {exc}"}
         report.add(name, status, payload, time.monotonic() - started)
     return report
 

@@ -88,16 +88,14 @@ def splitting_coefficient(factors, variables, p, guard=None):
     """Coefficient of prod(v^(p-1)) in f^(p-1), f the product of
     `factors`, exact over the integers, reduced mod p only at the very end.
 
-    No exponent is negative, so a partial product of f^(p-1) reaches the
-    target only through its terms with p - 1 - room_v <= e_v <= p - 1 for
-    each v of `variables`, room_v being the most the rest of f^(p-1) can
-    add to the exponent of v.  Every product keeps just those terms
-    (`Polynomial.within`): first the running product of the factors, with
-    room_v the later factors' v-degrees plus (p - 2) d_v (d_v the sum of
-    all their v-degrees), then each partial power f^a of that windowed f,
-    with room_v = (p - 1 - a) d_v (d_v its own v-degree).  f^(p-1) is g*g
-    with g = f^((p-1)/2), so the target is a single hash-join over the
-    terms of g.  The guard checks the products of the power stage.
+    f^(p-1) is g*g with g the product of the factors, each multiplied in
+    (p - 1)/2 times in a row, in the given order.  No exponent is negative,
+    so after every product only the terms of g with p - 1 - room_v <= e_v
+    <= p - 1 for each v of `variables` can reach the target
+    (`Polynomial.within`), room_v being the v-degree still to come into g
+    plus the bound (p - 1)/2 * d_v(f) on the other copy of g.  The target is
+    then a single hash-join over the terms of g.  The guard checks every
+    product.
 
     The verdict's `degree` is that of the whole f, -1 if a factor is zero.
     A degree past the packed-exponent limit gives a not-computed verdict
@@ -117,34 +115,14 @@ def splitting_coefficient(factors, variables, p, guard=None):
     room = {v: (p - 1) * sum(d.get(v, 0) for d in factor_degrees)
             for v in variables}
     try:
-        f = Polynomial.one()
+        g = Polynomial.one()
         for value, d in zip(factors, factor_degrees):
-            f = f * value
-            for v in variables:
-                room[v] -= d.get(v, 0)
-            f = f.within(p - 1, room)
-        degrees = f.degrees()
-
-        def window(power, a):
-            """The terms of the partial power f^a that can reach the target."""
-            return power.within(p - 1, {v: (p - 1 - a) * degrees.get(v, 0)
-                                        for v in variables})
-
-        g, a = Polynomial.one(), 0
-        base, b = window(f, 1), 1
-        e = (p - 1) // 2
-        while e:
-            if e & 1:
-                a += b
-                g = base if a == b else window(g * base, a)
+            for _ in range((p - 1) // 2):
+                g = g * value
+                for v in variables:
+                    room[v] -= d.get(v, 0)
+                g = g.within(p - 1, room)
                 if not guard.check(g):
-                    return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
-                                        guard_reason=guard.tripped)
-            e >>= 1
-            if e:
-                b *= 2
-                base = window(base * base, b)
-                if not guard.check(base):
                     return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
                                         guard_reason=guard.tripped)
         target = g.layout.pack([(v, p - 1) for v in variables])

@@ -101,11 +101,23 @@ def test_order_table_payload_example():
 
 
 def test_guard_trip_gives_exit_3():
-    # the windowed g of sl5 at p = 5 has 223 terms (sl4's fits in 2)
+    # the windowed g of sl5 at p = 5 has 3 terms after its second product
+    # (sl4's keeps 1)
     config = SuiteConfig("A", 5, r=2, primes=[5], checks=["splitcoeff"],
                          max_terms=2)
     report = run_suite(config)
     assert report.checks[0]["status"] == "not-computed"
+    assert report.exit_code == 3
+
+
+def test_memory_error_is_not_computed(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(cli, "squarefree_probe", exhausted)
+    report = run_suite(SuiteConfig("D", 3, checks=["weights", "squarefree"]))
+    assert [c["status"] for c in report.checks] == ["pass", "not-computed"]
+    assert report.checks[1]["payload"] == {"error": "MemoryError: no room"}
     assert report.exit_code == 3
 
 

@@ -20,7 +20,7 @@ from flagsplit.poly import (
     poly_from_string,
 )
 from flagsplit.rootdata import build_group_datum
-from flagsplit.sections import SectionProduct, build_sigma_pair
+from flagsplit.sections import GroupSections, SectionProduct, build_sigma_pair
 from flagsplit.splitting import (
     NOT_COMPUTED,
     ResourceGuard,
@@ -232,13 +232,51 @@ def test_top_degree_shortcut_agrees():
 
 
 def test_resource_guard_reports_not_computed():
-    # the windowed g of sl5 at p = 5 still has 223 terms (sl4 fits in 2)
+    # the windowed g of sl5 at p = 5 has 3 terms after its second product
+    # (sl4's keeps 1)
     g = build_group_datum("A", 5)
     guard = ResourceGuard(max_terms=2, max_seconds=60)
     verdict = local_splitting_coefficient(g, 5, guard=guard)
     assert verdict.status == NOT_COMPUTED
     assert verdict.splits is None
     assert "term count" in verdict.guard_reason
+
+
+def test_guard_checks_every_product():
+    # g takes each minor (p - 1)/2 times in a row
+    class Recording(ResourceGuard):
+        def __init__(self):
+            super().__init__()
+            self.seen = []
+
+        def check(self, poly):
+            self.seen.append(len(poly.terms))
+            return super().check(poly)
+
+    big = GroupSections(build_group_datum("A", 5))
+    guard = Recording()
+    verdict = splitting_coefficient(big.big_minors, big.big_cell.variables, 5,
+                                    guard=guard)
+    assert verdict.coefficient == -27999
+    assert len(guard.seen) == len(big.big_minors) * 2
+
+
+def test_sp3_p7_term_pairs_stay_low(monkeypatch):
+    # well under the 125,746 pairs of squaring the windowed f instead
+    big = GroupSections(build_group_datum("C", 3))
+    minors, variables = big.big_minors, big.big_cell.variables  # not counted
+    pairs = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        if isinstance(b, Polynomial):
+            pairs.append(len(a.terms) * len(b.terms))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    verdict = splitting_coefficient(minors, variables, 7)
+    assert verdict.coefficient == 1798902379
+    assert sum(pairs) <= 50_000
 
 
 def test_rejects_repeated_variable_names():
@@ -323,7 +361,7 @@ def factor_lists(draw):
     return names, draw(st.lists(factor, min_size=1, max_size=3))
 
 
-@given(factor_lists(), st.sampled_from([3, 5, 7]))
+@given(factor_lists(), st.sampled_from([3, 5, 7, 11, 13]))
 @example((["a"], [Polynomial.zero(), Polynomial.zero()]), 3)
 @example((["a"], [Polynomial.variable("a"), Polynomial.zero()]), 3)
 # a name outside the target must stay free: a^2 b^0 needs the terms without b
@@ -361,7 +399,8 @@ def test_is_odd_prime():
 @pytest.mark.parametrize("family,n,p,coefficient", [
     ("D", 4, 3, 2353), ("A", 5, 5, -27999), ("A", 6, 3, -161),
     ("C", 3, 5, 11571), ("A", 5, 7, 3161089), ("C", 4, 3, 125437),
-    ("A", 7, 3, 480781),
+    ("A", 7, 3, 480781), ("A", 6, 5, -108975249), ("D", 4, 5, -1134242879),
+    ("C", 3, 7, 1798902379), ("A", 5, 13, -18423599769209439),
 ])
 def test_golden_coefficients(family, n, p, coefficient):
     verdict = local_splitting_coefficient(build_group_datum(family, n), p)
@@ -371,15 +410,15 @@ def test_golden_coefficients(family, n, p, coefficient):
 
 def test_degree_limit_gives_not_computed():
     # x^k with k > 4 lies outside the window of p = 5, so it is dropped
-    # before g = f^2 squares it: 0 is the exact coefficient
+    # before g = f*f takes x^k again: 0 is the exact coefficient
     half = (MAX_DEGREE + 1) // 2
     for k in (half, half - 1):
         verdict = splitting_coefficient([Polynomial.variable("x") ** k],
                                         ["x"], 5)
         assert verdict.status == "computed" and verdict.coefficient == 0
         assert verdict.degree == k
-    # every power of x*y*z*w stays inside the window of p = 16411, so the
-    # power stage squares it up to (x*y*z*w)^8192, past the limit
+    # every power of x*y*z*w stays inside the window of p = 16411, so g,
+    # built one product at a time, reaches (x*y*z*w)^8192, past the limit
     f = poly_from_string("x*y*z*w")
     past = splitting_coefficient([f], ["w", "x", "y", "z"], 16411)
     assert past.status == NOT_COMPUTED
