@@ -43,11 +43,9 @@ def _chart_variable_names(count):
     return [f"t{str(i).zfill(width)}" for i in range(1, count + 1)]
 
 
-def unipotent_factor(group, generator_order=None):
+def unipotent_factor(group):
     """u(t) = ordered product of exp(t_b X_b) over negative-root generators."""
     gens = group.negative_root_generators()
-    if generator_order is not None:
-        gens = [gens[i] for i in generator_order]
     names = _chart_variable_names(len(gens))
     u = None
     for (_, X), name in zip(gens, names):
@@ -55,9 +53,9 @@ def unipotent_factor(group, generator_order=None):
     return u, names
 
 
-def big_cell_chart(group, generator_order=None):
+def big_cell_chart(group):
     """Chart around eB; the matrix is lower unitriangular."""
-    u, names = unipotent_factor(group, generator_order)
+    u, names = unipotent_factor(group)
     chart = Chart(group, names, u)
     chart.verify_membership()
     for i in range(1, group.size + 1):

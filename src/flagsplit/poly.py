@@ -25,8 +25,8 @@ by those pairs, both descending, which is not the order of the keys.
 
 from __future__ import annotations
 
+import numbers
 import re
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -430,7 +430,7 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, numbers.Rational):
             if other.denominator != 1:
                 return False
             other = Polynomial.constant(other)

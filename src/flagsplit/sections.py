@@ -126,14 +126,14 @@ class GroupSections:
         return self.pair[1].evaluate(sl_entry_big_cell(self.group.n).matrix)
 
 
-def generic_matrix(n, prefix="m"):
+def generic_matrix(n):
     return PolyMatrix([
-        [Polynomial.variable(f"{prefix}{i}_{j}") for j in range(1, n + 1)]
+        [Polynomial.variable(f"m{i}_{j}") for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ])
 
 
-def generic_upper_triangular(n, prefix="b", unitriangular=False):
+def generic_upper_triangular(n, prefix, unitriangular=False):
     entries = []
     for i in range(1, n + 1):
         row = []
@@ -152,14 +152,10 @@ def generic_upper_triangular(n, prefix="b", unitriangular=False):
     return PolyMatrix(entries)
 
 
-def generic_lower_triangular(n, prefix="l", unitriangular=False):
-    return generic_upper_triangular(n, prefix, unitriangular).transpose()
-
-
-def generic_diagonal(n, prefix="d"):
+def generic_diagonal(n):
     return PolyMatrix([
         [
-            Polynomial.variable(f"{prefix}{i}") if i == j else Polynomial.zero()
+            Polynomial.variable(f"d{i}") if i == j else Polynomial.zero()
             for j in range(1, n + 1)
         ]
         for i in range(1, n + 1)
@@ -235,7 +231,7 @@ def equivariance_suite(sections):
     results["left_b_law"] = {"exponents": exps}
 
     # (iv) left B^- law for sigma_plus
-    low = generic_lower_triangular(N, "l")
+    low = generic_upper_triangular(N, "l").transpose()
     lM = low * M
     exps_p = row_exponent_vector(plus)
     scale = Polynomial.one()

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 # not called here: flagbench/test_flagbench.py checks that the benchmark's
 # tracer rebinds `splitting.big_cell_chart`
@@ -286,23 +285,27 @@ def rnc_search(f0):
 _Q = (1 << 61) - 1
 
 
-def _gcd_degree(a, b, q=None):
-    """Degree of gcd(a, b), lists from the constant term up with nonzero
-    last entries: over Q for Fractions (q None), over GF(q) for residues.
+def _gcd_degree(a, b, q=0):
+    """Degree of gcd(a, b) over GF(q) (residues), or over Q for q = 0;
+    lists from the constant term up with nonzero last entries.  Each step
+    a <- lc(b) a - lead s^k b needs no inverse; each remainder is reduced
+    mod q, or for q = 0 divided by its content (primitive PRS over Z).
     """
     while b:
-        a = list(a)
-        inv = pow(b[-1], -1, q) if q else 1 / b[-1]
+        a, lb, tail = list(a), b[-1], b[:-1]
         while len(a) >= len(b):
             lead = a.pop()
             if lead:
-                factor = lead * inv % q if q else lead * inv
-                for i, c in enumerate(b[:-1], len(a) - len(b) + 1):
-                    a[i] -= factor * c
+                a = [lb * c for c in a]
+                for i, c in enumerate(tail, len(a) - len(tail)):
+                    a[i] -= lead * c
                 if q:
                     a = [c % q for c in a]
         while a and not a[-1]:
             a.pop()
+        if a and not q:
+            content = gcd(*a)
+            a = [c // content for c in a]
         a, b = b, a
     return len(a) - 1 if a else -1
 
@@ -311,15 +314,14 @@ def _is_squarefree_univariate(coeffs):
     """Whether the integer polynomial f with these coefficients is
     squarefree over Q.  lc(f) != 0 and gcd(f, f') = 1 mod q prove it: were
     f = g^2 h over Z (Gauss), (g mod q)^2 would divide f mod q, and
-    deg(g mod q) = deg g.  Every other case runs the exact gcd over Q.
+    deg(g mod q) = deg g.  Every other case runs the gcd over Z.
     """
     # deg f < q, so lc(f') = deg f * lc(f) is nonzero mod q as well
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
     if coeffs[-1] % _Q and _gcd_degree([c % _Q for c in coeffs],
                                        [c % _Q for c in deriv], _Q) == 0:
         return True
-    return _gcd_degree([Fraction(c) for c in coeffs],
-                       [Fraction(c) for c in deriv]) == 0
+    return _gcd_degree(coeffs, deriv) == 0
 
 
 def squarefree_probe(f, trials=20, seed=0):
@@ -330,8 +332,8 @@ def squarefree_probe(f, trials=20, seed=0):
     by one big-integer evaluation; f is decoded once for all trials.  A
     constant restriction is discarded and redrawn.  The trial passes when
     the restriction is squarefree over Q: a gcd mod 2^61 - 1 settles that
-    where it is sound, the exact Fraction gcd everywhere else, so each trial
-    is exact.  The report is evidence only, not a proof.
+    where it is sound, the gcd over Z everywhere else, so each trial is
+    exact.  The report is evidence only, not a proof.
     """
     if f.is_constant():
         raise ValueError(f"constant polynomial {f}: nothing to restrict")
@@ -390,11 +392,11 @@ class SkewClaimResult:
         }
 
 
-def generic_skew_matrix(n, prefix="b"):
+def generic_skew_matrix(n):
     entries = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     for i in range(2, n + 1):
         for j in range(1, i):
-            v = Polynomial.variable(f"{prefix}{i}_{j}")
+            v = Polynomial.variable(f"b{i}_{j}")
             entries[i - 1][j - 1] = v
             entries[j - 1][i - 1] = -v
     return PolyMatrix(entries)

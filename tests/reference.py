@@ -21,6 +21,11 @@ Lie-algebra identity X^T F + F X = 0.
 `ref_splitting_coefficient` is the splitting coefficient without the
 window of `Polynomial.within`: it forms every term of f^((p-1)/2).
 
+`ref_gcd_degree_rational` and `ref_gcd_degree_mod` are the earlier gcd
+loops of the squarefree probe: Euclid over Fractions, and Euclid mod q with
+the inverse of each divisor's leading coefficient.  `shuffled_big_cell` is
+the big cell with its root generators taken in another order.
+
 `row_reduce`, `rational_matrix_rank` and `rational_nullspace` are the
 earlier Fraction Gauss-Jordan kernel of `flagsplit.matrix`: the reference
 that `matrix.integer_nullspace` and the skew witness's integer rank are
@@ -37,7 +42,8 @@ from fractions import Fraction
 from itertools import permutations
 from math import lcm
 
-from flagsplit.matrix import PolyMatrix, primitive
+from flagsplit.charts import Chart
+from flagsplit.matrix import PolyMatrix, exp_nilpotent, primitive
 from flagsplit.poly import Polynomial
 from flagsplit.rootdata import FAMILY_A, FAMILY_D
 
@@ -112,6 +118,35 @@ def ref_splitting_coefficient(f, variables, p):
             total += c * g.get(tuple(sorted((v, e) for v, e in rest.items()
                                             if e)), 0)
     return total
+
+
+def _euclid_degree(a, b, divide, reduce):
+    while b:
+        a = list(a)
+        while len(a) >= len(b):
+            lead = a.pop()
+            if lead:
+                factor = divide(lead, b[-1])
+                for i, c in enumerate(b[:-1], len(a) - len(b) + 1):
+                    a[i] = reduce(a[i] - factor * c)
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1 if a else -1
+
+
+def ref_gcd_degree_rational(a, b):
+    """Degree of gcd(a, b) over Q by Euclid over Fractions; integer lists
+    from the constant term up with nonzero last entries."""
+    return _euclid_degree([Fraction(c) for c in a], [Fraction(c) for c in b],
+                          lambda x, y: x / y, lambda x: x)
+
+
+def ref_gcd_degree_mod(a, b, q):
+    """Degree of gcd(a, b) over GF(q) by Euclid with modular inverses; lists
+    of residues in [0, q) with nonzero last entries."""
+    return _euclid_degree(a, b, lambda x, y: x * pow(y, -1, q) % q,
+                          lambda x: x % q)
 
 
 def ref_substitute(a, assignment):
@@ -395,6 +430,19 @@ def ref_unipotent_factor(group, names):
         u = ref_polymatrix_product(
             u, ref_exp_nilpotent(PolyMatrix(group.root_generator[root]), name))
     return u
+
+
+def shuffled_big_cell(group, order):
+    """The big cell u(t) = prod exp(t_b X_b) with the negative-root
+    generators taken in `order` (a permutation of their indices)."""
+    gens = group.negative_root_generators()
+    names = [f"t{i}" for i in range(len(gens))]
+    u = None
+    for i, name in zip(order, names):
+        u = exp_nilpotent(gens[i][1], name, u)
+    chart = Chart(group, names, u)
+    chart.verify_membership()
+    return chart
 
 
 def ref_root_space_basis(group, positions):

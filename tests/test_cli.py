@@ -341,7 +341,7 @@ def test_splitcoeff_never_multiplies_out_sigma_minus(monkeypatch, family, n, r):
 ])
 def test_failing_big_cell_fails_each_check_that_needs_it(
         monkeypatch, family, n, r, failing):
-    def broken(group, generator_order=None):
+    def broken(group):
         raise ConventionError("no big cell")
 
     _rebind(monkeypatch, charts, "big_cell_chart", broken)

@@ -10,7 +10,8 @@ another definition shares its name (as `Chart.serialize`, which nothing
 called, did with the `serialize` of other classes).
 
 Only `sections.py` calls the builders of a request's charts and section
-pair, so `GroupSections` is the one place that builds them."""
+pair, so `GroupSections` is the one place that builds them.  No library
+module imports `fractions`: every exact computation runs on integers."""
 
 import ast
 from collections import Counter
@@ -108,3 +109,18 @@ def test_only_group_sections_builds_charts_and_sections():
                 if name in SECTION_BUILDERS:
                     calls.append(f"{path.name}:{n.lineno} {name}")
     assert not calls, calls
+
+
+def test_no_library_module_imports_fractions():
+    found = []
+    for path in LIBRARY:
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.Import):
+                names = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                names = [n.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "fractions" for name in names):
+                found.append(f"{path.name}:{n.lineno}")
+    assert not found, found

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -39,6 +38,8 @@ from reference import (
     homogeneous_part,
     rational_matrix_rank,
     ref_of,
+    ref_gcd_degree_mod,
+    ref_gcd_degree_rational,
     ref_pow,
     ref_splitting_coefficient,
     term_items,
@@ -289,7 +290,7 @@ def test_rejects_repeated_variable_names():
 def test_local_coefficient_checks_p_before_any_work(monkeypatch, p):
     built = []
 
-    def broken(group, generator_order=None):
+    def broken(group):
         built.append(group)
         raise AssertionError("chart built")
 
@@ -540,13 +541,13 @@ Q = (1 << 61) - 1
 
 
 def count_fallbacks(monkeypatch):
-    """Rebind the gcd so that each call over Q (the exact Fraction path,
-    no modulus) is counted."""
+    """Rebind the gcd so that each call over Z (q = 0, the exact path) is
+    counted."""
     calls = []
     original = splitting._gcd_degree
 
-    def counting(a, b, q=None):
-        if q is None:
+    def counting(a, b, q=0):
+        if not q:
             calls.append(1)
         return original(a, b, q)
 
@@ -577,6 +578,18 @@ def test_probe_fallback_counts(monkeypatch):
     assert len(fallbacks) == out["trials"]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_probe_of_a_square_takes_the_exact_path(seed, monkeypatch):
+    # (so3 big-cell sigma_minus)^2 restricts to squares of degree 14 with
+    # 7-digit draws: no trial passes, and each one runs the gcd over Z
+    f = probe_input("D", 3, "big")
+    fallbacks = count_fallbacks(monkeypatch)
+    out = squarefree_probe(f * f, trials=20, seed=seed)
+    assert out["passes"] == 0
+    assert out["all_squarefree"] is False
+    assert len(fallbacks) == out["trials"] == 20
+
+
 def int_poly(draw_coeffs):
     coeffs = list(draw_coeffs)
     while coeffs and not coeffs[-1]:
@@ -604,10 +617,28 @@ def test_modular_squarefree_implies_exact(g, h, square):
     deriv = [i * c for i, c in enumerate(f)][1:]
     if f[-1] % Q and splitting._gcd_degree(
             [c % Q for c in f], [c % Q for c in deriv], Q) == 0:
-        exact = splitting._gcd_degree([Fraction(c) for c in f],
-                                      [Fraction(c) for c in deriv])
-        assert exact == 0
+        assert ref_gcd_degree_rational(f, deriv) == 0
         assert not square
+
+
+coeff = st.one_of(st.integers(-9, 9), st.integers(-Q - 3, Q + 3))
+factor = st.lists(coeff, min_size=1, max_size=4).map(int_poly)
+
+
+@given(factor.filter(bool), factor, factor)
+@example([1], [2, -3, 0, 1], [-3, 0, 3])  # (s-1)^2 (s+2) and its derivative
+@example([1], [0, 1, 7], [1, 14])  # q s^2 + s and its derivative, q = 7
+@example([1], [0, 1, Q], [1, 2 * Q])  # the same for q = 2^61 - 1
+@example([1], [8, -9, 1], [-9, 2])  # (s-1)(s-1-q), q = 7: double root mod q
+@example([1], [1 + Q, -(2 + Q), 1], [-(2 + Q), 2])  # the same for 2^61 - 1
+@settings(max_examples=200, deadline=None)
+def test_gcd_degree_matches_references(g, h, k):
+    # a = g h and b = g k share g, so the gcd is often nontrivial
+    a, b = int_poly(convolve(g, h)), int_poly(convolve(g, k))
+    assert splitting._gcd_degree(a, b) == ref_gcd_degree_rational(a, b)
+    for q in (2, 7, Q):
+        ra, rb = (int_poly(c % q for c in x) for x in (a, b))
+        assert splitting._gcd_degree(ra, rb, q) == ref_gcd_degree_mod(ra, rb, q)
 
 
 # ---------------------------------------------------------------------------
