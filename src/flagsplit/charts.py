@@ -44,12 +44,13 @@ def _chart_variable_names(count):
 
 
 def unipotent_factor(group):
-    """u(t) = ordered product of exp(t_b X_b) over negative-root generators."""
+    """u(t) = ordered product of exp(t_b X_b) over negative-root generators,
+    every t_b over the one layout of the chart's names."""
     gens = group.negative_root_generators()
     names = _chart_variable_names(len(gens))
     u = None
-    for (_, X), name in zip(gens, names):
-        u = exp_nilpotent(X, name, u)
+    for (_, X), t in zip(gens, Polynomial.generators(names)):
+        u = exp_nilpotent(X, t, u)
     return u, names
 
 
@@ -86,17 +87,13 @@ def sl_entry_big_cell(n):
     For n = 5 the entries are named a..j row by row, matching the usual
     hand-computation labels; larger sizes fall back to e{i}_{j}.
     """
-    letters = "abcdefghij"
-    entries = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
-    variables = []
-    count = 0
-    for i in range(1, n + 1):
-        entries[i - 1][i - 1] = Polynomial.one()
-        for j in range(1, i):
-            name = letters[count] if n <= 5 else f"e{i}_{j}"
-            count += 1
-            variables.append(name)
-            entries[i - 1][j - 1] = Polynomial.variable(name)
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, i)]
+    variables = (list("abcdefghij"[:len(cells)]) if n <= 5
+                 else [f"e{i}_{j}" for i, j in cells])
+    one, zero = Polynomial.one(), Polynomial.zero()
+    entries = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for (i, j), x in zip(cells, Polynomial.generators(variables)):
+        entries[i - 1][j - 1] = x
     return Chart(None, variables, PolyMatrix(entries))
 
 
@@ -110,14 +107,7 @@ def sl_explicit_chart(n, r):
     if not 1 <= r <= n - 1:
         raise ValueError("need 1 <= r <= n-1")
     entries = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
-    variables = []
-    counter = itertools.count(1)
-
-    def fresh():
-        name = f"x{next(counter):03d}"
-        variables.append(name)
-        return Polynomial.variable(name)
-
+    free = []  # the free entries (i, j), in variable order
     one = Polynomial.one()
     for i in range(1, r + 1):  # top-left block
         for j in range(1, r + 1):
@@ -125,10 +115,10 @@ def sl_explicit_chart(n, r):
             if anti:
                 entries[i - 1][j - 1] = one
             elif i + j > r + 1:
-                entries[i - 1][j - 1] = fresh()
+                free.append((i, j))
     for i in range(r + 1, n + 1):  # bottom-left block: all free
         for j in range(1, r + 1):
-            entries[i - 1][j - 1] = fresh()
+            free.append((i, j))
     m = n - r
     for bi in range(1, m + 1):  # bottom-right block
         for bj in range(1, m + 1):
@@ -136,12 +126,14 @@ def sl_explicit_chart(n, r):
             if bi + bj == m + 1:
                 entries[i - 1][j - 1] = one
             elif bi + bj > m + 1:
-                entries[i - 1][j - 1] = fresh()
-    matrix = PolyMatrix(entries)
+                free.append((i, j))
     expected = r * (r - 1) // 2 + m * (m - 1) // 2 + r * m
-    if len(variables) != expected:
+    if len(free) != expected:
         raise ConventionError("unexpected free-variable count in picture chart")
-    return Chart(None, variables, matrix)
+    variables = [f"x{k:03d}" for k in range(1, len(free) + 1)]
+    for (i, j), x in zip(free, Polynomial.generators(variables)):
+        entries[i - 1][j - 1] = x
+    return Chart(None, variables, PolyMatrix(entries))
 
 
 class SpecializationFamily:
@@ -201,18 +193,20 @@ def specialization_family(levi_chart):
         raise ValueError(f"family {group.family} has no specialization family")
 
     literal_label, placements, label, links = layout(n)
+    names = [var for _, var in placements.values()] + [var for var, _ in links]
+    x = dict(zip(names, Polynomial.generators(names)))
     rep = levi_chart.center_matrix()
-    matrix, literal = _try_placement(group, rep, placements)
+    matrix, literal = _try_placement(group, rep, placements, x)
     ok = literal
     if not literal:
         placements = {}
         for var, entries in links:
-            link = _resolve_link(group, rep, var, entries)
+            link = _resolve_link(group, rep, var, entries, x)
             if link is None:
                 break
             placements.update(link)
         else:
-            matrix, ok = _try_placement(group, rep, placements)
+            matrix, ok = _try_placement(group, rep, placements, x)
     variables = list(dict.fromkeys(var for _, var in placements.values()))
     if not ok or len(variables) != expected_parameter_count(kind, n):
         raise ConventionError(
@@ -231,25 +225,24 @@ def specialization_family(levi_chart):
     return SpecializationFamily(group, kind, variables, matrix, assignment)
 
 
-def _resolve_link(group, rep, var, entries):
+def _resolve_link(group, rep, var, entries, x):
     """The link's placement, first entry at +1, under the first partner signs
-    that pass membership; None when none do."""
+    that pass membership; None when none do.  `x` maps names to variables."""
     first, *rest = entries
     for signs in itertools.product((1, -1), repeat=len(rest)):
         link = {first: (1, var)}
         link.update((entry, (s, var)) for entry, s in zip(rest, signs))
-        if _try_placement(group, rep, link)[1]:
+        if _try_placement(group, rep, link, x)[1]:
             return link
     return None
 
 
-def _try_placement(group, rep, placements):
-    """rep + sum of s*x at entry (i, j); returns (matrix, whether it preserves
-    the form)."""
+def _try_placement(group, rep, placements, x):
+    """rep + sum of s*x[var] at entry (i, j), `x` mapping names to
+    variables; returns (matrix, whether it preserves the form)."""
     entries = [list(row) for row in rep]
     for (i, j), (s, var) in placements.items():
-        x = Polynomial.variable(var)
-        entries[i - 1][j - 1] += x if s > 0 else -x
+        entries[i - 1][j - 1] += x[var] if s > 0 else -x[var]
     matrix = PolyMatrix(entries)
     return matrix, group.preserves_form(matrix)
 

@@ -102,9 +102,6 @@ class PolyMatrix:
             out.append(acc)
         return PolyMatrix._of(out)
 
-    def transpose(self):
-        return PolyMatrix._of([list(column) for column in zip(*self.entries)])
-
     def to_strings(self):
         return [[str(e) for e in row] for row in self.entries]
 
@@ -232,8 +229,9 @@ def exp_series(matrix):
 
 def exp_nilpotent(matrix, t, left=None):
     """left * exp(tX), exp(tX) = I + tX + t^2 X^2/2! + ..., for a nilpotent
-    integer matrix X given as a list of rows, the variable id `t` and a
-    `PolyMatrix` `left` (the identity when None).
+    integer matrix X given as a list of rows, a variable `t` (a Polynomial;
+    the powers of t keep its layout) and a `PolyMatrix` `left` (the identity
+    when None).
 
     Column j of the product is column j of `left` plus, for each nonzero
     c = (X^m/m!)[k][j], m >= 1, t^m c times column k of `left`; no other

@@ -1,15 +1,18 @@
 """Sparse exact multivariate polynomial arithmetic.
 
 Coefficients are arbitrary-precision integers; a verdict that needs a
-residue mod p reduces an integer coefficient at the end.  Polynomials are
-kept in canonical form at all times (no zero coefficients, and a layout
-holding exactly the variables that occur), so equality is a layout identity
-test plus dict equality, and every operation is deterministic.
+residue mod p reduces an integer coefficient at the end.  No polynomial
+stores a zero coefficient, and every operation is deterministic.
 
 Terms are stored with packed exponent vectors, after Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors" (CASC 2007).  Each polynomial has a layout: the sorted tuple of its
-variable names.  Over a layout of n names a monomial is one int of n + 1
+vectors" (CASC 2007).  Each polynomial has a layout: a sorted tuple of names
+that holds every variable it uses and may hold more.  The builders of one
+chart or one identity suite give all its variables one layout
+(`Polynomial.generators`), so sums and products within it never repack;
+operands over different layouts repack into their union.  Equality, hashing,
+`variables` and `degrees` read the names from the keys, so they do not
+depend on the layout.  Over a layout of n names a monomial is one int of n + 1
 fields of FIELD_BITS bits each.  Field 0, the most significant, holds the
 total degree; field i + 1 holds the exponent of the i-th name.  The top bit
 of every field is a guard bit that stays clear, so a product of monomials is
@@ -208,9 +211,7 @@ class Polynomial:
             key = layout.pack(pairs)
             packed[key] = packed.get(key, 0) + c
         if len(packed) < len(monomials):  # terms met, so some may cancel
-            canonical = Polynomial._trimmed(
-                layout, {k: c for k, c in packed.items() if c})
-            layout, packed = canonical.layout, canonical.terms
+            packed = {k: c for k, c in packed.items() if c}
         self.layout, self.terms = layout, packed
 
     @classmethod
@@ -219,19 +220,6 @@ class Polynomial:
         p.layout = layout
         p.terms = terms
         return p
-
-    @classmethod
-    def _trimmed(cls, layout, packed):
-        """A polynomial over the names of `layout` that `packed` uses."""
-        if not packed:
-            return cls._raw(EMPTY_LAYOUT, packed)
-        used = reduce(or_, packed)
-        names = tuple(v for v, s in layout.fields if (used >> s) & _FIELD)
-        if len(names) < len(layout.names):
-            target = layout_of(names)
-            packed = _repack(packed, layout.moves_to(target))
-            layout = target
-        return cls._raw(layout, packed)
 
     @classmethod
     def zero(cls):
@@ -243,15 +231,25 @@ class Polynomial:
         return cls._raw(EMPTY_LAYOUT, {0: c} if c else {})
 
     @classmethod
-    def variable(cls, var):
-        return cls._raw(layout_of((var,)), {(1 << FIELD_BITS) | 1: 1})
+    def generators(cls, names):
+        """The variable of each of `names`, in that order, all over the one
+        layout of the names."""
+        layout = layout_of(sorted(set(names)))
+        top = 1 << layout.degree_shift
+        return [cls._raw(layout, {top | (1 << layout.shifts[v]): 1})
+                for v in names]
 
     @classmethod
-    def univariate(cls, var, pairs):
-        """The sum of c * var^m over (m, c) pairs: distinct exponents
-        1 <= m <= MAX_DEGREE, nonzero integers c."""
-        step = (1 << FIELD_BITS) | 1  # total degree 1, exponent 1
-        return cls._raw(layout_of((var,)), {m * step: c for m, c in pairs})
+    def variable(cls, var):
+        return cls.generators((var,))[0]
+
+    @classmethod
+    def univariate(cls, t, pairs):
+        """The sum of c * t^m over (m, c) pairs, over the layout of the
+        variable t: distinct exponents 1 <= m <= MAX_DEGREE, nonzero
+        integers c."""
+        (step,) = t.terms  # total degree 1, exponent 1
+        return cls._raw(t.layout, {m * step: c for m, c in pairs})
 
     @classmethod
     def one(cls):
@@ -261,7 +259,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self):
-        return self.layout is EMPTY_LAYOUT
+        return not any(self.terms)  # a constant's only key is 0
 
     def constant_value(self):
         return self.terms.get(0, 0)
@@ -273,10 +271,13 @@ class Polynomial:
         return max(self.terms) >> self.layout.degree_shift
 
     def variables(self):
-        return list(self.layout.names)
+        """The names that some term uses, in name order."""
+        used = reduce(or_, self.terms, 0)
+        return [v for v, s in self.layout.fields if (used >> s) & _FIELD]
 
     def degrees(self):
-        """The largest exponent of each name of the layout, in name order.
+        """The largest exponent of each name that some term uses, in name
+        order.
 
         Every field at once.  The OR of the keys has each field's top bit
         set by some key and none above it.  Then for each lower bit, from
@@ -285,9 +286,9 @@ class Polynomial:
         bit added.
         """
         layout = self.layout
-        if layout is EMPTY_LAYOUT:
-            return {}
         keys = self.terms
+        if not any(keys):  # zero or a constant
+            return {}
         guard = layout.guard
         names = guard & ((1 << layout.degree_shift) - 1)  # their guard bits
         used = reduce(or_, keys)
@@ -300,12 +301,13 @@ class Polynomial:
             probe = found | (names >> (FIELD_BITS - 1 - b))
             hits = reduce(or_, map(probe.__rsub__, map(guard.__or__, keys)))
             found |= (hits & names) >> (FIELD_BITS - 1 - b)
-        return {v: (found >> s) & _FIELD for v, s in layout.fields}
+        return {v: e for v, s in layout.fields if (e := (found >> s) & _FIELD)}
 
     def within(self, top, room):
         """The terms whose exponent e_v of each name v of `room` satisfies
         top - room[v] <= e_v <= top; the other names are free.  A name of
-        `room` outside the layout has exponent 0 in every term.
+        `room` outside the layout has exponent 0 in every term.  The result
+        keeps the layout.
 
         Each bound is one borrow test on the packed key: a field of
         (hi | guard) - key keeps its guard bit iff e_v <= hi_v, and a field
@@ -327,7 +329,7 @@ class Polynomial:
                 and ((k | guard) - lo) & guard == guard}
         if len(kept) == len(self.terms):
             return self
-        return Polynomial._trimmed(layout, kept)
+        return Polynomial._raw(layout, kept)
 
     def _wrap(self, other):
         if isinstance(other, Polynomial):
@@ -335,9 +337,10 @@ class Polynomial:
         return Polynomial.constant(other)
 
     def _aligned(self, other):
-        """(layout, self's keys, other's keys) over one common layout; O(1)
-        when both share a layout or one is constant (its only key, 0, means
-        1 in every layout)."""
+        """(layout, self's keys, other's keys) over one common layout.  O(1)
+        when both share a layout, as all polynomials of one chart or suite
+        do, or when one is over the empty layout (its only key, 0, means 1
+        in every layout); otherwise both repack into the union layout."""
         a, b = self.layout, other.layout
         if a is b or b is EMPTY_LAYOUT:
             return a, self.terms, other.terms
@@ -356,20 +359,12 @@ class Polynomial:
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
-        cancelled = False
         for m, c in b.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = c
+            acc = out.get(m, 0) + c
+            if acc:
+                out[m] = acc
             else:
-                acc = acc + c
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
-                    cancelled = True
-        if cancelled:
-            return Polynomial._trimmed(layout, out)
+                del out[m]
         return Polynomial._raw(layout, out)
 
     __radd__ = __add__
@@ -384,8 +379,6 @@ class Polynomial:
         return self._wrap(other) - self
 
     def __mul__(self, other):
-        # The integers have no zero divisors, so a nonzero product keeps
-        # every variable of both factors and the union layout stays exact.
         # A factor 1 returns the other unchanged: no code mutates `terms`.
         other = self._wrap(other)
         if other.terms == _UNIT:
@@ -434,21 +427,22 @@ class Polynomial:
             if other.denominator != 1:
                 return False
             other = Polynomial.constant(other)
-        return (
-            isinstance(other, Polynomial)
-            and self.layout is other.layout
-            and self.terms == other.terms
-        )
+        if not (isinstance(other, Polynomial)
+                and len(self.terms) == len(other.terms)):
+            return False
+        _, a, b = self._aligned(other)
+        return a == b
 
     def __hash__(self):
-        if self.layout is EMPTY_LAYOUT:  # equal to an int, so hash as one
+        if self.is_constant():  # equal to an int, so hash as one
             return hash(self.constant_value())
-        return hash((self.layout.names, frozenset(self.terms.items())))
+        exponents = self.layout.exponents
+        return hash(frozenset((exponents(k), c) for k, c in self.terms.items()))
 
     def substitute(self, assignment):
         """Send the variables of `assignment` to zero: drop every term that
-        one of them divides, and the names that no longer occur.  Every
-        value must be zero; any other raises ValueError.
+        one of them divides.  Every value must be zero; any other raises
+        ValueError.
         """
         for v, value in assignment.items():
             if value != 0:
@@ -457,7 +451,7 @@ class Polynomial:
         for v, s in self.layout.fields:
             if v in assignment:
                 zero_mask |= _FIELD << s
-        return Polynomial._trimmed(
+        return Polynomial._raw(
             self.layout,
             {k: c for k, c in self.terms.items() if not k & zero_mask})
 
@@ -473,10 +467,11 @@ class Polynomial:
         (-X/2, X/2) and the signed base-X digits of the value are exactly
         the coefficients.
         """
-        names = self.layout.names
-        degrees = self.degrees().values()  # in name order
+        degrees = self.degrees()  # the names used, in name order
+        names = list(degrees)
+        shifts = [self.layout.shifts[v] for v in names]
         # (coefficient, (name index, exponent) of each nonzero field) per term
-        terms = [(c, [(i, e) for i, (_, s) in enumerate(self.layout.fields)
+        terms = [(c, [(i, e) for i, s in enumerate(shifts)
                       if (e := (k >> s) & _FIELD)])
                  for k, c in self.terms.items()]
         degree = max(self.degree(), 0)
@@ -487,7 +482,7 @@ class Polynomial:
                         default=0)
             bits = norm_bits + degree * reach.bit_length() + 1
             powers = []  # powers[i][e] = (point_v + direction_v * X)^e
-            for v, top in zip(names, degrees):
+            for v, top in degrees.items():
                 base = point[v] + (direction[v] << bits)
                 pw = [1]
                 for _ in range(top):
@@ -536,7 +531,7 @@ def divide_by_variable(a, v):
         if shift is None or not (m >> shift) & _FIELD:
             raise NotDivisibleError(layout.exponents(m), v)
         out[m - step] = c
-    return Polynomial._trimmed(layout, out)
+    return Polynomial._raw(layout, out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import prod
+from operator import eq, ge, le, lt
 
 from .charts import (
     big_cell_chart,
@@ -126,40 +127,21 @@ class GroupSections:
         return self.pair[1].evaluate(sl_entry_big_cell(self.group.n).matrix)
 
 
-def generic_matrix(n):
-    return PolyMatrix([
-        [Polynomial.variable(f"m{i}_{j}") for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ])
-
-
-def generic_upper_triangular(n, prefix, unitriangular=False):
-    entries = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j < i:
-                row.append(Polynomial.zero())
-            elif j == i:
-                row.append(
-                    Polynomial.one()
-                    if unitriangular
-                    else Polynomial.variable(f"{prefix}{i}_{i}")
-                )
-            else:
-                row.append(Polynomial.variable(f"{prefix}{i}_{j}"))
-        entries.append(row)
-    return PolyMatrix(entries)
-
-
-def generic_diagonal(n):
-    return PolyMatrix([
-        [
-            Polynomial.variable(f"d{i}") if i == j else Polynomial.zero()
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ])
+def generic_matrices(n):
+    """The suite's generic n x n matrices by prefix: m full, d diagonal, u
+    upper unitriangular, b upper and l lower triangular.  Each free entry
+    (i, j) is the variable {prefix}{i}_{j}, all over one layout; u has 1 on
+    its diagonal, and every other entry is 0."""
+    shapes = {"m": lambda i, j: True, "d": eq, "u": lt, "b": le, "l": ge}
+    free = [(p, i, j) for p, keep in shapes.items()
+            for i in range(1, n + 1) for j in range(1, n + 1) if keep(i, j)]
+    names = [f"{p}{i}_{j}" for p, i, j in free]
+    one, zero = Polynomial.one(), Polynomial.zero()
+    entries = {p: [[one if p == "u" and i == j else zero for j in range(n)]
+                   for i in range(n)] for p in shapes}
+    for (p, i, j), x in zip(free, Polynomial.generators(names)):
+        entries[p][i - 1][j - 1] = x
+    return {p: PolyMatrix(rows) for p, rows in entries.items()}
 
 
 def row_exponent_vector(section):
@@ -176,17 +158,18 @@ def equivariance_suite(sections):
     """Verify the minor transformation laws as exact polynomial identities.
 
     Uses generic matrices with free entries (not group elements), which is
-    the level at which the identities hold.  Any failure raises with the
-    offending factor.
+    the level at which the identities hold, all over one layout.  Any
+    failure raises with the offending factor.
     """
     group = sections.group
     N = group.size
     plus, minus = sections.pair
-    M = generic_matrix(N)
+    generic = generic_matrices(N)
+    M = generic["m"]
     results = {}
 
     # (i) diagonal scaling per factor: weight -(chi_{a_1}+...+chi_{a_k})
-    D = generic_diagonal(N)
+    D = generic["d"]
     DM = D * M
     memo_m, memo_dm = {}, {}
     for section in (plus, minus):
@@ -194,14 +177,14 @@ def equivariance_suite(sections):
             lhs = column_minor(DM, spec, memo_dm)
             scale = Polynomial.one()
             for a in spec.rows:
-                scale = scale * Polynomial.variable(f"d{a}")
+                scale = scale * D[a, a]
             rhs = scale * column_minor(M, spec, memo_m)
             if lhs != rhs:
                 raise ConventionError(f"diagonal scaling fails for {spec}")
     results["diagonal_scaling"] = True
 
     # (ii) right column-stability under upper unitriangular u
-    u = generic_upper_triangular(N, "u", unitriangular=True)
+    u = generic["u"]
     Mu = M * u
     memo_mu = {}
     for section in (plus, minus):
@@ -213,13 +196,13 @@ def equivariance_suite(sections):
     # (iii) left B-law for sigma_minus: the trailing-row sets are stable
     # under adding higher rows, so a generic upper-triangular b scales
     # sigma_minus by prod b_ii^{e_i} with e the row-multiplicity vector
-    b = generic_upper_triangular(N, "b")
+    b = generic["b"]
     bM = b * M
     exps = row_exponent_vector(minus)
     lhs = minus.evaluate(bM)
     scale = Polynomial.one()
     for i, e in enumerate(exps, start=1):
-        scale = scale * Polynomial.variable(f"b{i}_{i}") ** e
+        scale = scale * b[i, i] ** e
     if lhs != scale * minus.evaluate(M):
         raise ConventionError("left B-law fails for sigma_minus")
     # the exponent vector realizes rho: fold(-sum e_a chi_a) == rho
@@ -231,12 +214,12 @@ def equivariance_suite(sections):
     results["left_b_law"] = {"exponents": exps}
 
     # (iv) left B^- law for sigma_plus
-    low = generic_upper_triangular(N, "l").transpose()
+    low = generic["l"]
     lM = low * M
     exps_p = row_exponent_vector(plus)
     scale = Polynomial.one()
     for i, e in enumerate(exps_p, start=1):
-        scale = scale * Polynomial.variable(f"l{i}_{i}") ** e
+        scale = scale * low[i, i] ** e
     if plus.evaluate(lM) != scale * plus.evaluate(M):
         raise ConventionError("left B^- law fails for sigma_plus")
     results["left_bminus_law"] = {"exponents": exps_p}

@@ -129,7 +129,7 @@ def splitting_coefficient(factors, variables, p, guard=None):
         return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
                             guard_reason=str(exc))
     total = 0
-    if target is not None:  # else some variable is missing from g
+    if target is not None:  # else some variable is outside g's layout
         # t divides the target iff no field of (target | guard_bits) - t
         # borrows, i.e. every guard bit survives; the cofactor is then that
         # difference with the guard bits cleared
@@ -394,11 +394,11 @@ class SkewClaimResult:
 
 def generic_skew_matrix(n):
     entries = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            v = Polynomial.variable(f"b{i}_{j}")
-            entries[i - 1][j - 1] = v
-            entries[j - 1][i - 1] = -v
+    cells = [(i, j) for i in range(2, n + 1) for j in range(1, i)]
+    names = [f"b{i}_{j}" for i, j in cells]
+    for (i, j), v in zip(cells, Polynomial.generators(names)):
+        entries[i - 1][j - 1] = v
+        entries[j - 1][i - 1] = -v
     return PolyMatrix(entries)
 
 

@@ -32,8 +32,9 @@ that `matrix.integer_nullspace` and the skew witness's integer rank are
 checked against, and the solver behind `ref_root_height` and
 `ref_primitive_nullspace`.
 
-`term_items` decodes a polynomial's packed keys into exponent dicts.  The
-other helpers were library code that only the tests used.
+`term_items` decodes a polynomial's packed keys into exponent dicts, and
+`widened` rebuilds a polynomial over a layout with more names.  The other
+helpers were library code that only the tests used.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from math import lcm
 
 from flagsplit.charts import Chart
 from flagsplit.matrix import PolyMatrix, exp_nilpotent, primitive
-from flagsplit.poly import Polynomial
+from flagsplit.poly import Polynomial, layout_of
 from flagsplit.rootdata import FAMILY_A, FAMILY_D
 
 
@@ -54,6 +55,14 @@ def _clean(terms):
 
 def ref_of(poly):
     return {poly.layout.exponents(k): c for k, c in poly.terms.items()}
+
+
+def widened(poly, names):
+    """The same polynomial over the layout of its own names and `names`,
+    each key decoded and packed again."""
+    layout = layout_of(sorted(set(poly.layout.names).union(names)))
+    return Polynomial._raw(layout, {
+        layout.pack(poly.layout.exponents(k)): c for k, c in poly.terms.items()})
 
 
 def term_items(poly):
@@ -439,7 +448,7 @@ def shuffled_big_cell(group, order):
     names = [f"t{i}" for i in range(len(gens))]
     u = None
     for i, name in zip(order, names):
-        u = exp_nilpotent(gens[i][1], name, u)
+        u = exp_nilpotent(gens[i][1], Polynomial.variable(name), u)
     chart = Chart(group, names, u)
     chart.verify_membership()
     return chart

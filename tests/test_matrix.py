@@ -24,6 +24,8 @@ from reference import (
     row_reduce,
 )
 
+T = Polynomial.variable("t")  # the variable of exp(tX)
+
 
 def random_matrix(rng, size, with_variables=False):
     def entry():
@@ -86,8 +88,8 @@ def test_triangular_determinant_is_diagonal_product():
 def test_exp_nilpotent_group_law():
     # X^2 = 2*E_31, so X^2/2! stays integral
     x = [[0, 0, 0], [2, 0, 0], [0, 1, 0]]
-    e = exp_nilpotent(x, "t")
-    minus = exp_nilpotent([[-v for v in row] for row in x], "t")
+    e = exp_nilpotent(x, T)
+    minus = exp_nilpotent([[-v for v in row] for row in x], T)
     assert (e * minus).entries == ref_matrix_identity(3).entries
     assert determinant(e) == Polynomial.one()
 
@@ -101,31 +103,31 @@ def test_exp_nilpotent_group_law():
 ])
 def test_exp_nilpotent_with_left_factor_against_reference(x):
     want = ref_exp_nilpotent(PolyMatrix(x), "t")
-    assert exp_nilpotent(x, "t").entries == want.entries
+    assert exp_nilpotent(x, T).entries == want.entries
     poly_left = PolyMatrix([
         [poly_from_string(s) for s in row]
         for row in (["t + 1", "0", "u^2"], ["0", "0", "3"], ["-u*t", "2", "0"])
     ])
     for left in (ref_matrix_identity(3), poly_left):
-        assert (exp_nilpotent(x, "t", left).entries
+        assert (exp_nilpotent(x, T, left).entries
                 == ref_polymatrix_product(left, want).entries)
 
 
 def test_exp_nilpotent_rejects_inexact_division():
     # X^2 = E_31, and 1/2! is not an integer
     with pytest.raises(ArithmeticError):
-        exp_nilpotent([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "t")
+        exp_nilpotent([[0, 0, 0], [1, 0, 0], [0, 1, 0]], T)
 
 
 def test_exp_nilpotent_rejects_invertible():
     with pytest.raises(ValueError):
-        exp_nilpotent([[1, 0], [0, 1]], "t")
+        exp_nilpotent([[1, 0], [0, 1]], T)
 
 
 def test_exp_nilpotent_rejects_singular_non_nilpotent():
     # X^2 = X != 0; the rejection must come before dividing X^2 by 2!
     with pytest.raises(ValueError, match="not nilpotent"):
-        exp_nilpotent([[1, 0], [0, 0]], "t")
+        exp_nilpotent([[1, 0], [0, 0]], T)
 
 
 @pytest.mark.parametrize("left", ["identity", "polynomial"])
@@ -137,16 +139,16 @@ def test_exp_nilpotent_with_left_factor_rejects_as_without(left):
                             for j in range(size)] for i in range(size)])
 
     with pytest.raises(ArithmeticError):
-        exp_nilpotent([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "t", factor(3))
+        exp_nilpotent([[0, 0, 0], [1, 0, 0], [0, 1, 0]], T, factor(3))
     with pytest.raises(ValueError):
-        exp_nilpotent([[1, 0], [0, 1]], "t", factor(2))
+        exp_nilpotent([[1, 0], [0, 1]], T, factor(2))
     with pytest.raises(ValueError, match="not nilpotent"):
-        exp_nilpotent([[1, 0], [0, 0]], "t", factor(2))
+        exp_nilpotent([[1, 0], [0, 0]], T, factor(2))
 
 
 def test_exp_nilpotent_rejects_a_left_factor_of_the_wrong_width():
     with pytest.raises(ValueError, match="shape mismatch"):
-        exp_nilpotent([[0, 0], [1, 0]], "t", ref_matrix_identity(3))
+        exp_nilpotent([[0, 0], [1, 0]], T, ref_matrix_identity(3))
 
 
 def test_exp_nilpotent_against_polymatrix_reference():
@@ -157,7 +159,7 @@ def test_exp_nilpotent_against_polymatrix_reference():
         size = rng.randint(2, 5)
         x = [[12 * rng.randint(-2, 2) if j < i else 0 for j in range(size)]
              for i in range(size)]
-        got = exp_nilpotent(x, "t").entries
+        got = exp_nilpotent(x, T).entries
         assert got == ref_exp_nilpotent(PolyMatrix(x), "t").entries, trial
 
 

@@ -1,9 +1,12 @@
 """Packed-exponent polynomials against the naive reference in reference.py,
-plus the guarantees of the packed format itself."""
+plus the guarantees of the packed format itself: a polynomial reads the
+same over any layout that holds its names, and the arithmetic of one chart
+or one identity suite stays on one layout."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from flagsplit import poly
 from flagsplit.poly import (
     FIELD_BITS,
     MAX_DEGREE,
@@ -11,7 +14,12 @@ from flagsplit.poly import (
     NotDivisibleError,
     Polynomial,
     divide_by_variable,
+    order_at_origin,
 )
+from flagsplit.rootdata import build_group_datum
+from flagsplit.sections import GroupSections, equivariance_suite
+from flagsplit.splitting import local_splitting_coefficient, squarefree_probe
+from flagsplit.vanishing import max_multiplicity_verdict
 from reference import (
     ref_add,
     ref_divide_by_variable,
@@ -21,6 +29,7 @@ from reference import (
     ref_of,
     ref_pow,
     ref_substitute,
+    widened,
 )
 
 # Operands draw their variables from overlapping pools, so most pairs have
@@ -85,7 +94,9 @@ def test_within_matches_decoded_exponents(ta, top, room):
             want[exps] = c
     got = a.within(top, room)
     assert ref_of(got) == want
-    assert got.layout.names == tuple(sorted({v for m in want for v, _ in m}))
+    used = sorted({v for m in want for v, _ in m})
+    assert got.variables() == used
+    assert list(got.degrees()) == used
 
 
 def test_within_at_the_field_limits():
@@ -117,11 +128,12 @@ wide_operand = st.sampled_from(POOLS).flatmap(lambda pool: st.lists(st.tuples(
 @settings(max_examples=150, deadline=None)
 def test_degrees_match_decoded_exponents(ta):
     a, _ = build(ta)
+    used = sorted({v for k in a.terms for v, _ in a.layout.exponents(k)})
     want = {v: max(dict(a.layout.exponents(k)).get(v, 0) for k in a.terms)
-            for v in a.layout.names}
+            for v in used}
     got = a.degrees()
     assert got == want
-    assert list(got) == list(a.layout.names)  # name order
+    assert list(got) == used == a.variables()  # name order
     if a.is_constant():
         assert got == {}
 
@@ -237,6 +249,88 @@ def test_hash_and_eq_do_not_depend_on_layout(ta, tb):
     assert hash(detour) == hash(a)
     assert detour.variables() == a.variables()
     assert (a * b == b * a) and hash(a * b) == hash(b * a)
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def seen(p):
+    """What a caller reads off p; none of it is the layout."""
+    return (ref_of(p), str(p), hash(p), p.degree(), list(p.degrees().items()),
+            p.variables(), p.is_constant(), order_at_origin(p))
+
+
+# a line through every name an operand or a widened layout may hold
+POINT = {v: i - 3 for i, v in enumerate("aqwxyz")}
+DIRECTION = {v: 2 * i + 1 for i, v in enumerate("aqwxyz")}
+
+
+@given(operand, operand, st.sets(names, min_size=1, max_size=4),
+       st.integers(0, 4), st.dictionaries(names, st.integers(0, 6), max_size=3))
+@example([], [({"x": 1}, 1)], {"x", "q"}, 2, {"x": 1})  # zero
+@example([({}, -7)], [({"y": 2}, 1)], {"q", "y"}, 2, {"q": 1})  # a constant
+@example([({"x": 2}, 3)], [({"x": 1}, 1)], {"q"}, 2, {})  # q: in no term
+@settings(max_examples=100, deadline=None)
+def test_superset_layout_matches_own_layout(ta, tb, extra, top, room):
+    a, b = Polynomial(ta), Polynomial(tb)
+    wa, wb = widened(a, extra), widened(b, extra)
+    assert set(extra) <= set(wa.layout.names)
+    for p, w in ((a, wa), (b, wb)):
+        assert w == p and p == w
+        assert seen(w) == seen(p)
+        if p.is_constant():
+            c = p.constant_value()
+            assert w == c and hash(w) == hash(c)
+            with pytest.raises(ValueError):
+                squarefree_probe(w, trials=2)
+        else:
+            assert squarefree_probe(w, trials=2) == squarefree_probe(p, trials=2)
+        assert seen(w.within(top, room)) == seen(p.within(top, room))
+        zeros = dict.fromkeys(room, 0)
+        assert seen(w.substitute(zeros)) == seen(p.substitute(zeros))
+        for v in "aqwxyz":
+            assert (outcome(lambda: seen(divide_by_variable(w, v)))
+                    == outcome(lambda: seen(divide_by_variable(p, v))))
+            if v in w.layout.names and v not in p.variables():
+                assert v not in w.variables()
+                if not p.is_zero():
+                    with pytest.raises(NotDivisibleError):
+                        divide_by_variable(w, v)
+        assert (w.line_restrictor()(POINT, DIRECTION)
+                == p.line_restrictor()(POINT, DIRECTION))
+    for x, y in ((wa, b), (a, wb), (wa, wb)):
+        assert seen(x + y) == seen(a + b)
+        assert seen(x - y) == seen(a - b)
+        assert seen(x * y) == seen(a * b)
+        assert (x == y) == (a == b)
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda: local_splitting_coefficient(build_group_datum("A", 5), 5),
+    lambda: local_splitting_coefficient(build_group_datum("C", 3), 5),
+    lambda: local_splitting_coefficient(build_group_datum("D", 4), 3),
+    lambda: equivariance_suite(GroupSections(build_group_datum("D", 3))),
+    lambda: max_multiplicity_verdict(GroupSections(build_group_datum("D", 3))),
+], ids=["sl5-p5", "sp3-p5", "so4-p3", "so3-equivariance", "so3-orders"])
+def test_chart_and_suite_arithmetic_never_repacks(monkeypatch, verdict):
+    # every polynomial of one chart or suite shares its layout, so no sum,
+    # product or comparison moves a key between layouts
+    moves = []
+    repack = poly._repack
+
+    def counting(packed, how):
+        if how is not None:
+            moves.append(len(packed))
+        return repack(packed, how)
+
+    monkeypatch.setattr(poly, "_repack", counting)
+    verdict()
+    assert moves == []
 
 
 def test_product_at_the_degree_limit_keeps_fields_apart():

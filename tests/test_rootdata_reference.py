@@ -36,6 +36,8 @@ from reference import (
     ref_unipotent_factor,
 )
 
+T = Polynomial.variable("t")  # the variable of exp(tX)
+
 GRID = ([("A", n) for n in range(2, 7)] + [("C", n) for n in range(2, 5)]
         + [("D", n) for n in range(2, 6)])
 FORM_GRID = [key for key in GRID if key[0] != FAMILY_A]
@@ -102,9 +104,9 @@ def test_exp_nilpotent_matches_reference(group):
     poly_left = PolyMatrix([[entry() for _ in range(size)] for _ in range(size)])
     for X, _ in group.lie_basis:
         want = ref_exp_nilpotent(PolyMatrix(X), "t")
-        assert exp_nilpotent(X, "t").entries == want.entries
+        assert exp_nilpotent(X, T).entries == want.entries
         for left in (ref_matrix_identity(size), poly_left):
-            assert (exp_nilpotent(X, "t", left).entries
+            assert (exp_nilpotent(X, T, left).entries
                     == ref_polymatrix_product(left, want).entries)
 
 
