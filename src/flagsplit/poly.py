@@ -10,7 +10,7 @@ vectors" (CASC 2007).  Each polynomial has a layout: a sorted tuple of names
 that holds every variable it uses and may hold more.  The builders of one
 chart or one identity suite give all its variables one layout
 (`Polynomial.generators`), so sums and products within it never repack;
-operands over different layouts repack into their union.  Equality, hashing,
+mixed-layout keys are decoded and packed into the union.  Equality, hashing,
 `variables` and `degrees` read the names from the keys, so they do not
 depend on the layout.  Over a layout of n names a monomial is one int of n + 1
 fields of FIELD_BITS bits each.  Field 0, the most significant, holds the
@@ -22,8 +22,8 @@ MAX_DEGREE; a product that would pass it raises DegreeOverflowError before
 any key is formed, so a carry never reaches the neighbouring field.
 
 The packed key is the only monomial; `Layout.exponents` decodes one into
-(name, exponent) pairs for text.  Printing sorts terms by total degree, then
-by those pairs, both descending, which is not the order of the keys.
+(name, exponent) pairs, for text and for repacking.  Printing sorts terms by
+total degree, then by those pairs, both descending, which is not key order.
 """
 
 from __future__ import annotations
@@ -72,12 +72,10 @@ class Layout:
     Obtain layouts through `layout_of`, which interns them: polynomials over
     the same names share one Layout, so aligning them is an identity test.
     A field's position depends on the names alone, never on what else the
-    process has seen.  Each layout caches its unions with other layouts and
-    the moves that repack keys between them.
+    process has seen.
     """
 
-    __slots__ = ("names", "fields", "shifts", "degree_shift", "guard",
-                 "_unions", "_moves")
+    __slots__ = ("names", "fields", "shifts", "degree_shift", "guard")
 
     def __init__(self, names):
         n = len(names)
@@ -89,8 +87,6 @@ class Layout:
         self.shifts = dict(self.fields)
         self.degree_shift = FIELD_BITS * n
         self.guard = sum(_GUARD_BIT << (FIELD_BITS * j) for j in range(n + 1))
-        self._unions = {}
-        self._moves = {}
 
     def pack(self, exps):
         """Key of a monomial given as (name, exponent) pairs, or None when
@@ -114,44 +110,6 @@ class Layout:
             (v, e) for v, s in self.fields if (e := (key >> s) & _FIELD)
         )
 
-    def union(self, other):
-        """(layout of both name sets, moves for self's keys, moves for
-        other's keys)."""
-        joined = self._unions.get(other)
-        if joined is None:
-            union = layout_of(sorted(set(self.names).union(other.names)))
-            joined = (union, self.moves_to(union), other.moves_to(union))
-            self._unions[other] = joined
-        return joined
-
-    def moves_to(self, target):
-        """Block moves (source shift, mask, target shift) that repack this
-        layout's keys into `target`; None when target is this layout.  A key
-        may use only names that target holds."""
-        if target is self:
-            return None
-        moves = self._moves.get(target)
-        if moves is None:
-            # (source field, target field) pairs, counted from the least
-            # significant field, most significant pair first
-            pairs = [(len(self.names), len(target.names))] + [
-                (s // FIELD_BITS, target.shifts[v] // FIELD_BITS)
-                for v, s in self.fields if v in target.shifts
-            ]
-            runs = []
-            for src, dst in pairs:
-                if runs and runs[-1][0] == src + 1 and runs[-1][1] == dst + 1:
-                    runs[-1] = [src, dst, runs[-1][2] + 1]
-                else:
-                    runs.append([src, dst, 1])
-            moves = tuple(
-                (FIELD_BITS * src, (1 << (FIELD_BITS * width)) - 1,
-                 FIELD_BITS * dst)
-                for src, dst, width in runs
-            )
-            self._moves[target] = moves
-        return moves
-
 
 _LAYOUTS = {}
 
@@ -169,19 +127,13 @@ EMPTY_LAYOUT = layout_of(())
 _UNIT = {0: 1}  # the terms of the constant 1
 
 
-def _repack(packed, moves):
-    if moves is None:
-        return packed
-    if len(moves) == 1:
-        ((s, mask, t),) = moves
-        return {((k >> s) & mask) << t: c for k, c in packed.items()}
-    out = {}
-    for k, c in packed.items():
-        moved = 0
-        for s, mask, t in moves:
-            moved |= ((k >> s) & mask) << t
-        out[moved] = c
-    return out
+def _repack(terms, source, target):
+    """Keys over `source` decoded and packed again over `target`, which
+    holds every name they use."""
+    if source is target:
+        return terms
+    exponents, pack = source.exponents, target.pack
+    return {pack(exponents(k)): c for k, c in terms.items()}
 
 
 class Polynomial:
@@ -340,14 +292,15 @@ class Polynomial:
         """(layout, self's keys, other's keys) over one common layout.  O(1)
         when both share a layout, as all polynomials of one chart or suite
         do, or when one is over the empty layout (its only key, 0, means 1
-        in every layout); otherwise both repack into the union layout."""
+        in every layout); otherwise both are decoded and packed again over
+        the union layout."""
         a, b = self.layout, other.layout
         if a is b or b is EMPTY_LAYOUT:
             return a, self.terms, other.terms
         if a is EMPTY_LAYOUT:
             return b, self.terms, other.terms
-        union, moves_a, moves_b = a.union(b)
-        return union, _repack(self.terms, moves_a), _repack(other.terms, moves_b)
+        union = layout_of(sorted(set(a.names).union(b.names)))
+        return union, _repack(self.terms, a, union), _repack(other.terms, b, union)
 
     def __add__(self, other):
         other = self._wrap(other)
@@ -574,6 +527,8 @@ _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
 
 def poly_from_string(text):
     text = text.strip()
+    if not text:
+        raise ValueError("empty polynomial text; zero is written 0")
     if text == "0":
         return Polynomial.zero()
     terms = []

@@ -29,6 +29,8 @@ from .sections import GroupSections
 
 COMPUTED = "computed"
 NOT_COMPUTED = "not_computed"
+DEFAULT_MAX_TERMS = 2_000_000
+DEFAULT_MAX_SECONDS = 300.0
 
 
 def is_odd_prime(p):
@@ -39,7 +41,7 @@ def is_odd_prime(p):
 class ResourceGuard:
     """Hard limits on term count and wall-clock for symbolic expansion."""
 
-    def __init__(self, max_terms=2_000_000, max_seconds=300.0):
+    def __init__(self, max_terms=DEFAULT_MAX_TERMS, max_seconds=DEFAULT_MAX_SECONDS):
         self.max_terms = max_terms
         self.max_seconds = max_seconds
         self.started = time.monotonic()

@@ -83,6 +83,14 @@ def test_string_round_trip(a):
     assert poly_from_string(poly_to_string(a)) == a
 
 
+@pytest.mark.parametrize("text", ["", "   ", "\n\t"])
+def test_blank_text_is_not_a_polynomial(text):
+    # zero is spelled "0", the only text poly_to_string prints for it
+    with pytest.raises(ValueError):
+        poly_from_string(text)
+    assert poly_from_string(f"{text}0{text}").is_zero()
+
+
 def test_power_repeated_squaring():
     f = poly_from_string("x + y")
     assert f**0 == Polynomial.one()

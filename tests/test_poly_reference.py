@@ -52,6 +52,11 @@ def build(terms):
 
 @given(operand, operand)
 @settings(max_examples=80, deadline=None)
+# operands over different layouts: interleaved names, and a key whose one
+# large field lands in another place of the union layout
+@example([({"a": 1, "c": 2}, 3), ({"c": 1}, -1)],
+         [({"b": 2, "d": 1}, 1), ({"d": 3}, 5), ({}, 2)])
+@example([({"x": 30000}, 1)], [({"w": 2, "z": 1}, -4)])
 def test_arithmetic_matches_reference(ta, tb):
     a, ra = build(ta)
     b, rb = build(tb)
@@ -323,10 +328,10 @@ def test_chart_and_suite_arithmetic_never_repacks(monkeypatch, verdict):
     moves = []
     repack = poly._repack
 
-    def counting(packed, how):
-        if how is not None:
-            moves.append(len(packed))
-        return repack(packed, how)
+    def counting(terms, source, target):
+        if source is not target:
+            moves.append(len(terms))
+        return repack(terms, source, target)
 
     monkeypatch.setattr(poly, "_repack", counting)
     verdict()
