@@ -1,12 +1,13 @@
-"""Matrices with polynomial entries, column-initial minors, nilpotent exp.
+"""Matrices with polynomial entries, column-initial minors, exp(tX) = I + tX.
 
 Constant matrices are plain lists of integer rows; `PolyMatrix` holds the
 matrices whose entries carry variables.  The constant matrices that act on a
 `PolyMatrix` (a form, a Weyl representative) are signed permutations, so
 `signed_rows` applies one by picking and negating rows, with no products.
-Products of integer and of polynomial matrices visit only nonzero entries,
-and `exp_nilpotent` multiplies by exp(tX) as updates of the columns that
-X's powers reach.
+Products of integer and of polynomial matrices visit only nonzero entries.
+Every root generator X of SL, Sp and SO in the natural representation has
+X^2 = 0, so exp(tX) = I + tX, and `exp_nilpotent` multiplies by it as
+updates of the columns that X's nonzero entries reach.
 
 The determinant workhorse is `column_minor`: expansion along the last column
 with memoization keyed by row subsets, so that the nested leading minors of a
@@ -197,54 +198,32 @@ def integer_product(a, b):
     return out
 
 
-def exp_series(matrix):
-    """The terms X^m / m!, m = 1, 2, ..., of exp(X) - I for a nilpotent
-    integer matrix X given as a list of rows, up to the last nonzero power.
-
-    Raises ValueError if X^N != 0 for N = len(X), before any division, and
-    ArithmeticError if m! fails to divide an entry of X^m exactly.
-    """
-    size = len(matrix)
-    powers = []
-    power = matrix
-    for _ in range(size):
-        if not any(map(any, power)):
-            break
-        powers.append(power)
-        power = integer_product(power, matrix)
-    else:
-        raise ValueError("matrix is not nilpotent")
-    terms = []
-    factorial = 1
-    for m, power in enumerate(powers, start=1):
-        factorial *= m
-        if factorial > 1:  # X^1 / 1! is X itself
-            if any(x % factorial for row in power if any(row) for x in row):
-                raise ArithmeticError(f"{m}! does not divide X^{m} exactly")
-            power = [[x // factorial for x in row] if any(row) else row
-                     for row in power]
-        terms.append(power)
-    return terms
+def square_zero_entries(matrix):
+    """The nonzero entries (k, j, c) of an integer matrix X, given as a
+    list of rows, in row order; ValueError unless X^2 = 0, found from those
+    entries alone: (X^2)[i][l] sums X[i][k] X[k][l] over them."""
+    entries = [(k, j, c) for k, row in enumerate(matrix) if any(row)
+               for j, c in enumerate(row) if c]
+    square = {}
+    for i, k, a in entries:
+        for j, l, b in entries:
+            if j == k:
+                square[i, l] = square.get((i, l), 0) + a * b
+    if any(square.values()):
+        raise ValueError("X^2 != 0, so exp(tX) is not I + tX")
+    return entries
 
 
 def exp_nilpotent(matrix, t, left=None):
-    """left * exp(tX), exp(tX) = I + tX + t^2 X^2/2! + ..., for a nilpotent
-    integer matrix X given as a list of rows, a variable `t` (a Polynomial;
-    the powers of t keep its layout) and a `PolyMatrix` `left` (the identity
-    when None).
+    """left * exp(tX) = left * (I + tX) for an integer matrix X with
+    X^2 = 0, given as a list of rows, a variable `t` (a Polynomial; c * t
+    keeps its layout) and a `PolyMatrix` `left` (the identity when None).
 
     Column j of the product is column j of `left` plus, for each nonzero
-    c = (X^m/m!)[k][j], m >= 1, t^m c times column k of `left`; no other
-    column changes.  Raises as `exp_series` does, before any product.
+    c = X[k][j], c * t times column k of `left`; no other column changes.
+    Raises ValueError unless X^2 = 0, before any product.
     """
-    pairs = {}  # (k, j) -> the (m, c) of t^m c in exp(tX) - I, m ascending
-    for m, term in enumerate(exp_series(matrix), start=1):
-        for k, row in enumerate(term):
-            if not any(row):
-                continue
-            for j, c in enumerate(row):
-                if c:
-                    pairs.setdefault((k, j), []).append((m, c))
+    entries = square_zero_entries(matrix)
     size = len(matrix)
     if left is None:
         one, zero = Polynomial.one(), Polynomial.zero()
@@ -252,13 +231,13 @@ def exp_nilpotent(matrix, t, left=None):
                                for i in range(size)])
     elif left.ncols != size:
         raise ValueError("shape mismatch")
-    entries = [list(row) for row in left.entries]
-    for (k, j), terms in pairs.items():
-        step = Polynomial.univariate(t, terms)
-        for row, old in zip(entries, left.entries):
+    out = [list(row) for row in left.entries]
+    for k, j, c in entries:
+        step = t.scaled(c)
+        for row, old in zip(out, left.entries):
             if old[k].terms:
                 row[j] = row[j] + old[k] * step
-    return PolyMatrix._of(entries)
+    return PolyMatrix._of(out)
 
 
 def primitive(vec):

@@ -196,14 +196,6 @@ class Polynomial:
         return cls.generators((var,))[0]
 
     @classmethod
-    def univariate(cls, t, pairs):
-        """The sum of c * t^m over (m, c) pairs, over the layout of the
-        variable t: distinct exponents 1 <= m <= MAX_DEGREE, nonzero
-        integers c."""
-        (step,) = t.terms  # total degree 1, exponent 1
-        return cls._raw(t.layout, {m * step: c for m, c in pairs})
-
-    @classmethod
     def one(cls):
         return cls.constant(1)
 
@@ -324,6 +316,11 @@ class Polynomial:
 
     def __neg__(self):
         return Polynomial._raw(self.layout, {m: -c for m, c in self.terms.items()})
+
+    def scaled(self, c):
+        """c * self for a nonzero integer c, over self's layout, without a
+        polynomial product."""
+        return Polynomial._raw(self.layout, {m: c * v for m, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._wrap(other))

@@ -22,10 +22,10 @@ from operator import add, sub
 from .matrix import (
     PolyMatrix,
     determinant,
-    exp_series,
     integer_nullspace,
     integer_product,
     signed_rows,
+    square_zero_entries,
 )
 from .poly import Polynomial
 
@@ -458,21 +458,22 @@ def _reversal_word(lo, hi):
 
 
 def _numeric_exp_triple(X, Y):
-    """exp(X) exp(-Y) exp(X) in integers; None if exp fails."""
+    """exp(X) exp(-Y) exp(X) = (I + X)(I - Y)(I + X) in integers; None
+    unless X^2 = Y^2 = 0."""
     try:
-        ex = _exp_at_one(X)
-        ey = _exp_at_one([[-y for y in row] for row in Y])
-    except (ValueError, ArithmeticError):
+        ex = _identity_plus(X, 1)
+        ey = _identity_plus(Y, -1)
+    except ValueError:
         return None
     return integer_product(integer_product(ex, ey), ex)
 
 
-def _exp_at_one(X):
-    """exp(X) of a nilpotent integer matrix: the identity plus the sum of
-    its series terms."""
-    terms = exp_series(X)
-    return [[int(i == j) + sum(term[i][j] for term in terms)
-             for j in range(len(X))] for i in range(len(X))]
+def _identity_plus(X, sign):
+    """I + sign * X as integer rows; ValueError unless X^2 = 0."""
+    out = [[int(i == j) for j in range(len(X))] for i in range(len(X))]
+    for k, j, c in square_zero_entries(X):
+        out[k][j] += sign * c
+    return out
 
 
 def _is_strictly_upper(X):

@@ -17,17 +17,13 @@ from .matrix import MinorSpec, PolyMatrix, column_minor
 from .poly import Polynomial
 from .rootdata import FAMILY_A, ConventionError
 
-SIGMA_PLUS = "sigma_plus"
-SIGMA_MINUS = "sigma_minus"
-
 
 class SectionProduct:
     """A formal product of column-initial minors with weight metadata."""
 
-    def __init__(self, group, factors, label):
+    def __init__(self, group, factors):
         self.group = group
         self.factors = [f if isinstance(f, MinorSpec) else MinorSpec(f) for f in factors]
-        self.label = label
 
     def factor_weights(self):
         """Folded weight of each factor: -(chi_{a_1}+...+chi_{a_k})."""
@@ -49,9 +45,6 @@ class SectionProduct:
         """The product of the factors on the given matrix."""
         return prod(self.evaluate_factors(matrix), start=Polynomial.one())
 
-    def serialize(self):
-        return {"label": self.label, "factors": [list(s.rows) for s in self.factors]}
-
 
 def build_sigma_pair(group):
     """sigma_plus uses leading rows (1..k); sigma_minus trailing rows (N..N-k+1).
@@ -70,12 +63,10 @@ def build_sigma_pair(group):
     plus = SectionProduct(
         group,
         [tuple(range(1, k + 1)) for k in range(1, count + 1)],
-        SIGMA_PLUS,
     )
     minus = SectionProduct(
         group,
         [tuple(range(N, N - k, -1)) for k in range(1, count + 1)],
-        SIGMA_MINUS,
     )
     if minus.weight() != group.rho:
         raise ConventionError("sigma_minus weight is not rho")

@@ -16,7 +16,12 @@ from flagsplit.cli import (
     run_suite,
 )
 from flagsplit.rootdata import ConventionError
-from flagsplit.sections import SIGMA_MINUS, SectionProduct
+from flagsplit.sections import SectionProduct
+
+
+def is_sigma_minus(section):
+    """sigma_minus's first factor is the last row, sigma_plus's the first."""
+    return section.factors[0].rows == (section.group.size,)
 
 
 def test_config_validation():
@@ -287,7 +292,7 @@ def test_run_suite_builds_each_section_once(monkeypatch, family, n, r):
     evaluate = SectionProduct.evaluate
 
     def counted_evaluate(self, matrix):
-        if self.label == SIGMA_MINUS:
+        if is_sigma_minus(self):
             evaluated[str(matrix.to_strings())] += 1
         return evaluate(self, matrix)
 
@@ -310,12 +315,12 @@ def test_splitcoeff_never_multiplies_out_sigma_minus(monkeypatch, family, n, r):
     evaluate_factors = SectionProduct.evaluate_factors
 
     def counted_evaluate(self, matrix):
-        if self.label == SIGMA_MINUS:
+        if is_sigma_minus(self):
             evaluated[str(matrix.to_strings())] += 1
         return evaluate(self, matrix)
 
     def counted_evaluate_factors(self, matrix):
-        if self.label == SIGMA_MINUS:
+        if is_sigma_minus(self):
             factored[str(matrix.to_strings())] += 1
         return evaluate_factors(self, matrix)
 

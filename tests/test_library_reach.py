@@ -6,8 +6,9 @@ attribute somewhere outside the tests.
 
 The check goes by name alone.  A method or attribute counts as reached when
 any non-test code mentions its name, so a test-only one is missed while
-another definition shares its name (as `Chart.serialize`, which nothing
-called, did with the `serialize` of other classes).
+another definition shares its name (as `Chart.serialize` and
+`SectionProduct.serialize`, which nothing called, did with the `serialize`
+of other classes).
 
 Only `sections.py` calls the builders of a request's charts and section
 pair, so `GroupSections` is the one place that builds them.  No library

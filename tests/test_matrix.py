@@ -85,21 +85,30 @@ def test_triangular_determinant_is_diagonal_product():
     assert determinant(m) == poly_from_string("a*b*c")
 
 
+# rank one, X = u v^T with v . u = 0: X^2 = u (v . u) v^T = 0, though X has
+# nonzero entries in the rows and columns it maps to
+SQUARE_ZERO = [[1, 0, 1], [2, 0, 2], [-1, 0, -1]]
+
+
+def transpose(x):
+    return [list(col) for col in zip(*x)]
+
+
 def test_exp_nilpotent_group_law():
-    # X^2 = 2*E_31, so X^2/2! stays integral
-    x = [[0, 0, 0], [2, 0, 0], [0, 1, 0]]
-    e = exp_nilpotent(x, T)
-    minus = exp_nilpotent([[-v for v in row] for row in x], T)
-    assert (e * minus).entries == ref_matrix_identity(3).entries
-    assert determinant(e) == Polynomial.one()
+    for x in ([[1, -1], [1, -1]],  # X^2 = 0 only because its products cancel
+              [[0, 0, 0], [0, 0, 0], [2, 0, 0]],
+              SQUARE_ZERO):
+        e = exp_nilpotent(x, T)
+        minus = exp_nilpotent([[-v for v in row] for row in x], T)
+        assert (e * minus).entries == ref_matrix_identity(len(x)).entries
+        assert determinant(e) == Polynomial.one()
 
 
 @pytest.mark.parametrize("x", [
-    # X^2 = 2*E_31 != 0, so column 1 gains t^2 times column 3 as well
-    [[0, 0, 0], [2, 0, 0], [0, 1, 0]],
-    # the transpose: column 3 gains from column 2, which itself gains from
-    # column 1, and must read column 2 as it was in `left`
-    [[0, 2, 0], [0, 0, 1], [0, 0, 0]],
+    # column 2 gains from column 0, which itself gains from columns 0, 1
+    # and 2, and must read column 0 as it was in `left`
+    SQUARE_ZERO,
+    transpose(SQUARE_ZERO),
 ])
 def test_exp_nilpotent_with_left_factor_against_reference(x):
     want = ref_exp_nilpotent(PolyMatrix(x), "t")
@@ -113,20 +122,23 @@ def test_exp_nilpotent_with_left_factor_against_reference(x):
                 == ref_polymatrix_product(left, want).entries)
 
 
+# nilpotent, but X^2 = E_31 != 0
+SHIFT = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+
+
 def test_exp_nilpotent_rejects_inexact_division():
-    # X^2 = E_31, and 1/2! is not an integer
-    with pytest.raises(ArithmeticError):
-        exp_nilpotent([[0, 0, 0], [1, 0, 0], [0, 1, 0]], T)
+    with pytest.raises(ValueError, match="X\\^2 != 0"):
+        exp_nilpotent(SHIFT, T)
 
 
 def test_exp_nilpotent_rejects_invertible():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="X\\^2 != 0"):
         exp_nilpotent([[1, 0], [0, 1]], T)
 
 
 def test_exp_nilpotent_rejects_singular_non_nilpotent():
-    # X^2 = X != 0; the rejection must come before dividing X^2 by 2!
-    with pytest.raises(ValueError, match="not nilpotent"):
+    # X^2 = X != 0
+    with pytest.raises(ValueError, match="X\\^2 != 0"):
         exp_nilpotent([[1, 0], [0, 0]], T)
 
 
@@ -138,12 +150,9 @@ def test_exp_nilpotent_with_left_factor_rejects_as_without(left):
         return PolyMatrix([[poly_from_string("u") if i == j else int(j < i)
                             for j in range(size)] for i in range(size)])
 
-    with pytest.raises(ArithmeticError):
-        exp_nilpotent([[0, 0, 0], [1, 0, 0], [0, 1, 0]], T, factor(3))
-    with pytest.raises(ValueError):
-        exp_nilpotent([[1, 0], [0, 1]], T, factor(2))
-    with pytest.raises(ValueError, match="not nilpotent"):
-        exp_nilpotent([[1, 0], [0, 0]], T, factor(2))
+    for x in (SHIFT, [[1, 0], [0, 1]], [[1, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="X\\^2 != 0"):
+            exp_nilpotent(x, T, factor(len(x)))
 
 
 def test_exp_nilpotent_rejects_a_left_factor_of_the_wrong_width():
@@ -152,15 +161,26 @@ def test_exp_nilpotent_rejects_a_left_factor_of_the_wrong_width():
 
 
 def test_exp_nilpotent_against_polymatrix_reference():
-    # strictly lower triangular with entries divisible by 12: X^m is
-    # divisible by 12^m, so every m! divides it for m <= 4
+    """Random square-zero X = u v^T, v . u = 0, with entries beyond +-1,
+    against the general series, with left None, the identity and a matrix
+    of polynomials."""
     rng = random.Random(31)
     for trial in range(30):
         size = rng.randint(2, 5)
-        x = [[12 * rng.randint(-2, 2) if j < i else 0 for j in range(size)]
-             for i in range(size)]
-        got = exp_nilpotent(x, T).entries
-        assert got == ref_exp_nilpotent(PolyMatrix(x), "t").entries, trial
+        u = [rng.randint(-3, 3) for _ in range(size)]
+        u[rng.randrange(size)] = rng.choice([-2, -1, 1, 2])
+        v = [rng.randint(-3, 3) for _ in range(size)]
+        i = next(i for i, a in enumerate(u) if a)
+        # scale v by u_i and fix v_i so that v . u = 0
+        v = [u[i] * b for b in v]
+        v[i] = -sum(a * b for j, (a, b) in enumerate(zip(u, v)) if j != i) // u[i]
+        x = [[a * b for b in v] for a in u]
+        want = ref_exp_nilpotent(PolyMatrix(x), "t")
+        assert exp_nilpotent(x, T).entries == want.entries, trial
+        for left in (ref_matrix_identity(size),
+                     random_matrix(rng, size, with_variables=True)):
+            assert (exp_nilpotent(x, T, left).entries
+                    == ref_polymatrix_product(left, want).entries), trial
 
 
 def random_sparse_rows(rng, nrows, ncols, density, entry):

@@ -1,6 +1,6 @@
 import pytest
 
-from flagsplit.matrix import PolyMatrix
+from flagsplit.matrix import PolyMatrix, square_zero_entries
 from flagsplit.rootdata import (
     FAMILY_A,
     FAMILY_C,
@@ -141,6 +141,40 @@ def test_simple_reflection_rejects_the_other_sign(family, n):
         with pytest.raises(ConventionError):
             g.simple_reflection_representative(i)
         g.root_generator[-alpha] = Y
+
+
+def test_every_root_generator_squares_to_zero():
+    """exp(tX) = I + tX rests on X^2 = 0 for every root generator of the
+    supported families; the check hands back X's nonzero entries."""
+    count = 0
+    for family, sizes in (("A", range(2, 9)), ("C", range(2, 7)),
+                          ("D", range(2, 7))):
+        for n in sizes:
+            for X in build_group_datum(family, n).root_generator.values():
+                assert square_zero_entries(X) == [
+                    (k, j, c) for k, row in enumerate(X)
+                    for j, c in enumerate(row) if c]
+                count += 1
+    assert count == 488
+
+
+@pytest.mark.parametrize("family,n", [("A", 3), ("C", 2), ("D", 3)])
+def test_simple_reflection_rejects_a_generator_that_does_not_square_to_zero(
+        family, n):
+    """X + Y for the generators X, Y of alpha, -alpha has (X + Y)^2 != 0,
+    so I + X is not exp(X) and no representative is formed."""
+    g = build_group_datum(family, n)
+    for i, alpha in enumerate(g.simple_roots, start=1):
+        for root in (alpha, -alpha):
+            X = g.root_generator[root]
+            bad = [[a + b for a, b in zip(r1, r2)]
+                   for r1, r2 in zip(X, g.root_generator[-root])]
+            with pytest.raises(ValueError):
+                square_zero_entries(bad)
+            g.root_generator[root] = bad
+            with pytest.raises(ConventionError):
+                g.simple_reflection_representative(i)
+            g.root_generator[root] = X
 
 
 def test_levi_longest_representative_builds_each_reflection_once(monkeypatch):

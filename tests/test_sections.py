@@ -107,9 +107,3 @@ def test_entry_cell_factor_homogeneity(groups):
     for f in factors:
         product = product * f
     assert product.degree() == g.dim_flag_variety()
-
-
-def test_section_serialize(groups):
-    plus, _ = build_sigma_pair(groups[("C", 2)])
-    data = plus.serialize()
-    assert data == {"label": "sigma_plus", "factors": [[1], [1, 2]]}
