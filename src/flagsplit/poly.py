@@ -358,20 +358,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("exponent must be non-negative")
-        result = Polynomial.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base_needed = e >> 1
-            if base_needed:
-                base = base * base
-            e = base_needed
-        return result
-
     def __eq__(self, other):
         if isinstance(other, numbers.Rational):
             if other.denominator != 1:

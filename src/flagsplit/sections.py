@@ -118,18 +118,22 @@ class GroupSections:
         return self.pair[1].evaluate(sl_entry_big_cell(self.group.n).matrix)
 
 
-def generic_matrices(n):
-    """The suite's generic n x n matrices by prefix: m full, d diagonal, u
-    upper unitriangular, b upper and l lower triangular.  Each free entry
-    (i, j) is the variable {prefix}{i}_{j}, all over one layout; u has 1 on
-    its diagonal, and every other entry is 0."""
-    shapes = {"m": lambda i, j: True, "d": eq, "u": lt, "b": le, "l": ge}
-    free = [(p, i, j) for p, keep in shapes.items()
-            for i in range(1, n + 1) for j in range(1, n + 1) if keep(i, j)]
+def generic_matrices(n, k):
+    """The suite's generic matrices by prefix: m full n x k, u upper
+    unitriangular k x k, and d diagonal, b upper and l lower triangular,
+    each n x n.  Each free entry (i, j) is the variable {prefix}{i}_{j},
+    all over one layout; u has 1 on its diagonal, and every other entry
+    is 0."""
+    shapes = {"m": (n, k, lambda i, j: True), "d": (n, n, eq),
+              "u": (k, k, lt), "b": (n, n, le), "l": (n, n, ge)}
+    free = [(p, i, j) for p, (rows, cols, keep) in shapes.items()
+            for i in range(1, rows + 1) for j in range(1, cols + 1)
+            if keep(i, j)]
     names = [f"{p}{i}_{j}" for p, i, j in free]
     one, zero = Polynomial.one(), Polynomial.zero()
-    entries = {p: [[one if p == "u" and i == j else zero for j in range(n)]
-                   for i in range(n)] for p in shapes}
+    entries = {p: [[one if p == "u" and i == j else zero for j in range(cols)]
+                   for i in range(rows)]
+               for p, (rows, cols, _) in shapes.items()}
     for (p, i, j), x in zip(free, Polynomial.generators(names)):
         entries[p][i - 1][j - 1] = x
     return {p: PolyMatrix(rows) for p, rows in entries.items()}
@@ -149,70 +153,64 @@ def equivariance_suite(sections):
     """Verify the minor transformation laws as exact polynomial identities.
 
     Uses generic matrices with free entries (not group elements), which is
-    the level at which the identities hold, all over one layout.  Any
-    failure raises with the offending factor.
+    the level at which the identities hold, all over one layout.  Every
+    minor reads columns 1..k only, k the largest factor size, so M is
+    N x k and u is k x k.  The left laws are checked factor by factor: for
+    a diagonal T on every factor, an upper triangular b on sigma_minus's
+    trailing rows R and a lower triangular l on sigma_plus's leading rows
+    R, (T M)[R, 1..k] = T[R, R] M[R, 1..k], so each factor's minor scales
+    by the product of T_aa over a in R; the product of these identities is
+    the law for the whole section.  Any failure raises with the offending
+    factor.
     """
     group = sections.group
-    N = group.size
     plus, minus = sections.pair
-    generic = generic_matrices(N)
+    k = max(spec.k for section in (plus, minus) for spec in section.factors)
+    generic = generic_matrices(group.size, k)
     M = generic["m"]
-    results = {}
-
-    # (i) diagonal scaling per factor: weight -(chi_{a_1}+...+chi_{a_k})
-    D = generic["d"]
-    DM = D * M
-    memo_m, memo_dm = {}, {}
-    for section in (plus, minus):
-        for spec in section.factors:
-            lhs = column_minor(DM, spec, memo_dm)
-            scale = Polynomial.one()
-            for a in spec.rows:
-                scale = scale * D[a, a]
-            rhs = scale * column_minor(M, spec, memo_m)
-            if lhs != rhs:
-                raise ConventionError(f"diagonal scaling fails for {spec}")
-    results["diagonal_scaling"] = True
+    memo_m = {}
 
     # (ii) right column-stability under upper unitriangular u
-    u = generic["u"]
-    Mu = M * u
+    Mu = M * generic["u"]
     memo_mu = {}
     for section in (plus, minus):
         for spec in section.factors:
             if column_minor(Mu, spec, memo_mu) != column_minor(M, spec, memo_m):
                 raise ConventionError(f"column stability fails for {spec}")
-    results["right_column_stability"] = True
 
-    # (iii) left B-law for sigma_minus: the trailing-row sets are stable
-    # under adding higher rows, so a generic upper-triangular b scales
-    # sigma_minus by prod b_ii^{e_i} with e the row-multiplicity vector
-    b = generic["b"]
-    bM = b * M
-    exps = row_exponent_vector(minus)
-    lhs = minus.evaluate(bM)
-    scale = Polynomial.one()
-    for i, e in enumerate(exps, start=1):
-        scale = scale * b[i, i] ** e
-    if lhs != scale * minus.evaluate(M):
-        raise ConventionError("left B-law fails for sigma_minus")
+    # (i) diagonal scaling, (iii) the left B-law for sigma_minus and (iv)
+    # the left B^- law for sigma_plus, one factor at a time
+    laws = (("diagonal scaling", generic["d"], (plus, minus)),
+            ("left B-law", generic["b"], (minus,)),
+            ("left B^- law", generic["l"], (plus,)))
+    for law, T, checked in laws:
+        specs = [spec for section in checked for spec in section.factors]
+        # row a of T M is row a of T times M, and a minor reads only its
+        # own rows, so T M is formed on the rows the factors read
+        rows = sorted({a for spec in specs for a in spec.rows})
+        product = PolyMatrix._of([T.entries[a - 1] for a in rows]) * M
+        TM = [[Polynomial.zero()] * k] * group.size
+        for a, row in zip(rows, product.entries):
+            TM[a - 1] = row
+        TM, memo = PolyMatrix._of(TM), {}
+        for spec in specs:
+            scale = Polynomial.one()
+            for a in spec.rows:
+                scale = scale * T[a, a]
+            lhs = column_minor(TM, spec, memo)
+            if lhs != scale * column_minor(M, spec, memo_m):
+                raise ConventionError(f"{law} fails for {spec}")
+
     # the exponent vector realizes rho: fold(-sum e_a chi_a) == rho
+    exps = row_exponent_vector(minus)
     realized = group.fold_sum(
         [(-1, a) for a, e in enumerate(exps, start=1) for _ in range(e)]
     )
     if realized != group.rho:
         raise ConventionError("sigma_minus exponents do not realize rho")
-    results["left_b_law"] = {"exponents": exps}
-
-    # (iv) left B^- law for sigma_plus
-    low = generic["l"]
-    lM = low * M
-    exps_p = row_exponent_vector(plus)
-    scale = Polynomial.one()
-    for i, e in enumerate(exps_p, start=1):
-        scale = scale * low[i, i] ** e
-    if plus.evaluate(lM) != scale * plus.evaluate(M):
-        raise ConventionError("left B^- law fails for sigma_plus")
-    results["left_bminus_law"] = {"exponents": exps_p}
-    return results
-
+    return {
+        "diagonal_scaling": True,
+        "right_column_stability": True,
+        "left_b_law": {"exponents": exps},
+        "left_bminus_law": {"exponents": row_exponent_vector(plus)},
+    }

@@ -19,7 +19,10 @@ M^T F M - F with every product formed, and `ref_lie_constraint_ok` the
 Lie-algebra identity X^T F + F X = 0.
 
 `ref_splitting_coefficient` is the splitting coefficient without the
-window of `Polynomial.within`: it forms every term of f^((p-1)/2).
+window of `Polynomial.within`: it forms every term of f^((p-1)/2), through
+`power`, square-and-multiply over `Polynomial.__mul__`.
+`ref_equivariance_suite` is the equivariance suite with its left laws on
+whole section products over N x N generic matrices.
 
 `ref_gcd_degree_rational` and `ref_gcd_degree_mod` are the earlier gcd
 loops of the squarefree probe: Euclid over Fractions, and Euclid mod q with
@@ -44,9 +47,10 @@ from itertools import permutations
 from math import lcm
 
 from flagsplit.charts import Chart
-from flagsplit.matrix import PolyMatrix, exp_nilpotent, primitive
+from flagsplit.matrix import PolyMatrix, column_minor, exp_nilpotent, primitive
 from flagsplit.poly import Polynomial, layout_of
-from flagsplit.rootdata import FAMILY_A, FAMILY_D
+from flagsplit.rootdata import FAMILY_A, FAMILY_D, ConventionError
+from flagsplit.sections import generic_matrices, row_exponent_vector
 
 
 def _clean(terms):
@@ -113,11 +117,25 @@ def ref_pow(a, e):
     return out
 
 
+def power(f, e):
+    """f^e for a Polynomial f and an int e >= 0, by square-and-multiply."""
+    if e < 0:
+        raise ValueError("exponent must be non-negative")
+    result = Polynomial.one()
+    while e:
+        if e & 1:
+            result = result * f
+        e >>= 1
+        if e:
+            f = f * f
+    return result
+
+
 def ref_splitting_coefficient(f, variables, p):
     """The coefficient of prod(v^(p-1)) in f^(p-1) with no window: every
     term of g = f^((p-1)/2) is formed, and the target is read off g*g one
     pair at a time.  This was the library path before the window."""
-    g = ref_of(f ** ((p - 1) // 2))
+    g = ref_of(power(f, (p - 1) // 2))
     total = 0
     for m, c in g.items():
         rest = dict.fromkeys(variables, p - 1)
@@ -218,6 +236,52 @@ def chain_state(f0, chosen):
 def sigma_plus_is_one_on_big_cell(plus, chart):
     """sigma_plus restricts to the constant 1 on any big cell."""
     return plus.evaluate(chart.matrix) == Polynomial.one()
+
+
+def ref_equivariance_suite(sections):
+    """The equivariance suite with the left laws on whole products: every
+    generic matrix is N x N, and sigma_minus(bM) and sigma_plus(lM) are
+    multiplied out and compared with prod T_ii^(e_i) times the section on
+    M.  This was the library suite before its left laws went factor by
+    factor."""
+    group = sections.group
+    N = group.size
+    plus, minus = sections.pair
+    generic = generic_matrices(N, N)
+    M = generic["m"]
+    memo_m = {}
+    D = generic["d"]
+    DM = D * M
+    memo_dm = {}
+    for section in (plus, minus):
+        for spec in section.factors:
+            scale = Polynomial.one()
+            for a in spec.rows:
+                scale = scale * D[a, a]
+            if column_minor(DM, spec, memo_dm) != scale * column_minor(M, spec, memo_m):
+                raise ConventionError(f"diagonal scaling fails for {spec}")
+    Mu = M * generic["u"]
+    memo_mu = {}
+    for section in (plus, minus):
+        for spec in section.factors:
+            if column_minor(Mu, spec, memo_mu) != column_minor(M, spec, memo_m):
+                raise ConventionError(f"column stability fails for {spec}")
+    results = {"diagonal_scaling": True, "right_column_stability": True}
+    for key, T, section in (("left_b_law", generic["b"], minus),
+                            ("left_bminus_law", generic["l"], plus)):
+        exps = row_exponent_vector(section)
+        scale = Polynomial.one()
+        for i, e in enumerate(exps, start=1):
+            scale = scale * power(T[i, i], e)
+        if section.evaluate(T * M) != scale * section.evaluate(M):
+            raise ConventionError(f"{key} fails")
+        results[key] = {"exponents": exps}
+    exps = results["left_b_law"]["exponents"]
+    realized = group.fold_sum(
+        [(-1, a) for a, e in enumerate(exps, start=1) for _ in range(e)])
+    if realized != group.rho:
+        raise ConventionError("sigma_minus exponents do not realize rho")
+    return results
 
 
 def homogeneous_part(poly, d):

@@ -305,7 +305,8 @@ def test_run_suite_builds_each_section_once(monkeypatch, family, n, r):
         assert calls[name] == 1, name
     assert calls["sl_entry_big_cell"] <= 1
     assert calls["specialization_family"] <= 1
-    assert max(evaluated.values()) == 1
+    # C and D multiply out no sigma_minus product in a verify request
+    assert all(v == 1 for v in evaluated.values())
 
 
 @pytest.mark.parametrize("family,n,r", [("A", 4, 2), ("D", 3, None)])

@@ -2,7 +2,7 @@ import pytest
 
 from flagsplit.charts import big_cell_chart, sl_entry_big_cell
 from flagsplit.poly import Polynomial, poly_from_string
-from flagsplit.rootdata import build_group_datum
+from flagsplit.rootdata import ConventionError, build_group_datum
 from flagsplit.sections import (
     GroupSections,
     build_sigma_pair,
@@ -11,6 +11,7 @@ from flagsplit.sections import (
 )
 from reference import (
     homogeneous_part,
+    ref_equivariance_suite,
     ref_matrix_identity,
     sigma_plus_is_one_on_big_cell,
 )
@@ -49,6 +50,51 @@ def test_equivariance_identities(groups):
         assert results["right_column_stability"]
         exps = results["left_b_law"]["exponents"]
         assert exps == row_exponent_vector(build_sigma_pair(g)[1])
+
+
+@pytest.mark.parametrize("family,n,r", [("A", n, r) for n in range(2, 6)
+                                         for r in range(1, n)]
+                         + [("C", 2, None), ("C", 3, None), ("D", 2, None),
+                            ("D", 3, None), ("D", 4, None)])
+def test_equivariance_matches_whole_product_reference(family, n, r):
+    sections = GroupSections(build_group_datum(family, n), r)
+    assert equivariance_suite(sections) == ref_equivariance_suite(sections)
+
+
+def test_left_laws_fail_on_the_wrong_rows(groups):
+    # the left laws hold for trailing rows under b and leading rows under l
+    # only: with sigma_minus's and sigma_plus's rows exchanged, the first
+    # factor breaks the law, and the message names it
+    g = groups[("A", 4)]
+    plus, minus = build_sigma_pair(g)
+    swapped = GroupSections(g)
+    swapped.pair = (minus, plus)
+    with pytest.raises(ConventionError,
+                       match=r"left B-law fails for MinorSpec\(\(1,\)\)"):
+        equivariance_suite(swapped)
+    # with the B-law's rows left right, law (iv) is reached and fails too
+    trailing = GroupSections(g)
+    trailing.pair = (minus, minus)
+    with pytest.raises(ConventionError,
+                       match=r"left B\^- law fails for MinorSpec\(\(4,\)\)"):
+        equivariance_suite(trailing)
+
+
+def test_sl6_suite_term_pairs_stay_low(monkeypatch):
+    # the whole-product laws took 141,782 term pairs here
+    sections = GroupSections(build_group_datum("A", 6), 3)
+    sections.pair  # not counted
+    pairs = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        if isinstance(b, Polynomial):
+            pairs.append(len(a.terms) * len(b.terms))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    equivariance_suite(sections)
+    assert sum(pairs) < 20_000
 
 
 def test_left_b_law_exponents_a5(groups):
