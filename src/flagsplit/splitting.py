@@ -283,15 +283,11 @@ def rnc_search(f0):
 # Squarefreeness probe
 # ---------------------------------------------------------------------------
 
-# A Mersenne prime far above any degree the packed format allows
-_Q = (1 << 61) - 1
-
-
-def _gcd_degree(a, b, q=0):
-    """Degree of gcd(a, b) over GF(q) (residues), or over Q for q = 0;
-    lists from the constant term up with nonzero last entries.  Each step
-    a <- lc(b) a - lead s^k b needs no inverse; each remainder is reduced
-    mod q, or for q = 0 divided by its content (primitive PRS over Z).
+def _gcd_degree(a, b):
+    """Degree of gcd(a, b) over Q; integer lists from the constant term up
+    with nonzero last entries.  Each step a <- lc(b) a - lead s^k b needs no
+    inverse, and each remainder is divided by its content (primitive PRS
+    over Z).
     """
     while b:
         a, lb, tail = list(a), b[-1], b[:-1]
@@ -301,11 +297,9 @@ def _gcd_degree(a, b, q=0):
                 a = [lb * c for c in a]
                 for i, c in enumerate(tail, len(a) - len(tail)):
                     a[i] -= lead * c
-                if q:
-                    a = [c % q for c in a]
         while a and not a[-1]:
             a.pop()
-        if a and not q:
+        if a:
             content = gcd(*a)
             a = [c // content for c in a]
         a, b = b, a
@@ -313,16 +307,28 @@ def _gcd_degree(a, b, q=0):
 
 
 def _is_squarefree_univariate(coeffs):
-    """Whether the integer polynomial f with these coefficients is
-    squarefree over Q.  lc(f) != 0 and gcd(f, f') = 1 mod q prove it: were
-    f = g^2 h over Z (Gauss), (g mod q)^2 would divide f mod q, and
-    deg(g mod q) = deg g.  Every other case runs the gcd over Z.
+    """Whether the integer polynomial h with these coefficients, constant
+    term first and of degree d >= 1, is squarefree over Q.
+
+    One integer gcd proves it in almost every case (the bound behind Char,
+    Geddes and Gonnet's heuristic gcd).  Let X = 2^K with
+    K = bits(||h||_1) + d + 2, so 2^d ||h||_1 < X/4.  Were h not
+    squarefree, some primitive D in Z[s] of degree m >= 1 would divide both
+    h and h' in Z[s] (Gauss).  By Mignotte, ||D||_inf <= 2^m ||h||_1 < X/4,
+    so |D(X)| > X^m - (X/4)(X^m - 1)/(X - 1) >= X^m/2 >= X/2.  D(X)
+    divides h(X) and h'(X), and h(X) != 0, so gcd(h(X), h'(X)) <= X/2
+    proves h squarefree.  Any larger gcd runs the exact gcd over Z.
     """
-    # deg f < q, so lc(f') = deg f * lc(f) is nonzero mod q as well
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    if coeffs[-1] % _Q and _gcd_degree([c % _Q for c in coeffs],
-                                       [c % _Q for c in deriv], _Q) == 0:
+    d = len(coeffs) - 1
+    k = sum(map(abs, coeffs)).bit_length() + d + 2
+    hx = dx = 0  # Horner at X for h and h'
+    for i in range(d, 0, -1):
+        hx = (hx << k) + coeffs[i]
+        dx = (dx << k) + i * coeffs[i]
+    hx = (hx << k) + coeffs[0]
+    if gcd(hx, dx) <= 1 << (k - 1):
         return True
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
     return _gcd_degree(coeffs, deriv) == 0
 
 
@@ -333,9 +339,9 @@ def squarefree_probe(f, trials=20, seed=0):
     A trial restricts f to point + direction*s, both with 7-digit entries,
     by one big-integer evaluation; f is decoded once for all trials.  A
     constant restriction is discarded and redrawn.  The trial passes when
-    the restriction is squarefree over Q: a gcd mod 2^61 - 1 settles that
-    where it is sound, the gcd over Z everywhere else, so each trial is
-    exact.  The report is evidence only, not a proof.
+    the restriction is squarefree over Q: one integer gcd at a power of two
+    proves that almost always, and the gcd over Z decides every other case,
+    so each trial is exact.  The report is evidence only, not a proof.
     """
     if f.is_constant():
         raise ValueError(f"constant polynomial {f}: nothing to restrict")
@@ -348,9 +354,19 @@ def squarefree_probe(f, trials=20, seed=0):
     completed = 0
     discarded = 0
     bound = 10**6  # wide draws keep accidental discriminant hits negligible
+    # rng.randint(-bound, bound) returns the first getrandbits(bits) value
+    # below width, minus bound; this loop draws the same values inline
+    width = 2 * bound + 1
+    bits = width.bit_length()
+    nvars = len(variables)
     while completed < trials:
-        point = {v: rng.randint(-bound, bound) for v in variables}
-        direction = {v: rng.randint(-bound, bound) for v in variables}
+        draws = []
+        while len(draws) < 2 * nvars:
+            r = rng.getrandbits(bits)
+            if r < width:
+                draws.append(r - bound)
+        point = dict(zip(variables, draws))
+        direction = dict(zip(variables, draws[nvars:]))
         coeffs = restrict(point, direction)
         if len(coeffs) <= 1:
             discarded += 1

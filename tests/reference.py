@@ -24,10 +24,10 @@ window of `Polynomial.within`: it forms every term of f^((p-1)/2), through
 `ref_equivariance_suite` is the equivariance suite with its left laws on
 whole section products over N x N generic matrices.
 
-`ref_gcd_degree_rational` and `ref_gcd_degree_mod` are the earlier gcd
-loops of the squarefree probe: Euclid over Fractions, and Euclid mod q with
-the inverse of each divisor's leading coefficient.  `shuffled_big_cell` is
-the big cell with its root generators taken in another order.
+`ref_gcd_degree_rational` is the earlier gcd loop of the squarefree
+probe, Euclid over Fractions: the reference for both the integer-gcd proof
+and the gcd over Z behind it.  `shuffled_big_cell` is the big cell with its
+root generators taken in another order.
 
 `row_reduce`, `rational_matrix_rank` and `rational_nullspace` are the
 earlier Fraction Gauss-Jordan kernel of `flagsplit.matrix`: the reference
@@ -147,33 +147,22 @@ def ref_splitting_coefficient(f, variables, p):
     return total
 
 
-def _euclid_degree(a, b, divide, reduce):
+def ref_gcd_degree_rational(a, b):
+    """Degree of gcd(a, b) over Q by Euclid over Fractions; integer lists
+    from the constant term up with nonzero last entries."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
     while b:
         a = list(a)
         while len(a) >= len(b):
             lead = a.pop()
             if lead:
-                factor = divide(lead, b[-1])
+                factor = lead / b[-1]
                 for i, c in enumerate(b[:-1], len(a) - len(b) + 1):
-                    a[i] = reduce(a[i] - factor * c)
+                    a[i] -= factor * c
         while a and not a[-1]:
             a.pop()
         a, b = b, a
     return len(a) - 1 if a else -1
-
-
-def ref_gcd_degree_rational(a, b):
-    """Degree of gcd(a, b) over Q by Euclid over Fractions; integer lists
-    from the constant term up with nonzero last entries."""
-    return _euclid_degree([Fraction(c) for c in a], [Fraction(c) for c in b],
-                          lambda x, y: x / y, lambda x: x)
-
-
-def ref_gcd_degree_mod(a, b, q):
-    """Degree of gcd(a, b) over GF(q) by Euclid with modular inverses; lists
-    of residues in [0, q) with nonzero last entries."""
-    return _euclid_degree(a, b, lambda x, y: x * pow(y, -1, q) % q,
-                          lambda x: x % q)
 
 
 def ref_substitute(a, assignment):

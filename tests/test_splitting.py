@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -39,7 +40,6 @@ from reference import (
     power,
     rational_matrix_rank,
     ref_of,
-    ref_gcd_degree_mod,
     ref_gcd_degree_rational,
     ref_pow,
     ref_splitting_coefficient,
@@ -485,7 +485,11 @@ def sigma_minus_report(seed):
             "all_squarefree": True, "evidence_only": True}
 
 
-# full probe reports recorded from the Fraction-only implementation
+SIGMA_MINUS_INPUTS = [("A", 4, "entry"), ("A", 5, "entry"), ("C", 2, "big"),
+                      ("D", 3, "big")]
+
+# full probe reports recorded from the Fraction-only implementation (seeds 0
+# and 1) and from the mod-q implementation (seeds 2-9)
 PINNED_PROBES = [
     (("A", 4, "entry"), 0, sigma_minus_report(0)),
     (("A", 4, "entry"), 1, sigma_minus_report(1)),
@@ -499,7 +503,8 @@ PINNED_PROBES = [
                   "all_squarefree": False, "evidence_only": True}),
     ("x*y", 1, {"trials": 10, "passes": 10, "discarded": 0, "seed": 1,
                 "all_squarefree": True, "evidence_only": True}),
-]
+] + [(source, seed, sigma_minus_report(seed))
+     for source in SIGMA_MINUS_INPUTS for seed in range(2, 10)]
 
 
 @pytest.mark.parametrize("source, seed, want", PINNED_PROBES)
@@ -538,41 +543,70 @@ def test_probe_decodes_f_once(monkeypatch):
     assert calls == {"degrees": 1, "degree": 1}
 
 
-Q = (1 << 61) - 1
+@pytest.mark.parametrize("nvars", range(1, 13))
+def test_probe_draws_are_randint_draws(nvars, monkeypatch):
+    # each trial's point and direction are the values that randint calls,
+    # point first, would draw from random.Random(seed)
+    f = poly_from_string(" + ".join(f"x{i}" for i in range(nvars)))
+    names = sorted(f.variables())
+    lines = []
+
+    def line_restrictor(self):
+        def restrict(point, direction):
+            lines.append((point, direction))
+            return [1, 1]
+        return restrict
+
+    monkeypatch.setattr(Polynomial, "line_restrictor", line_restrictor)
+    for seed in range(50):
+        lines.clear()
+        squarefree_probe(f, trials=3, seed=seed)
+        rng = random.Random(seed)
+        assert lines == [
+            tuple({v: rng.randint(-10**6, 10**6) for v in names}
+                  for _ in ("point", "direction"))
+            for _ in range(3)]
 
 
 def count_fallbacks(monkeypatch):
-    """Rebind the gcd so that each call over Z (q = 0, the exact path) is
+    """Rebind the gcd over Z so that each call (the exact path) is
     counted."""
     calls = []
     original = splitting._gcd_degree
 
-    def counting(a, b, q=0):
-        if not q:
-            calls.append(1)
-        return original(a, b, q)
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
 
     monkeypatch.setattr(splitting, "_gcd_degree", counting)
     return calls
 
 
-@pytest.mark.parametrize("coeffs, want", [
-    ([1 + Q, -(2 + Q), 1], True),  # (s-1)(s-1-q): a double root mod q
-    ([0, 1, Q], True),             # q*s^2 + s: leading coefficient 0 mod q
-    ([2, -3, 0, 1], False),        # (s-1)^2 (s+2)
+# the modulus of the probe's former mod-q stage, whose hard cases stay inputs
+Q = (1 << 61) - 1
+
+
+@pytest.mark.parametrize("coeffs, want, fallbacks", [
+    ([1 + Q, -(2 + Q), 1], True, 0),  # (s-1)(s-1-q): a double root mod q
+    ([0, 1, Q], True, 0),             # q*s^2 + s: leading coefficient 0 mod q
+    ([2, -3, 0, 1], False, 1),        # (s-1)^2 (s+2)
+    ([-18, 14, -18], True, 1),        # K = 10, gcd(h(X), h'(X)) = 550 > 512
 ])
-def test_univariate_test_falls_back_where_mod_q_cannot_decide(coeffs, want,
-                                                              monkeypatch):
-    fallbacks = count_fallbacks(monkeypatch)
+def test_univariate_test_falls_back_only_past_the_gcd_bound(coeffs, want,
+                                                            fallbacks,
+                                                            monkeypatch):
+    calls = count_fallbacks(monkeypatch)
     assert splitting._is_squarefree_univariate(coeffs) is want
-    assert len(fallbacks) == 1
+    assert len(calls) == fallbacks
 
 
 def test_probe_fallback_counts(monkeypatch):
+    # the integer gcd alone decides every trial of the line_probe workload
     fallbacks = count_fallbacks(monkeypatch)
-    f, _ = sigma_minus_on_entry_cell(4)
-    for seed in range(10):
-        assert squarefree_probe(f, trials=20, seed=seed)["all_squarefree"]
+    for source in SIGMA_MINUS_INPUTS:
+        f = probe_input(*source)
+        for seed in range(10):
+            assert squarefree_probe(f, trials=20, seed=seed)["all_squarefree"]
     assert not fallbacks
     out = squarefree_probe(poly_from_string("x^2*y"), trials=10, seed=1)
     assert out["passes"] == 0
@@ -606,24 +640,28 @@ def convolve(a, b):
     return out
 
 
-small = st.lists(st.integers(-Q - 3, Q + 3), min_size=1, max_size=4).map(int_poly)
+def around(x):
+    return st.integers(x - 3, x + 3) | st.integers(-x - 3, -x + 3)
 
 
-@given(small.filter(lambda c: len(c) > 1), small.filter(bool), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_modular_squarefree_implies_exact(g, h, square):
-    # f = g^2 h or g h; the coefficient range straddles q, so some reductions
-    # mod q drop the leading coefficient or merge roots
+coeff = st.integers(-9, 9) | around(1 << 61) | around(1 << 200)
+factor = st.lists(coeff, min_size=1, max_size=4).map(int_poly)
+
+
+@given(factor.filter(lambda c: len(c) > 1), factor.filter(bool), st.booleans())
+@example([1, 2], [1], False)  # linear
+@example([-1, 1], [6, 6], False)  # 6 s^2 - 6: content 6
+@example([-1, 1], [2, 1], True)  # (s-1)^2 (s+2)
+@example([-1, 1], [1], True)  # (s-1)^2: the gcd at X is X - 1 > X/2
+@example([-18, 14, -18], [1], False)  # squarefree, through the fallback
+@example([-6, -8, -1, 3, 5, -2], [1], False)  # the same
+@settings(max_examples=200, deadline=None)
+def test_squarefree_test_matches_reference(g, h, square):
+    # f = g^2 h or g h, with coefficients small, near 2^61 or near 2^200
     f = convolve(convolve(g, g), h) if square else convolve(g, h)
     deriv = [i * c for i, c in enumerate(f)][1:]
-    if f[-1] % Q and splitting._gcd_degree(
-            [c % Q for c in f], [c % Q for c in deriv], Q) == 0:
-        assert ref_gcd_degree_rational(f, deriv) == 0
-        assert not square
-
-
-coeff = st.one_of(st.integers(-9, 9), st.integers(-Q - 3, Q + 3))
-factor = st.lists(coeff, min_size=1, max_size=4).map(int_poly)
+    assert splitting._is_squarefree_univariate(f) is (
+        ref_gcd_degree_rational(f, deriv) == 0)
 
 
 @given(factor.filter(bool), factor, factor)
@@ -637,9 +675,6 @@ def test_gcd_degree_matches_references(g, h, k):
     # a = g h and b = g k share g, so the gcd is often nontrivial
     a, b = int_poly(convolve(g, h)), int_poly(convolve(g, k))
     assert splitting._gcd_degree(a, b) == ref_gcd_degree_rational(a, b)
-    for q in (2, 7, Q):
-        ra, rb = (int_poly(c % q for c in x) for x in (a, b))
-        assert splitting._gcd_degree(ra, rb, q) == ref_gcd_degree_mod(ra, rb, q)
 
 
 # ---------------------------------------------------------------------------
