@@ -194,8 +194,9 @@ def _run_check(name, config, sections):
         ok = all(r["nonzero"] for r in results)
         return ("pass" if ok else "fail"), {"claims": results}
     if name == "squarefree":
-        f = sections.f_entry if group.family == FAMILY_A else sections.f_big
-        payload = squarefree_probe(f, trials=20, seed=config.seed)
+        minors = (sections.entry_minors if group.family == FAMILY_A
+                  else sections.big_minors)
+        payload = squarefree_probe(*minors, trials=20, seed=config.seed)
         return ("pass" if payload["all_squarefree"] else "fail"), payload
     if name == "rnc":
         if group.family != FAMILY_A:

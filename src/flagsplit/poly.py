@@ -391,55 +391,6 @@ class Polynomial:
             self.layout,
             {k: c for k, c in self.terms.items() if not k & zero_mask})
 
-    def line_restrictor(self):
-        """A function of (point, direction) that returns the integer
-        coefficients of f(point + direction*s), constant term first, without
-        trailing zeros.  Both map each variable of f to an integer.
-
-        The keys are decoded here, once.  Each line is one big-integer
-        evaluation at s = X = 2^B (Kronecker substitution).  No coefficient
-        exceeds ||f||_1 * max(reach, 1)^deg f in size, with reach the largest
-        |point_v| + |direction_v|, so B below puts each one strictly inside
-        (-X/2, X/2) and the signed base-X digits of the value are exactly
-        the coefficients.
-        """
-        degrees = self.degrees()  # the names used, in name order
-        names = list(degrees)
-        shifts = [self.layout.shifts[v] for v in names]
-        # (coefficient, (name index, exponent) of each nonzero field) per term
-        terms = [(c, [(i, e) for i, s in enumerate(shifts)
-                      if (e := (k >> s) & _FIELD)])
-                 for k, c in self.terms.items()]
-        degree = max(self.degree(), 0)
-        norm_bits = sum(abs(c) for c in self.terms.values()).bit_length()
-
-        def restrict(point, direction):
-            reach = max((abs(point[v]) + abs(direction[v]) for v in names),
-                        default=0)
-            bits = norm_bits + degree * reach.bit_length() + 1
-            powers = []  # powers[i][e] = (point_v + direction_v * X)^e
-            for v, top in degrees.items():
-                base = point[v] + (direction[v] << bits)
-                pw = [1]
-                for _ in range(top):
-                    pw.append(pw[-1] * base)
-                powers.append(pw)
-            n = 0
-            for c, exps in terms:
-                for i, e in exps:
-                    c *= powers[i][e]
-                n += c
-            half = 1 << (bits - 1)
-            mask = (1 << bits) - 1
-            out = []
-            while n:
-                digit = ((n + half) & mask) - half
-                out.append(digit)
-                n = (n - digit) >> bits
-            return out
-
-        return restrict
-
     def __repr__(self):
         return f"Polynomial({poly_to_string(self)!r})"
 

@@ -108,14 +108,14 @@ class GroupSections:
         return self.pair[1].evaluate_factors(self.big_cell.matrix)
 
     @cached_property
-    def f_big(self):
-        """sigma_minus on the big cell, the product of `big_minors`."""
-        return prod(self.big_minors, start=Polynomial.one())
+    def entry_minors(self):
+        """sigma_minus's factors on the SL_n big cell in entry coordinates."""
+        return self.pair[1].evaluate_factors(sl_entry_big_cell(self.group.n).matrix)
 
     @cached_property
     def f_entry(self):
-        """sigma_minus on the SL_n big cell in matrix-entry coordinates."""
-        return self.pair[1].evaluate(sl_entry_big_cell(self.group.n).matrix)
+        """sigma_minus on the SL_n entry cell, the product of `entry_minors`."""
+        return prod(self.entry_minors, start=Polynomial.one())
 
 
 def generic_matrices(n, k):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 # not called here: flagbench/test_flagbench.py checks that the benchmark's
 # tracer rebinds `splitting.big_cell_chart`
@@ -332,24 +332,77 @@ def _is_squarefree_univariate(coeffs):
     return _gcd_degree(coeffs, deriv) == 0
 
 
-def squarefree_probe(f, trials=20, seed=0):
-    """Restrict f to random affine lines and test each restriction for
-    squarefreeness via its gcd with the derivative.
+def _line_restrictor(factors, variables):
+    """A function of (point, direction), integer sequences in the order of
+    `variables`, that returns the integer coefficients of
+    f(point + direction*s), constant term first, without trailing zeros; f
+    is the product of `factors`, and `variables` hold its names.
+
+    Each factor is decoded here, once, and f is never multiplied out: on a
+    line the factors' values at s = X = 2^B multiply to f's (Kronecker
+    substitution).  No coefficient exceeds ||f||_1 * max(reach, 1)^deg f in
+    size, with reach the largest |point_v| + |direction_v|, and ||f||_1 <=
+    prod ||m_i||_1, so B below puts each one strictly inside (-X/2, X/2) and
+    the signed base-X digits of the value are exactly the coefficients.
+    """
+    index = {v: i for i, v in enumerate(variables)}
+    # per factor: (position, top exponent) of each name, and the terms
+    decoded = [([(index[v], top) for v, top in m.degrees().items()],
+                [(c, [(index[v], e) for v, e in m.layout.exponents(k)])
+                 for k, c in m.terms.items()]) for m in factors]
+    degree = max(sum(m.degree() for m in factors), 0)
+    norm_bits = prod(sum(map(abs, m.terms.values()))
+                     for m in factors).bit_length()
+
+    def restrict(point, direction):
+        reach = max((abs(p) + abs(d) for p, d in zip(point, direction)),
+                    default=0)
+        bits = norm_bits + degree * reach.bit_length() + 1
+        n = 1
+        for tops, terms in decoded:
+            powers = {}  # powers[i][e] = (point[i] + direction[i] * X)^e
+            for i, top in tops:
+                base = point[i] + (direction[i] << bits)
+                powers[i] = pw = [1]
+                for _ in range(top):
+                    pw.append(pw[-1] * base)
+            value = 0
+            for c, exps in terms:
+                for i, e in exps:
+                    c *= powers[i][e]
+                value += c
+            n *= value
+        half = 1 << (bits - 1)
+        mask = (1 << bits) - 1
+        out = []
+        while n:
+            digit = ((n + half) & mask) - half
+            out.append(digit)
+            n = (n - digit) >> bits
+        return out
+
+    return restrict
+
+
+def squarefree_probe(*factors, trials=20, seed=0):
+    """Restrict f, the product of `factors`, to random affine lines and test
+    each restriction for squarefreeness via its gcd with the derivative.
 
     A trial restricts f to point + direction*s, both with 7-digit entries,
-    by one big-integer evaluation; f is decoded once for all trials.  A
-    constant restriction is discarded and redrawn.  The trial passes when
-    the restriction is squarefree over Q: one integer gcd at a power of two
+    by one big-integer evaluation of each factor (`_line_restrictor`); it
+    draws over f's names, the union of the factors'.  A constant
+    restriction is discarded and redrawn.  The trial passes when the
+    restriction is squarefree over Q: one integer gcd at a power of two
     proves that almost always, and the gcd over Z decides every other case,
     so each trial is exact.  The report is evidence only, not a proof.
     """
-    if f.is_constant():
-        raise ValueError(f"constant polynomial {f}: nothing to restrict")
+    variables = sorted(set().union(*(m.variables() for m in factors)))
+    if not variables or any(m.is_zero() for m in factors):
+        raise ValueError("f is constant: nothing to restrict")
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     rng = random.Random(seed)
-    variables = sorted(f.variables())
-    restrict = f.line_restrictor()
+    restrict = _line_restrictor(factors, variables)
     passes = 0
     completed = 0
     discarded = 0
@@ -365,9 +418,7 @@ def squarefree_probe(f, trials=20, seed=0):
             r = rng.getrandbits(bits)
             if r < width:
                 draws.append(r - bound)
-        point = dict(zip(variables, draws))
-        direction = dict(zip(variables, draws[nvars:]))
-        coeffs = restrict(point, direction)
+        coeffs = restrict(draws[:nvars], draws[nvars:])
         if len(coeffs) <= 1:
             discarded += 1
             if discarded > 50 * trials:

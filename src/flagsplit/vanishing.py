@@ -8,7 +8,7 @@ back through a chart and its order at the origin read off the exponents.
 from __future__ import annotations
 
 from .charts import sl_explicit_chart
-from .matrix import PolyMatrix, column_minor
+from .matrix import PolyMatrix
 from .poly import order_at_origin
 from .rootdata import FAMILY_A, ConventionError
 
@@ -79,14 +79,11 @@ def order_at_center(section, chart):
     A factor vanishing identically on the chart is a chart bug, not a large
     order, so it raises.
     """
-    memo = {}
-    orders = []
-    for spec in section.factors:
-        value = column_minor(chart.matrix, spec, memo)
-        order = order_at_origin(value)
+    orders = [order_at_origin(value)
+              for value in section.evaluate_factors(chart.matrix)]
+    for spec, order in zip(section.factors, orders):
         if order is None:
             raise ConventionError(f"factor {spec} vanishes identically on chart")
-        orders.append(order)
     return orders, sum(orders)
 
 

@@ -24,6 +24,10 @@ window of `Polynomial.within`: it forms every term of f^((p-1)/2), through
 `ref_equivariance_suite` is the equivariance suite with its left laws on
 whole section products over N x N generic matrices.
 
+`ref_line_restriction` is the squarefree probe's restriction to a line
+without Kronecker substitution: it multiplies the factors out and restricts
+the product term by term.
+
 `ref_gcd_degree_rational` is the earlier gcd loop of the squarefree
 probe, Euclid over Fractions: the reference for both the integer-gcd proof
 and the gcd over Z behind it.  `shuffled_big_cell` is the big cell with its
@@ -175,6 +179,24 @@ def ref_substitute(a, assignment):
             term = ref_mul(term, ref_pow(factor, e))
         out = ref_add(out, term)
     return out
+
+
+def ref_line_restriction(factors, point, direction):
+    """Coefficients of the product of the reference polynomials `factors`
+    on point + direction*s, constant term first, without trailing zeros:
+    the product expanded, then restricted term by term."""
+    f = {(): 1}
+    for m in factors:
+        f = ref_mul(f, m)
+    restricted = ref_substitute(f, {
+        v: ref_from_terms([({"s": 1}, direction[v]), ({}, point[v])])
+        for m in f for v, _ in m})
+    degree = max((e for m in restricted for _, e in m), default=0)
+    want = [restricted.get((("s", j),) if j else (), 0)
+            for j in range(degree + 1)]
+    while want and not want[-1]:
+        want.pop()
+    return want
 
 
 def poly_of(ref):

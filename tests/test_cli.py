@@ -15,6 +15,7 @@ from flagsplit.cli import (
     main,
     run_suite,
 )
+from flagsplit.poly import Polynomial
 from flagsplit.rootdata import ConventionError
 from flagsplit.sections import SectionProduct
 
@@ -305,12 +306,42 @@ def test_run_suite_builds_each_section_once(monkeypatch, family, n, r):
         assert calls[name] == 1, name
     assert calls["sl_entry_big_cell"] <= 1
     assert calls["specialization_family"] <= 1
-    # C and D multiply out no sigma_minus product in a verify request
-    assert all(v == 1 for v in evaluated.values())
+    # no check evaluates sigma_minus as one product: C and D multiply out
+    # none, and A only rnc's f_entry, from the entry cell's minors
+    assert not evaluated
+
+
+def count_products_in_probe(monkeypatch):
+    """Rebind the suite's squarefree_probe so that every polynomial product
+    formed while it runs is counted; the list returned holds the count."""
+    products = [0]
+    inside = []
+    probe, mul = cli.squarefree_probe, Polynomial.__mul__
+
+    def counted_mul(self, other):
+        if inside:
+            products[0] += 1
+        return mul(self, other)
+
+    def counted_probe(*args, **kwargs):
+        inside.append(1)
+        try:
+            return probe(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted_mul)
+    monkeypatch.setattr(cli, "squarefree_probe", counted_probe)
+    return products
 
 
 @pytest.mark.parametrize("family,n,r", [("A", 4, 2), ("D", 3, None)])
 def test_splitcoeff_never_multiplies_out_sigma_minus(monkeypatch, family, n, r):
+    # the squarefree and splitcoeff checks take sigma_minus as its minors:
+    # each cell's minors are formed once, SectionProduct.evaluate never
+    # runs on sigma_minus, f_entry (the one product of minors left, for
+    # rnc) is never built, and the probe multiplies no polynomials
     evaluated, factored = Counter(), Counter()
     evaluate = SectionProduct.evaluate
     evaluate_factors = SectionProduct.evaluate_factors
@@ -325,20 +356,43 @@ def test_splitcoeff_never_multiplies_out_sigma_minus(monkeypatch, family, n, r):
             factored[str(matrix.to_strings())] += 1
         return evaluate_factors(self, matrix)
 
-    def no_f_big(self):
-        raise AssertionError("f_big was built")
+    def no_f_entry(self):
+        raise AssertionError("f_entry was built")
 
+    products = count_products_in_probe(monkeypatch)
     monkeypatch.setattr(SectionProduct, "evaluate", counted_evaluate)
     monkeypatch.setattr(SectionProduct, "evaluate_factors",
                         counted_evaluate_factors)
-    monkeypatch.setattr(sections.GroupSections, "f_big", property(no_f_big))
+    monkeypatch.setattr(sections.GroupSections, "f_entry", property(no_f_entry))
     big = str(charts.big_cell_chart(
         rootdata.build_group_datum(family, n)).matrix.to_strings())
-    report = run_suite(SuiteConfig(family, n, r=r, checks=["splitcoeff"],
+    cells = {big: 1}
+    if family == "A":  # the probe reads the minors on the entry cell
+        cells[str(charts.sl_entry_big_cell(n).matrix.to_strings())] = 1
+    report = run_suite(SuiteConfig(family, n, r=r,
+                                   checks=["squarefree", "splitcoeff"],
                                    primes=[3, 5, 7]))
     assert report.exit_code == 0
-    assert evaluated[big] == 0
-    assert factored == {big: 1}
+    assert [c["name"] for c in report.checks] == ["squarefree", "splitcoeff"]
+    assert not evaluated
+    assert factored == cells
+    assert products == [0]
+
+
+@pytest.mark.parametrize("family,n,r", [("C", 4, None), ("D", 5, None),
+                                         ("A", 7, 3)])
+def test_squarefree_check_reaches_sp4_so5_sl7(monkeypatch, family, n, r):
+    # sigma_minus has 99,435 terms on the sp4 big cell, 2,688,261 on so5's
+    # and 170,436 on the sl7 entry cell; the probe restricts its minors
+    # instead, and forms no product at all
+    products = count_products_in_probe(monkeypatch)
+    report = run_suite(SuiteConfig(family, n, r=r, checks=["squarefree"]))
+    (check,) = report.checks
+    assert check["status"] == "pass"
+    assert check["payload"] == {"trials": 20, "passes": 20, "discarded": 0,
+                                "seed": 0, "all_squarefree": True,
+                                "evidence_only": True}
+    assert products == [0]
 
 
 @pytest.mark.parametrize("family,n,r,failing", [

@@ -133,20 +133,6 @@ def test_divide_by_variable():
     assert divide_by_variable(Polynomial.zero(), "x") == 0
 
 
-def test_line_restrict():
-    f = poly_from_string("x*y + z")
-    s = Polynomial.variable("s")
-    g = substituted(f, {"x": 2 * s, "y": 3 * s, "z": 5 * s})
-    assert g == poly_from_string("6*s^2 + 5*s")
-    # an affine line through (1, 0, 4)
-    g = substituted(f, {"x": 2 * s + 1, "y": 3 * s, "z": 5 * s + 4})
-    assert g == poly_from_string("6*s^2 + 8*s + 4")
-    # the same line as an integer coefficient list, constant term first
-    restrict = f.line_restrictor()
-    assert restrict({"x": 1, "y": 0, "z": 4},
-                    {"x": 2, "y": 3, "z": 5}) == [4, 8, 6]
-
-
 def test_homogeneous_part():
     f = poly_from_string("x^2 + x*y + z")
     assert homogeneous_part(f, 2) == poly_from_string("x^2 + x*y")

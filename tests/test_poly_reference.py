@@ -1,7 +1,10 @@
 """Packed-exponent polynomials against the naive reference in reference.py,
 plus the guarantees of the packed format itself: a polynomial reads the
 same over any layout that holds its names, and the arithmetic of one chart
-or one identity suite stays on one layout."""
+or one identity suite stays on one layout.  The squarefree probe's line
+restriction is checked against the expanded product of its factors."""
+
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,13 +21,18 @@ from flagsplit.poly import (
 )
 from flagsplit.rootdata import build_group_datum
 from flagsplit.sections import GroupSections, equivariance_suite
-from flagsplit.splitting import local_splitting_coefficient, squarefree_probe
+from flagsplit.splitting import (
+    _line_restrictor,
+    local_splitting_coefficient,
+    squarefree_probe,
+)
 from flagsplit.vanishing import max_multiplicity_verdict
 from reference import (
     power,
     ref_add,
     ref_divide_by_variable,
     ref_from_terms,
+    ref_line_restriction,
     ref_mul,
     ref_neg,
     ref_of,
@@ -172,50 +180,53 @@ line = st.fixed_dictionaries(
 R = 2**80 - 1  # the largest reach of 80 bits
 
 
-def ref_line(ra, point, direction):
-    """Coefficients of the reference polynomial on point + direction*s,
-    constant term first, without trailing zeros."""
-    restricted = ref_substitute(ra, {
-        v: ref_from_terms([({"s": 1}, direction[v]), ({}, point[v])])
-        for m in ra for v, _ in m})
-    degree = max((e for m in restricted for _, e in m), default=0)
-    want = [restricted.get((("s", j),) if j else (), 0)
-            for j in range(degree + 1)]
-    while want and not want[-1]:
-        want.pop()
-    return want
-
-
-@given(operand, line, line)
-@example([], {}, {})  # zero
-@example([({}, -7)], {"q": 2**80}, {})  # a constant; q is outside the layout
-@example([({"x": 1, "y": 1}, 1)], {"x": 3, "y": -2, "q": 2**80},
+@given(st.lists(operand, max_size=3), line, line)
+@example([], {}, {})  # no factors: f = 1
+@example([[]], {}, {})  # zero
+@example([[], [({"x": 1}, 1)]], {"x": 1}, {"x": 2})  # a zero factor
+# a constant factor; q and u are in no layout
+@example([[({}, -7)]], {"q": 2**80}, {})
+@example([[({}, -7)], [({"x": 1, "y": 1}, 1)]], {"x": 3, "y": -2, "q": 2**80},
          {"x": 1, "y": 5, "u": -2**80})
+# (x*y + z) on (1, 0, 4) + (2, 3, 5)*s is 6*s^2 + 8*s + 4
+@example([[({"x": 1, "y": 1}, 1), ({"z": 1}, 1)]], {"x": 1, "y": 0, "z": 4},
+         {"x": 2, "y": 3, "z": 5})
+# factors over disjoint names, and over shared names, (x + y)(x - y)
+@example([[({"a": 2}, 3), ({"x": 1}, -1)], [({"w": 1, "z": 1}, 2), ({}, 5)]],
+         {"a": 4, "w": -3, "x": 1, "z": 2}, {"a": -1, "w": 2, "x": 7, "z": 1})
+@example([[({"x": 1}, 1), ({"y": 1}, 1)], [({"x": 1}, 1), ({"y": 1}, -1)]],
+         {"x": R, "y": -R}, {"x": -R, "y": R})
 # p = 0 puts all of ||f||_1 * reach^deg f = 7 * R^2 in one digit, 7/8 of
 # X/2: positive, then, with alternating signs, negative
-@example([({"x": 2}, 3), ({"x": 1, "y": 1}, 4)], {"x": 0, "y": 0},
+@example([[({"x": 2}, 3), ({"x": 1, "y": 1}, 4)]], {"x": 0, "y": 0},
          {"x": R, "y": R})
-@example([({"x": 2}, -3), ({"x": 1, "y": 1}, 4)], {"x": 0, "y": 0},
+@example([[({"x": 2}, -3), ({"x": 1, "y": 1}, 4)]], {"x": 0, "y": 0},
          {"x": R, "y": -R})
-@example([({"x": 2}, 3), ({"x": 1, "y": 1}, 4)], {"x": R, "y": R},
+@example([[({"x": 2}, 3), ({"x": 1, "y": 1}, 4)]], {"x": R, "y": R},
          {"x": R, "y": R})
-@example([({"x": 2}, 3), ({"x": 1, "y": 1}, -4)], {"x": R, "y": -R},
+@example([[({"x": 2}, 3), ({"x": 1, "y": 1}, -4)]], {"x": R, "y": -R},
          {"x": -R, "y": R})
 # reach 0: the constant term survives although 0^deg f = 0
-@example([({}, 1), ({"x": 1}, 1)], {"x": 0}, {"x": 0})
+@example([[({}, 1), ({"x": 1}, 1)], [({}, -2), ({"y": 1}, 1)]],
+         {"x": 0, "y": 0}, {"x": 0, "y": 0})
 @settings(max_examples=100, deadline=None)
-def test_restrict_to_line_matches_substitute(ta, point, direction):
-    a, ra = build(ta)
-    restrict = a.line_restrictor()
+def test_line_restrictor_matches_expanded_product(tfactors, point, direction):
+    factors = [Polynomial(t) for t in tfactors]
+    refs = [ref_from_terms(t) for t in tfactors]
+    variables = sorted(set().union(*(m.variables() for m in factors)))
+    restrict = _line_restrictor(factors, variables)
+    # the same factors over wider layouts restrict alike
+    wide = _line_restrictor([widened(m, {"a", "q", "u"}) for m in factors], variables)
+    norm = prod(sum(map(abs, r.values())) for r in refs)
+    degree = max(sum(m.degree() for m in factors), 0)
     # one restrictor serves many lines
     for p, d in ((point, direction), (direction, point)):
-        want = ref_line(ra, p, d)
-        assert restrict(p, d) == want
+        want = ref_line_restriction(refs, p, d)
+        on_line = [p[v] for v in variables], [d[v] for v in variables]
+        assert restrict(*on_line) == wide(*on_line) == want
         # the bound that sizes the digits holds
-        norm = sum(abs(c) for c in ra.values())
-        reach = max((abs(p[v]) + abs(d[v]) for v in a.variables()), default=0)
-        assert all(abs(c) <= norm * max(reach, 1) ** max(a.degree(), 0)
-                   for c in want)
+        reach = max((abs(p[v]) + abs(d[v]) for v in variables), default=0)
+        assert all(abs(c) <= norm * max(reach, 1) ** degree for c in want)
 
 
 @given(operand, st.dictionaries(st.sampled_from(["a", "w", "x", "y", "z", "q"]),
@@ -271,11 +282,6 @@ def seen(p):
             p.variables(), p.is_constant(), order_at_origin(p))
 
 
-# a line through every name an operand or a widened layout may hold
-POINT = {v: i - 3 for i, v in enumerate("aqwxyz")}
-DIRECTION = {v: 2 * i + 1 for i, v in enumerate("aqwxyz")}
-
-
 @given(operand, operand, st.sets(names, min_size=1, max_size=4),
        st.integers(0, 4), st.dictionaries(names, st.integers(0, 6), max_size=3))
 @example([], [({"x": 1}, 1)], {"x", "q"}, 2, {"x": 1})  # zero
@@ -307,8 +313,6 @@ def test_superset_layout_matches_own_layout(ta, tb, extra, top, room):
                 if not p.is_zero():
                     with pytest.raises(NotDivisibleError):
                         divide_by_variable(w, v)
-        assert (w.line_restrictor()(POINT, DIRECTION)
-                == p.line_restrictor()(POINT, DIRECTION))
     for x, y in ((wa, b), (a, wb), (wa, wb)):
         assert seen(x + y) == seen(a + b)
         assert seen(x - y) == seen(a - b)

@@ -546,26 +546,31 @@ def test_probe_decodes_f_once(monkeypatch):
 @pytest.mark.parametrize("nvars", range(1, 13))
 def test_probe_draws_are_randint_draws(nvars, monkeypatch):
     # each trial's point and direction are the values that randint calls,
-    # point first, would draw from random.Random(seed)
+    # point first, would draw from random.Random(seed), over f's names in
+    # order however f is split into factors
     f = poly_from_string(" + ".join(f"x{i}" for i in range(nvars)))
     names = sorted(f.variables())
     lines = []
 
-    def line_restrictor(self):
+    def line_restrictor(factors, variables):
+        assert variables == names
+
         def restrict(point, direction):
-            lines.append((point, direction))
+            lines.append(tuple(dict(zip(variables, v))
+                               for v in (point, direction)))
             return [1, 1]
         return restrict
 
-    monkeypatch.setattr(Polynomial, "line_restrictor", line_restrictor)
+    monkeypatch.setattr(splitting, "_line_restrictor", line_restrictor)
     for seed in range(50):
-        lines.clear()
-        squarefree_probe(f, trials=3, seed=seed)
         rng = random.Random(seed)
-        assert lines == [
-            tuple({v: rng.randint(-10**6, 10**6) for v in names}
-                  for _ in ("point", "direction"))
-            for _ in range(3)]
+        want = [tuple({v: rng.randint(-10**6, 10**6) for v in names}
+                      for _ in ("point", "direction"))
+                for _ in range(3)]
+        for factors in ([f], Polynomial.generators(names[::-1])):
+            lines.clear()
+            squarefree_probe(*factors, trials=3, seed=seed)
+            assert lines == want
 
 
 def count_fallbacks(monkeypatch):

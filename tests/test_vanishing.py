@@ -2,7 +2,7 @@ import pytest
 
 from flagsplit.charts import Chart, big_cell_chart, levi_center_chart
 from flagsplit.matrix import PolyMatrix
-from flagsplit.rootdata import build_group_datum
+from flagsplit.rootdata import ConventionError, build_group_datum
 from flagsplit.sections import GroupSections, build_sigma_pair
 from flagsplit.vanishing import (
     max_multiplicity_verdict,
@@ -98,3 +98,12 @@ def test_valuation_additivity_on_chart():
     from flagsplit.poly import order_at_origin
 
     assert order_at_origin(minus.evaluate(chart.matrix)) == total == sum(orders)
+    # with row 3 zeroed, the factors on rows (4, 3) and (4, 3, 2) vanish
+    # identically; the error names the first of them in factor order
+    rows = [list(row) for row in chart.matrix.entries]
+    rows[2] = [0] * len(rows[2])
+    dead = Chart(g, chart.variables, PolyMatrix(rows))
+    with pytest.raises(ConventionError) as raised:
+        order_at_center(minus, dead)
+    assert str(raised.value) == (
+        "factor MinorSpec((4, 3)) vanishes identically on chart")
