@@ -11,6 +11,7 @@ from flagsplit.poly import (
     poly_from_string,
     poly_to_string,
 )
+from flagsplit.splitting import _line_restrictor
 from reference import homogeneous_part, power, substituted, term_items
 
 VARS = ["x", "y", "z"]
@@ -131,6 +132,21 @@ def test_divide_by_variable():
     with pytest.raises(NotDivisibleError):
         divide_by_variable(f, "w")
     assert divide_by_variable(Polynomial.zero(), "x") == 0
+
+
+def test_line_restrict():
+    f = poly_from_string("x*y + z")
+    s = Polynomial.variable("s")
+    g = substituted(f, {"x": 2 * s, "y": 3 * s, "z": 5 * s})
+    assert g == poly_from_string("6*s^2 + 5*s")
+    # an affine line through (1, 0, 4)
+    g = substituted(f, {"x": 2 * s + 1, "y": 3 * s, "z": 5 * s + 4})
+    assert g == poly_from_string("6*s^2 + 8*s + 4")
+    # the same line as an integer coefficient list, constant term first,
+    # from f alone and from f as the product x*y + z times 1
+    for factors in ([f], [f, Polynomial.constant(1)]):
+        restrict = _line_restrictor(factors, VARS)
+        assert restrict([1, 0, 4], [2, 3, 5]) == [4, 8, 6]
 
 
 def test_homogeneous_part():

@@ -210,7 +210,7 @@ R = 2**80 - 1  # the largest reach of 80 bits
 @example([[({}, 1), ({"x": 1}, 1)], [({}, -2), ({"y": 1}, 1)]],
          {"x": 0, "y": 0}, {"x": 0, "y": 0})
 @settings(max_examples=100, deadline=None)
-def test_line_restrictor_matches_expanded_product(tfactors, point, direction):
+def test_restrict_to_line_matches_substitute(tfactors, point, direction):
     factors = [Polynomial(t) for t in tfactors]
     refs = [ref_from_terms(t) for t in tfactors]
     variables = sorted(set().union(*(m.variables() for m in factors)))
