@@ -359,8 +359,8 @@ def _line_restrictor(factors, variables):
                     default=0)
         bits = norm_bits + degree * reach.bit_length() + 1
         n = 1
+        powers = [None] * len(point)  # [i][e]: (point[i] + direction[i]*X)^e
         for tops, terms in decoded:
-            powers = {}  # powers[i][e] = (point[i] + direction[i] * X)^e
             for i, top in tops:
                 base = point[i] + (direction[i] << bits)
                 powers[i] = pw = [1]
