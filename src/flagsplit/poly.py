@@ -225,9 +225,9 @@ class Polynomial:
 
         Every field at once.  The OR of the keys has each field's top bit
         set by some key and none above it.  Then for each lower bit, from
-        the top down, one borrow test per key, as in `within`, tells every
-        field whether some e_v reaches the exponent found so far with that
-        bit added.
+        the top down, one borrow test per key tells every field whether some
+        e_v reaches the exponent found so far with that bit added: a field
+        of (key | guard) - probe keeps its guard bit iff e_v >= probe_v.
         """
         layout = self.layout
         keys = self.terms
@@ -246,34 +246,6 @@ class Polynomial:
             hits = reduce(or_, map(probe.__rsub__, map(guard.__or__, keys)))
             found |= (hits & names) >> (FIELD_BITS - 1 - b)
         return {v: e for v, s in layout.fields if (e := (found >> s) & _FIELD)}
-
-    def within(self, top, room):
-        """The terms whose exponent e_v of each name v of `room` satisfies
-        top - room[v] <= e_v <= top; the other names are free.  A name of
-        `room` outside the layout has exponent 0 in every term.  The result
-        keeps the layout.
-
-        Each bound is one borrow test on the packed key: a field of
-        (hi | guard) - key keeps its guard bit iff e_v <= hi_v, and a field
-        of (key | guard) - lo keeps it iff e_v >= lo_v.
-        """
-        layout = self.layout
-        guard = layout.guard
-        hi = (1 << (layout.degree_shift + FIELD_BITS)) - 1  # every field free
-        lo = 0
-        for v, r in room.items():
-            s = layout.shifts.get(v)
-            if top - r > (MAX_DEGREE if s is not None else 0):
-                return Polynomial.zero()  # no exponent reaches the window
-            if s is not None:
-                hi -= max(MAX_DEGREE - top, 0) << s
-                lo |= max(top - r, 0) << s
-        kept = {k: c for k, c in self.terms.items()
-                if (hi - k) & guard == guard
-                and ((k | guard) - lo) & guard == guard}
-        if len(kept) == len(self.terms):
-            return self
-        return Polynomial._raw(layout, kept)
 
     def _wrap(self, other):
         if isinstance(other, Polynomial):

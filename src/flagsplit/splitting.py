@@ -11,12 +11,15 @@ from __future__ import annotations
 import random
 import time
 from math import gcd, isqrt, prod
+from operator import lshift
+from struct import iter_unpack
 
 # not called here: flagbench/test_flagbench.py checks that the benchmark's
 # tracer rebinds `splitting.big_cell_chart`
 from .charts import big_cell_chart  # noqa: F401
 from .matrix import PolyMatrix, column_minor, determinant, integer_nullspace
 from .poly import (
+    MAX_DEGREE,
     DegreeOverflowError,
     NotDivisibleError,
     Polynomial,
@@ -47,9 +50,9 @@ class ResourceGuard:
         self.started = time.monotonic()
         self.tripped = None
 
-    def check(self, poly):
-        if len(poly.terms) > self.max_terms:
-            self.tripped = f"term count {len(poly.terms)} > {self.max_terms}"
+    def check(self, terms):
+        if len(terms) > self.max_terms:
+            self.tripped = f"term count {len(terms)} > {self.max_terms}"
             return False
         elapsed = time.monotonic() - self.started
         if elapsed > self.max_seconds:
@@ -85,6 +88,19 @@ class SplitVerdict:
         }
 
 
+def _window_product(g, factor, upper):
+    """g times `factor`, (key, coefficient) pairs, over the pairs of terms
+    whose key r - m keeps every guard bit of `upper`.  Zero sums stay."""
+    out = {}
+    get = out.get
+    for m, c in factor:
+        for r, d in g.items():
+            k = r - m
+            if k & upper == upper:
+                out[k] = get(k, 0) + c * d
+    return out
+
+
 def splitting_coefficient(factors, variables, p, guard=None):
     """Coefficient of prod(v^(p-1)) in f^(p-1), f the product of
     `factors`, exact over the integers, reduced mod p only at the very end.
@@ -92,11 +108,17 @@ def splitting_coefficient(factors, variables, p, guard=None):
     f^(p-1) is g*g with g the product of the factors, each multiplied in
     (p - 1)/2 times in a row, in the given order.  No exponent is negative,
     so after every product only the terms of g with p - 1 - room_v <= e_v
-    <= p - 1 for each v of `variables` can reach the target
-    (`Polynomial.within`), room_v being the v-degree still to come into g
-    plus the bound (p - 1)/2 * d_v(f) on the other copy of g.  The target is
-    then a single hash-join over the terms of g.  The guard checks every
-    product.
+    <= p - 1 for each v of `variables` can reach the target, room_v being
+    the v-degree still to come into g plus the bound (p - 1)/2 * d_v(f) on
+    the other copy of g.  `_window_product` drops a pair of terms past
+    p - 1 before summing it, the zero sums go with the terms under a lower
+    bound, and the guard checks every product; one hash-join of g with
+    itself then gives the target.
+
+    g's keys are narrow, each factor repacked once: from bit 0 up a field
+    per name, holding a guard bit plus cap - e_v, then MAX_DEGREE - degree.
+    cap is p - 1 for a name of `variables`, whose field fits p - 1 plus one
+    factor's degree; a free name's cap and field fit all of g's exponents.
 
     The verdict's `degree` is that of the whole f, -1 if a factor is zero.
     A degree past the packed-exponent limit gives a not-computed verdict
@@ -105,43 +127,74 @@ def splitting_coefficient(factors, variables, p, guard=None):
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     variables = list(variables)
-    if len(set(variables)) != len(variables):
+    if len(window := set(variables)) != len(variables):
         raise ValueError(f"repeated variable names in {variables}")
     n = len(variables)
     factors = list(factors)
     degree = (-1 if any(v.is_zero() for v in factors)
               else sum(v.degree() for v in factors))
     guard = guard or ResourceGuard()
-    factor_degrees = [v.degrees() for v in factors]
-    room = {v: (p - 1) * sum(d.get(v, 0) for d in factor_degrees)
-            for v in variables}
+    # each key's 16-bit poly fields: its degree, then its exponents by name
+    rows, factor_degrees = [], []
+    for value in factors:
+        size = len(value.layout.names) + 1
+        rows.append(list(iter_unpack(f">{size}H", b"".join(
+            k.to_bytes(2 * size, "big") for k in value.terms))))
+        peaks = zip(value.layout.names, list(map(max, zip(*rows[-1])))[1:])
+        factor_degrees.append({v: e for v, e in peaks if e})
+    room, shifts = {}, {}
+    # full: the key of 1; low: twice each guard bit, plus min(room_v, p - 1)
+    # in the field of each v of `variables`
+    full = low = upper = target = shift = 0
+    for v in sorted(window.union(*factor_degrees)):
+        tops = [d.get(v, 0) for d in factor_degrees]
+        cap = (p - 1) // 2 * sum(tops)
+        width = cap.bit_length()
+        if v in window:
+            room[v] = 2 * cap
+            low += min(2 * cap, p - 1) << shift
+            cap, width = p - 1, (p - 1 + max(tops, default=0)).bit_length()
+            upper += 1 << width << shift
+            target += cap << shift
+        shifts[v] = shift
+        full += ((1 << width) + cap) << shift
+        low += 2 << width << shift
+        shift += width + 1
+    full += MAX_DEGREE << shift
+    low += (MAX_DEGREE + 1) << shift
+    g = {full: 1}
     try:
-        g = Polynomial.one()
-        for value, d in zip(factors, factor_degrees):
+        for value, row, d in zip(factors, rows, factor_degrees):
+            moves = [shift] + [shifts.get(v, 0) for v in value.layout.names]
+            terms = [(sum(map(lshift, r, moves)), c)
+                     for r, c in zip(row, value.terms.values())]
+            reach = MAX_DEGREE + value.degree()
+            steps = [(v, e, shifts[v]) for v, e in d.items() if v in window]
             for _ in range((p - 1) // 2):
-                g = g * value
-                for v in variables:
-                    room[v] -= d.get(v, 0)
-                g = g.within(p - 1, room)
+                # g's largest degree is MAX_DEGREE - (min(g) >> shift)
+                if g and terms and reach - (min(g) >> shift) > MAX_DEGREE:
+                    raise DegreeOverflowError(reach - (min(g) >> shift))
+                g = _window_product(g, terms, upper)
+                for v, e, s in steps:
+                    r = room[v]
+                    low -= (min(r, p - 1) - min(r - e, p - 1)) << s
+                    room[v] = r - e
+                # cap - e_v <= room_v iff a field of low - k keeps its guard
+                for k in [k for k, c in g.items()
+                          if not c or (low - k) & upper != upper]:
+                    del g[k]
                 if not guard.check(g):
                     return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
                                         guard_reason=guard.tripped)
-        target = g.layout.pack([(v, p - 1) for v in variables])
+        if n * (p - 1) > MAX_DEGREE:
+            raise DegreeOverflowError(n * (p - 1))
     except DegreeOverflowError as exc:
         return SplitVerdict(p, NOT_COMPUTED, nvars=n, degree=degree,
                             guard_reason=str(exc))
-    total = 0
-    if target is not None:  # else some variable is outside g's layout
-        # t divides the target iff no field of (target | guard_bits) - t
-        # borrows, i.e. every guard bit survives; the cofactor is then that
-        # difference with the guard bits cleared
-        guard_bits = g.layout.guard
-        top = target | guard_bits
-        terms = g.terms
-        for t, c in terms.items():
-            rest = top - t
-            if rest & guard_bits == guard_bits:
-                total += c * terms.get(rest ^ guard_bits, 0)
+    # every field of a sum of two keys carries exactly one into the next,
+    # so r + r' = pair iff e + e' is the target field by field
+    pair = 2 * full - target - (n * (p - 1) << shift)
+    total = sum(c * g.get(pair - r, 0) for r, c in g.items())
     return SplitVerdict(p, COMPUTED, coefficient=total, nvars=n, degree=degree)
 
 

@@ -18,9 +18,11 @@ zeros included, so these references never use the sparse
 M^T F M - F with every product formed, and `ref_lie_constraint_ok` the
 Lie-algebra identity X^T F + F X = 0.
 
-`ref_splitting_coefficient` is the splitting coefficient without the
-window of `Polynomial.within`: it forms every term of f^((p-1)/2), through
-`power`, square-and-multiply over `Polynomial.__mul__`.
+`ref_splitting_coefficient` is the splitting coefficient without a
+window: it forms every term of f^((p-1)/2), through `power`,
+square-and-multiply over `Polynomial.__mul__`.  `ref_window_trace` is the
+window itself on decoded exponents: the terms that the coefficient keeps
+after each product, which `RecordingGuard` records from the library.
 `ref_equivariance_suite` is the equivariance suite with its left laws on
 whole section products over N x N generic matrices.
 
@@ -55,6 +57,7 @@ from flagsplit.matrix import PolyMatrix, column_minor, exp_nilpotent, primitive
 from flagsplit.poly import Polynomial, layout_of
 from flagsplit.rootdata import FAMILY_A, FAMILY_D, ConventionError
 from flagsplit.sections import generic_matrices, row_exponent_vector
+from flagsplit.splitting import ResourceGuard
 
 
 def _clean(terms):
@@ -149,6 +152,39 @@ def ref_splitting_coefficient(f, variables, p):
             total += c * g.get(tuple(sorted((v, e) for v, e in rest.items()
                                             if e)), 0)
     return total
+
+
+def ref_window_trace(factors, variables, p):
+    """The sorted coefficients of g after each product of
+    `splitting_coefficient`: g takes each factor (p - 1)/2 times in a row,
+    and keeps the terms with p - 1 - room_v <= e_v <= p - 1 for each v of
+    `variables`, room_v being the v-degree still to come into g*g."""
+    refs = [ref_of(f) for f in factors]
+    room = {v: (p - 1) * sum(max((dict(m).get(v, 0) for m in ref), default=0)
+                             for ref in refs) for v in variables}
+    g, trace = {(): 1}, []
+    for ref in refs:
+        for _ in range((p - 1) // 2):
+            g = ref_mul(g, ref)
+            for v in variables:
+                room[v] -= max((dict(m).get(v, 0) for m in ref), default=0)
+            g = {m: c for m, c in g.items() if all(
+                p - 1 - room[v] <= dict(m).get(v, 0) <= p - 1
+                for v in variables)}
+            trace.append(sorted(g.values()))
+    return trace
+
+
+class RecordingGuard(ResourceGuard):
+    """A guard that records the sorted coefficients of every g it checks."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def check(self, terms):
+        self.seen.append(sorted(terms.values()))
+        return super().check(terms)
 
 
 def ref_gcd_degree_rational(a, b):

@@ -24,10 +24,12 @@ from flagsplit.sections import GroupSections, equivariance_suite
 from flagsplit.splitting import (
     _line_restrictor,
     local_splitting_coefficient,
+    splitting_coefficient,
     squarefree_probe,
 )
 from flagsplit.vanishing import max_multiplicity_verdict
 from reference import (
+    RecordingGuard,
     power,
     ref_add,
     ref_divide_by_variable,
@@ -93,36 +95,6 @@ nonzero = st.one_of(
     st.sampled_from(POOLS).flatmap(raw_terms).map(Polynomial).filter(
         lambda p: not p.is_zero()),
 )
-
-
-# a room above the top leaves no lower bound
-@given(operand, st.integers(0, 4),
-       st.dictionaries(names, st.integers(0, 6), max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_within_matches_decoded_exponents(ta, top, room):
-    a, _ = build(ta)
-    want = {}
-    for k, c in a.terms.items():
-        exps = a.layout.exponents(k)
-        if all(top - r <= dict(exps).get(v, 0) <= top for v, r in room.items()):
-            want[exps] = c
-    got = a.within(top, room)
-    assert ref_of(got) == want
-    used = sorted({v for m in want for v, _ in m})
-    assert got.variables() == used
-    assert list(got.degrees()) == used
-
-
-def test_within_at_the_field_limits():
-    assert Polynomial.zero().within(2, {"x": 0}) == 0
-    assert Polynomial.zero().within(2, {"x": 5}) == 0
-    x = Polynomial.variable("x")
-    top = power(x, MAX_DEGREE)
-    assert top.within(MAX_DEGREE, {"x": 0}) == top
-    assert top.within(MAX_DEGREE - 1, {"x": MAX_DEGREE}) == 0
-    # past MAX_DEGREE the top bounds nothing, and a bottom keeps nothing
-    assert (x + top).within(MAX_DEGREE + 1, {"x": 2}) == top
-    assert top.within(MAX_DEGREE + 1, {"x": 0}) == 0
 
 
 # exponents of every bit length up to the field's; three names stay within
@@ -282,13 +254,21 @@ def seen(p):
             p.variables(), p.is_constant(), order_at_origin(p))
 
 
+def coefficient_trace(f, window, p):
+    """The splitting verdict of f over `window` and the windowed g after
+    each product, which the coefficient repacks from f's layout."""
+    guard = RecordingGuard()
+    verdict = splitting_coefficient([f], sorted(window), p, guard=guard)
+    return verdict.serialize(), guard.seen
+
+
 @given(operand, operand, st.sets(names, min_size=1, max_size=4),
-       st.integers(0, 4), st.dictionaries(names, st.integers(0, 6), max_size=3))
-@example([], [({"x": 1}, 1)], {"x", "q"}, 2, {"x": 1})  # zero
-@example([({}, -7)], [({"y": 2}, 1)], {"q", "y"}, 2, {"q": 1})  # a constant
-@example([({"x": 2}, 3)], [({"x": 1}, 1)], {"q"}, 2, {})  # q: in no term
+       st.sampled_from([3, 5]), st.sets(names, max_size=3))
+@example([], [({"x": 1}, 1)], {"x", "q"}, 3, {"x"})  # zero
+@example([({}, -7)], [({"y": 2}, 1)], {"q", "y"}, 3, {"q"})  # a constant
+@example([({"x": 2}, 3)], [({"x": 1}, 1)], {"q"}, 3, set())  # q: in no term
 @settings(max_examples=100, deadline=None)
-def test_superset_layout_matches_own_layout(ta, tb, extra, top, room):
+def test_superset_layout_matches_own_layout(ta, tb, extra, prime, window):
     a, b = Polynomial(ta), Polynomial(tb)
     wa, wb = widened(a, extra), widened(b, extra)
     assert set(extra) <= set(wa.layout.names)
@@ -302,8 +282,9 @@ def test_superset_layout_matches_own_layout(ta, tb, extra, top, room):
                 squarefree_probe(w, trials=2)
         else:
             assert squarefree_probe(w, trials=2) == squarefree_probe(p, trials=2)
-        assert seen(w.within(top, room)) == seen(p.within(top, room))
-        zeros = dict.fromkeys(room, 0)
+        assert (coefficient_trace(w, window, prime)
+                == coefficient_trace(p, window, prime))
+        zeros = dict.fromkeys(window, 0)
         assert seen(w.substitute(zeros)) == seen(p.substitute(zeros))
         for v in "aqwxyz":
             assert (outcome(lambda: seen(divide_by_variable(w, v)))

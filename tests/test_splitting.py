@@ -35,6 +35,7 @@ from flagsplit.splitting import (
     squarefree_probe,
 )
 from reference import (
+    RecordingGuard,
     chain_state,
     homogeneous_part,
     power,
@@ -43,6 +44,7 @@ from reference import (
     ref_gcd_degree_rational,
     ref_pow,
     ref_splitting_coefficient,
+    ref_window_trace,
     term_items,
 )
 
@@ -245,40 +247,65 @@ def test_resource_guard_reports_not_computed():
 
 
 def test_guard_checks_every_product():
-    # g takes each minor (p - 1)/2 times in a row
-    class Recording(ResourceGuard):
-        def __init__(self):
-            super().__init__()
-            self.seen = []
-
-        def check(self, poly):
-            self.seen.append(len(poly.terms))
-            return super().check(poly)
-
+    # g takes each minor (p - 1)/2 times in a row; a zero product is checked
     big = GroupSections(build_group_datum("A", 5))
-    guard = Recording()
+    guard = RecordingGuard()
     verdict = splitting_coefficient(big.big_minors, big.big_cell.variables, 5,
                                     guard=guard)
     assert verdict.coefficient == -27999
-    assert len(guard.seen) == len(big.big_minors) * 2
+    assert list(map(len, guard.seen)) == [2, 3, 10, 22, 65, 128, 185, 223]
+    guard = RecordingGuard()
+    factors = [poly_from_string("x + 1"), Polynomial.zero(),
+               poly_from_string("y")]
+    verdict = splitting_coefficient(factors, ["x", "y"], 5, guard=guard)
+    assert (verdict.coefficient, verdict.degree) == (0, -1)
+    assert list(map(len, guard.seen)) == [1, 1, 0, 0, 0, 0]
+
+
+def counted_products(monkeypatch):
+    """The (pairs, size of the dict built) of each product of the
+    coefficient's kernel, which forms no Polynomial product."""
+    products = []
+    product = splitting._window_product
+
+    def counted(g, factor, upper):
+        out = product(g, factor, upper)
+        products.append((len(g) * len(factor), len(out)))
+        return out
+
+    def refused(a, b):
+        raise AssertionError("a polynomial product")
+
+    monkeypatch.setattr(splitting, "_window_product", counted)
+    monkeypatch.setattr(Polynomial, "__mul__", refused)
+    return products
 
 
 def test_sp3_p7_term_pairs_stay_low(monkeypatch):
     # well under the 125,746 pairs of squaring the windowed f instead
     big = GroupSections(build_group_datum("C", 3))
     minors, variables = big.big_minors, big.big_cell.variables  # not counted
-    pairs = []
-    mul = Polynomial.__mul__
-
-    def counted(a, b):
-        if isinstance(b, Polynomial):
-            pairs.append(len(a.terms) * len(b.terms))
-        return mul(a, b)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    products = counted_products(monkeypatch)
     verdict = splitting_coefficient(minors, variables, 7)
     assert verdict.coefficient == 1798902379
-    assert sum(pairs) <= 50_000
+    assert sum(pairs for pairs, _ in products) <= 50_000
+
+
+# (family, n, coefficient at p = 3, the largest dict the kernel builds, and
+# the most terms of a product of the windowed g by a minor, left unwindowed)
+@pytest.mark.parametrize("family,n,coefficient,built,unwindowed", [
+    ("C", 4, 125437, 8975, 40392),
+    ("A", 7, 480781, 106925, 176968),
+    ("D", 5, 7708393, 211288, 1154776),
+])
+def test_coefficient_reach_builds_only_windowed_dicts(
+        monkeypatch, family, n, coefficient, built, unwindowed):
+    big = GroupSections(build_group_datum(family, n))
+    minors, variables = big.big_minors, big.big_cell.variables  # not counted
+    products = counted_products(monkeypatch)
+    verdict = splitting_coefficient(minors, variables, 3)
+    assert verdict.coefficient == coefficient
+    assert max(size for _, size in products) == built < unwindowed
 
 
 def test_rejects_repeated_variable_names():
@@ -368,6 +395,13 @@ def factor_lists(draw):
 @example((["a"], [Polynomial.variable("a"), Polynomial.zero()]), 3)
 # a name outside the target must stay free: a^2 b^0 needs the terms without b
 @example((["a"], [poly_from_string("1 + b"), Polynomial.variable("a")]), 3)
+# a^2 * a^5 reaches p - 1 + d_a = 7, which a field sized for p - 1 alone
+# cannot hold, and is dropped
+@example((["a"], [poly_from_string("a^2"), poly_from_string("a^5 + a")]), 3)
+# a free name passes p - 1 and stays: b^6 in g at p = 5
+@example((["a"], [poly_from_string("a*b^3 + a + 1")]), 5)
+# b is in no factor, so no term reaches b^(p-1)
+@example((["a", "b"], [poly_from_string("a + 1")]), 3)
 @settings(max_examples=150, deadline=None)
 def test_windowed_coefficient_matches_brute_force(case, p):
     names, factors = case
@@ -380,6 +414,35 @@ def test_windowed_coefficient_matches_brute_force(case, p):
     # the running product of the factors windowed too
     verdict = splitting_coefficient(factors, names, p)
     assert (verdict.coefficient, verdict.degree) == (want, f.degree())
+
+
+@st.composite
+def windowed_cases(draw):
+    """Factor lists as above, with `variables` some of their names and
+    perhaps "z", a name in no factor."""
+    names, factors = draw(factor_lists())
+    variables = draw(st.lists(st.sampled_from(names + ["z"]), unique=True))
+    return variables, factors
+
+
+x_top = power(Polynomial.variable("x"), MAX_DEGREE)
+y_half = power(Polynomial.variable("y"), MAX_DEGREE // 2)
+
+
+@given(windowed_cases(), st.sampled_from([3, 5, 7]))
+# at the 16-bit limit x^MAX_DEGREE leaves the window; a free y reaches its
+# cap MAX_DEGREE - 1 and stays
+@example((["x"], [x_top + poly_from_string("x")]), 3)
+@example((["x"], [y_half + poly_from_string("x")] * 2), 3)
+@example(([], [poly_from_string("a + 1")]), 5)  # every name free
+@example((["b"], [poly_from_string("a^3*b + b + 1")]), 5)  # a passes p - 1
+@settings(max_examples=150, deadline=None)
+def test_window_matches_decoded_exponents(case, p):
+    variables, factors = case
+    guard = RecordingGuard()
+    verdict = splitting_coefficient(factors, variables, p, guard=guard)
+    assert verdict.status == "computed"
+    assert guard.seen == ref_window_trace(factors, variables, p)
 
 
 def test_rejects_even_p():
@@ -403,6 +466,7 @@ def test_is_odd_prime():
     ("C", 3, 5, 11571), ("A", 5, 7, 3161089), ("C", 4, 3, 125437),
     ("A", 7, 3, 480781), ("A", 6, 5, -108975249), ("D", 4, 5, -1134242879),
     ("C", 3, 7, 1798902379), ("A", 5, 13, -18423599769209439),
+    ("D", 5, 3, 7708393),
 ])
 def test_golden_coefficients(family, n, p, coefficient):
     verdict = local_splitting_coefficient(build_group_datum(family, n), p)
