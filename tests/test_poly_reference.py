@@ -40,6 +40,7 @@ from reference import (
     ref_of,
     ref_pow,
     ref_substitute,
+    ref_window_trace,
     widened,
 )
 
@@ -95,6 +96,49 @@ nonzero = st.one_of(
     st.sampled_from(POOLS).flatmap(raw_terms).map(Polynomial).filter(
         lambda p: not p.is_zero()),
 )
+
+
+def window_trace(factors, window, p):
+    """The splitting verdict over `window` and the windowed g after each
+    product, which the coefficient repacks from the factors' layouts."""
+    guard = RecordingGuard()
+    verdict = splitting_coefficient(factors, sorted(window), p, guard=guard)
+    return verdict, guard.seen
+
+
+# the window of the splitting coefficient: g after every product keeps the
+# terms whose decoded exponents stay in p - 1 - room_v <= e_v <= p - 1;
+# two operands seldom share a layout, and "q" is in no term
+@given(operand, operand, st.sets(names, max_size=4), st.sampled_from([3, 5, 7]))
+@settings(max_examples=150, deadline=None)
+def test_within_matches_decoded_exponents(ta, tb, window, p):
+    a, b = Polynomial(ta), Polynomial(tb)
+    for factors in ([a], [a, b]):
+        verdict, seen = window_trace(factors, window, p)
+        assert verdict.status == "computed"
+        assert seen == ref_window_trace(factors, sorted(window), p)
+
+
+def test_within_at_the_field_limits():
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    top = power(x, MAX_DEGREE)
+    # a zero factor leaves nothing in the window
+    verdict, seen = window_trace([Polynomial.zero()], {"x"}, 3)
+    assert (verdict.coefficient, verdict.degree, seen) == (0, -1, [[]])
+    # x^MAX_DEGREE passes p - 1 and leaves; x stays
+    verdict, seen = window_trace([x + top], {"x"}, 3)
+    assert (verdict.coefficient, verdict.degree, seen) == (1, MAX_DEGREE, [[1]])
+    # a free name reaches its cap MAX_DEGREE - 1 and stays; the target
+    # x^2 y^0 is not in (y^(MAX_DEGREE // 2) + x)^4
+    half = power(y, MAX_DEGREE // 2)
+    verdict, seen = window_trace([half + x] * 2, {"x"}, 3)
+    assert seen == [[1, 1], [1, 1, 2]]
+    assert (verdict.coefficient, verdict.degree) == (0, MAX_DEGREE - 1)
+    # a free name's product past MAX_DEGREE is not built: the verdict names
+    # the limit
+    verdict, seen = window_trace([top], set(), 5)
+    assert verdict.status != "computed" and seen == [[1]]
+    assert str(MAX_DEGREE) in verdict.guard_reason
 
 
 # exponents of every bit length up to the field's; three names stay within
@@ -254,14 +298,6 @@ def seen(p):
             p.variables(), p.is_constant(), order_at_origin(p))
 
 
-def coefficient_trace(f, window, p):
-    """The splitting verdict of f over `window` and the windowed g after
-    each product, which the coefficient repacks from f's layout."""
-    guard = RecordingGuard()
-    verdict = splitting_coefficient([f], sorted(window), p, guard=guard)
-    return verdict.serialize(), guard.seen
-
-
 @given(operand, operand, st.sets(names, min_size=1, max_size=4),
        st.sampled_from([3, 5]), st.sets(names, max_size=3))
 @example([], [({"x": 1}, 1)], {"x", "q"}, 3, {"x"})  # zero
@@ -282,8 +318,8 @@ def test_superset_layout_matches_own_layout(ta, tb, extra, prime, window):
                 squarefree_probe(w, trials=2)
         else:
             assert squarefree_probe(w, trials=2) == squarefree_probe(p, trials=2)
-        assert (coefficient_trace(w, window, prime)
-                == coefficient_trace(p, window, prime))
+        (vw, tw), (vp, tp) = (window_trace([g], window, prime) for g in (w, p))
+        assert (vw.serialize(), tw) == (vp.serialize(), tp)
         zeros = dict.fromkeys(window, 0)
         assert seen(w.substitute(zeros)) == seen(p.substitute(zeros))
         for v in "aqwxyz":
