@@ -10,20 +10,21 @@ vectors" (CASC 2007).  Each polynomial has a layout: a sorted tuple of names
 that holds every variable it uses and may hold more.  The builders of one
 chart or one identity suite give all its variables one layout
 (`Polynomial.generators`), so sums and products within it never repack;
-mixed-layout keys are decoded and packed into the union.  Equality, hashing,
-`variables` and `degrees` read the names from the keys, so they do not
-depend on the layout.  Over a layout of n names a monomial is one int of n + 1
-fields of FIELD_BITS bits each.  Field 0, the most significant, holds the
-total degree; field i + 1 holds the exponent of the i-th name.  The top bit
-of every field is a guard bit that stays clear, so a product of monomials is
-one int addition and a divisibility test is one subtraction (a field that
-borrows clears its guard bit).  Exponents and total degrees are limited to
-MAX_DEGREE; a product that would pass it raises DegreeOverflowError before
-any key is formed, so a carry never reaches the neighbouring field.
+mixed-layout keys are decoded and packed into the union.  Equality, hashing
+and `variables` read the names from the keys, so they do not depend on the
+layout.  Over a layout of n names a monomial is one int of n + 1 fields of
+FIELD_BITS bits each.  Field 0, the most significant, holds the total
+degree; field i + 1 holds the exponent of the i-th name.  The top bit of
+every field stays clear, so a product of monomials is one int addition.
+Exponents and total degrees are limited to MAX_DEGREE; a product that would
+pass it raises DegreeOverflowError before any key is formed, so a carry
+never reaches the neighbouring field.
 
-The packed key is the only monomial; `Layout.exponents` decodes one into
-(name, exponent) pairs, for text and for repacking.  Printing sorts terms by
-total degree, then by those pairs, both descending, which is not key order.
+The packed key is the only monomial.  `Layout.rows` is the one decoder: it
+turns keys, in bulk, into rows (total degree, e_1, ..., e_n), which text,
+hashing, repacking and the splitting verdicts read; `Layout.pairs` gives a
+row's (name, exponent) pairs.  Printing sorts terms by total degree, then
+by those pairs, both descending, which is not key order.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ from __future__ import annotations
 import numbers
 import re
 from functools import reduce
-from operator import or_
+from operator import lshift, or_
+from struct import iter_unpack
 
+# a field is a big-endian unsigned short ("H") to `Layout.rows`
 FIELD_BITS = 16
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
-_GUARD_BIT = 1 << (FIELD_BITS - 1)
 
 
 class NotDivisibleError(ArithmeticError):
@@ -75,18 +77,14 @@ class Layout:
     process has seen.
     """
 
-    __slots__ = ("names", "fields", "shifts", "degree_shift", "guard")
+    __slots__ = ("names", "shifts", "degree_shift")
 
     def __init__(self, names):
         n = len(names)
         self.names = names
-        # (name, shift) from the most significant name field down
-        self.fields = tuple(
-            (v, FIELD_BITS * (n - 1 - i)) for i, v in enumerate(names)
-        )
-        self.shifts = dict(self.fields)
+        # each name's shift, from the most significant name field down
+        self.shifts = {v: FIELD_BITS * (n - 1 - i) for i, v in enumerate(names)}
         self.degree_shift = FIELD_BITS * n
-        self.guard = sum(_GUARD_BIT << (FIELD_BITS * j) for j in range(n + 1))
 
     def pack(self, exps):
         """Key of a monomial given as (name, exponent) pairs, or None when
@@ -103,12 +101,21 @@ class Layout:
             key += e << s
         return key
 
-    def exponents(self, key):
-        """The (name, exponent) pairs of a key's nonzero fields, in name
+    def rows(self, keys):
+        """Each of `keys` as a tuple (total degree, e_1, ..., e_n), the
+        exponents in name order; one unpack decodes them all."""
+        size = len(self.names) + 1
+        return list(iter_unpack(f">{size}H", b"".join(
+            k.to_bytes(2 * size, "big") for k in keys)))
+
+    def pairs(self, row):
+        """The (name, exponent) pairs of a row's nonzero exponents, in name
         order."""
-        return tuple(
-            (v, e) for v, s in self.fields if (e := (key >> s) & _FIELD)
-        )
+        return tuple((v, e) for v, e in zip(self.names, row[1:]) if e)
+
+    def exponents(self, key):
+        """The (name, exponent) pairs of one key."""
+        return self.pairs(self.rows((key,))[0])
 
 
 _LAYOUTS = {}
@@ -132,8 +139,10 @@ def _repack(terms, source, target):
     holds every name they use."""
     if source is target:
         return terms
-    exponents, pack = source.exponents, target.pack
-    return {pack(exponents(k)): c for k, c in terms.items()}
+    # a name no key uses may be missing from target: its exponents are 0
+    moves = [target.degree_shift] + [target.shifts.get(v, 0) for v in source.names]
+    return {sum(map(lshift, row, moves)): c
+            for row, c in zip(source.rows(terms), terms.values())}
 
 
 class Polynomial:
@@ -216,36 +225,8 @@ class Polynomial:
 
     def variables(self):
         """The names that some term uses, in name order."""
-        used = reduce(or_, self.terms, 0)
-        return [v for v, s in self.layout.fields if (used >> s) & _FIELD]
-
-    def degrees(self):
-        """The largest exponent of each name that some term uses, in name
-        order.
-
-        Every field at once.  The OR of the keys has each field's top bit
-        set by some key and none above it.  Then for each lower bit, from
-        the top down, one borrow test per key tells every field whether some
-        e_v reaches the exponent found so far with that bit added: a field
-        of (key | guard) - probe keeps its guard bit iff e_v >= probe_v.
-        """
-        layout = self.layout
-        keys = self.terms
-        if not any(keys):  # zero or a constant
-            return {}
-        guard = layout.guard
-        names = guard & ((1 << layout.degree_shift) - 1)  # their guard bits
-        used = reduce(or_, keys)
-        found = bits = 0
-        for _, s in layout.fields:
-            width = ((used >> s) & _FIELD).bit_length()
-            found |= (1 << width >> 1) << s
-            bits = max(bits, width)
-        for b in reversed(range(bits - 1)):
-            probe = found | (names >> (FIELD_BITS - 1 - b))
-            hits = reduce(or_, map(probe.__rsub__, map(guard.__or__, keys)))
-            found |= (hits & names) >> (FIELD_BITS - 1 - b)
-        return {v: e for v, s in layout.fields if (e := (found >> s) & _FIELD)}
+        # a field of the OR of the keys is nonzero iff some key's is
+        return [v for v, _ in self.layout.exponents(reduce(or_, self.terms, 0))]
 
     def _wrap(self, other):
         if isinstance(other, Polynomial):
@@ -344,8 +325,9 @@ class Polynomial:
     def __hash__(self):
         if self.is_constant():  # equal to an int, so hash as one
             return hash(self.constant_value())
-        exponents = self.layout.exponents
-        return hash(frozenset((exponents(k), c) for k, c in self.terms.items()))
+        layout, terms = self.layout, self.terms
+        return hash(frozenset(zip(map(layout.pairs, layout.rows(terms)),
+                                  terms.values())))
 
     def substitute(self, assignment):
         """Send the variables of `assignment` to zero: drop every term that
@@ -356,7 +338,7 @@ class Polynomial:
             if value != 0:
                 raise ValueError(f"{v} is sent to {value}, not to zero")
         zero_mask = 0
-        for v, s in self.layout.fields:
+        for v, s in self.layout.shifts.items():
             if v in assignment:
                 zero_mask |= _FIELD << s
         return Polynomial._raw(
@@ -407,9 +389,9 @@ def poly_to_string(a):
         return "0"
     parts = []
     layout = a.layout
-    top = layout.degree_shift
     # graded pair order, descending; key order would put x*z before y^2
-    terms = [(k >> top, layout.exponents(k), c) for k, c in a.terms.items()]
+    terms = [(row[0], layout.pairs(row), c)
+             for row, c in zip(layout.rows(a.terms), a.terms.values())]
     for _, exps, c in sorted(terms, reverse=True):
         neg = c < 0
         mag = -c if neg else c

@@ -16,6 +16,7 @@ from .charts import (
 from .matrix import MinorSpec, PolyMatrix, column_minor
 from .poly import Polynomial
 from .rootdata import FAMILY_A, ConventionError
+from .vanishing import order_at_center
 
 
 class SectionProduct:
@@ -106,6 +107,11 @@ class GroupSections:
     def big_minors(self):
         """sigma_minus's factors on the big cell."""
         return self.pair[1].evaluate_factors(self.big_cell.matrix)
+
+    @cached_property
+    def levi_orders(self):
+        """`order_at_center` of sigma_minus on the Levi chart."""
+        return order_at_center(self.pair[1], self.levi_chart)
 
     @cached_property
     def entry_minors(self):

@@ -12,7 +12,6 @@ import random
 import time
 from math import gcd, isqrt, prod
 from operator import lshift
-from struct import iter_unpack
 
 # not called here: flagbench/test_flagbench.py checks that the benchmark's
 # tracer rebinds `splitting.big_cell_chart`
@@ -101,6 +100,14 @@ def _window_product(g, factor, upper):
     return out
 
 
+def _decoded(m):
+    """m's rows (total degree, e_1, ..., e_n) from `Layout.rows`, and the
+    largest exponent of each name some term uses, in name order."""
+    rows = m.layout.rows(m.terms)
+    tops = list(map(max, zip(*rows)))[1:]
+    return rows, {v: e for v, e in zip(m.layout.names, tops) if e}
+
+
 def splitting_coefficient(factors, variables, p, guard=None):
     """Coefficient of prod(v^(p-1)) in f^(p-1), f the product of
     `factors`, exact over the integers, reduced mod p only at the very end.
@@ -134,14 +141,8 @@ def splitting_coefficient(factors, variables, p, guard=None):
     degree = (-1 if any(v.is_zero() for v in factors)
               else sum(v.degree() for v in factors))
     guard = guard or ResourceGuard()
-    # each key's 16-bit poly fields: its degree, then its exponents by name
-    rows, factor_degrees = [], []
-    for value in factors:
-        size = len(value.layout.names) + 1
-        rows.append(list(iter_unpack(f">{size}H", b"".join(
-            k.to_bytes(2 * size, "big") for k in value.terms))))
-        peaks = zip(value.layout.names, list(map(max, zip(*rows[-1])))[1:])
-        factor_degrees.append({v: e for v, e in peaks if e})
+    decoded = list(map(_decoded, factors))
+    factor_degrees = [d for _, d in decoded]
     room, shifts = {}, {}
     # full: the key of 1; low: twice each guard bit, plus min(room_v, p - 1)
     # in the field of each v of `variables`
@@ -164,10 +165,10 @@ def splitting_coefficient(factors, variables, p, guard=None):
     low += (MAX_DEGREE + 1) << shift
     g = {full: 1}
     try:
-        for value, row, d in zip(factors, rows, factor_degrees):
+        for value, (rows, d) in zip(factors, decoded):
             moves = [shift] + [shifts.get(v, 0) for v in value.layout.names]
             terms = [(sum(map(lshift, r, moves)), c)
-                     for r, c in zip(row, value.terms.values())]
+                     for r, c in zip(rows, value.terms.values())]
             reach = MAX_DEGREE + value.degree()
             steps = [(v, e, shifts[v]) for v, e in d.items() if v in window]
             for _ in range((p - 1) // 2):
@@ -385,24 +386,34 @@ def _is_squarefree_univariate(coeffs):
     return _gcd_degree(coeffs, deriv) == 0
 
 
-def _line_restrictor(factors, variables):
-    """A function of (point, direction), integer sequences in the order of
-    `variables`, that returns the integer coefficients of
-    f(point + direction*s), constant term first, without trailing zeros; f
-    is the product of `factors`, and `variables` hold its names.
+def _line_restrictor(factors):
+    """(variables, restrict): f's names, the union of the names the terms
+    of its `factors` use, in name order, and a function of (point,
+    direction), integer sequences in that order, that returns the integer
+    coefficients of f(point + direction*s), constant term first, without
+    trailing zeros.
 
-    Each factor is decoded here, once, and f is never multiplied out: on a
-    line the factors' values at s = X = 2^B multiply to f's (Kronecker
-    substitution).  No coefficient exceeds ||f||_1 * max(reach, 1)^deg f in
-    size, with reach the largest |point_v| + |direction_v|, and ||f||_1 <=
-    prod ||m_i||_1, so B below puts each one strictly inside (-X/2, X/2) and
-    the signed base-X digits of the value are exactly the coefficients.
+    Each factor is decoded here, by one `Layout.rows` call, and f is never
+    multiplied out: on a line the factors' values at s = X = 2^B multiply
+    to f's (Kronecker substitution).  A factor's layout may hold names that
+    none of its terms use, which are not f's; only nonzero exponents and
+    top exponents are looked up.  No coefficient exceeds
+    ||f||_1 * max(reach, 1)^deg f in size, with reach the largest
+    |point_v| + |direction_v|, and ||f||_1 <= prod ||m_i||_1, so B below
+    puts each one strictly inside (-X/2, X/2) and the signed base-X digits
+    of the value are exactly the coefficients.
     """
+    decoded = list(map(_decoded, factors))
+    variables = sorted(set().union(*(tops for _, tops in decoded)))
     index = {v: i for i, v in enumerate(variables)}
-    # per factor: (position, top exponent) of each name, and the terms
-    decoded = [([(index[v], top) for v, top in m.degrees().items()],
-                [(c, [(index[v], e) for v, e in m.layout.exponents(k)])
-                 for k, c in m.terms.items()]) for m in factors]
+    # per factor: (position, top exponent) of each name it uses, and each
+    # term's coefficient with the (position, e) of its nonzero exponents
+    prepared = []
+    for m, (rows, tops) in zip(factors, decoded):
+        at = [index.get(v) for v in m.layout.names]  # None: a name no term uses
+        prepared.append(([(index[v], top) for v, top in tops.items()],
+                         [(c, [(i, e) for i, e in zip(at, row[1:]) if e])
+                          for row, c in zip(rows, m.terms.values())]))
     degree = max(sum(m.degree() for m in factors), 0)
     norm_bits = prod(sum(map(abs, m.terms.values()))
                      for m in factors).bit_length()
@@ -413,7 +424,7 @@ def _line_restrictor(factors, variables):
         bits = norm_bits + degree * reach.bit_length() + 1
         n = 1
         powers = [None] * len(point)  # [i][e]: (point[i] + direction[i]*X)^e
-        for tops, terms in decoded:
+        for tops, terms in prepared:
             for i, top in tops:
                 base = point[i] + (direction[i] << bits)
                 powers[i] = pw = [1]
@@ -434,7 +445,7 @@ def _line_restrictor(factors, variables):
             n = (n - digit) >> bits
         return out
 
-    return restrict
+    return variables, restrict
 
 
 def squarefree_probe(*factors, trials=20, seed=0):
@@ -449,13 +460,12 @@ def squarefree_probe(*factors, trials=20, seed=0):
     proves that almost always, and the gcd over Z decides every other case,
     so each trial is exact.  The report is evidence only, not a proof.
     """
-    variables = sorted(set().union(*(m.variables() for m in factors)))
+    variables, restrict = _line_restrictor(factors)
     if not variables or any(m.is_zero() for m in factors):
         raise ValueError("f is constant: nothing to restrict")
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     rng = random.Random(seed)
-    restrict = _line_restrictor(factors, variables)
     passes = 0
     completed = 0
     discarded = 0

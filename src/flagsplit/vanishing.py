@@ -111,7 +111,7 @@ def sl_order_table_check(sections):
     both compared against the four-case formula; totals against r(n-r)."""
     n, r = sections.group.n, sections.r
     _, minus = sections.pair
-    intrinsic, intrinsic_total = order_at_center(minus, sections.levi_chart)
+    intrinsic, intrinsic_total = sections.levi_orders
     explicit, explicit_total = order_at_center(minus, sl_explicit_chart(n, r))
     expected = [sl_four_case_order(n, r, k) for k in range(1, n)]
     expected_total = r * (n - r)
@@ -149,7 +149,7 @@ def max_multiplicity_verdict(sections, primes=()):
     """
     group, r = sections.group, sections.r
     plus, minus = sections.pair
-    orders, total = order_at_center(minus, sections.levi_chart)
+    orders, total = sections.levi_orders
     unit = sigma_plus_unit_at_identity(plus, sections.big_cell)
     expected = _expected_codimension(group, r)
 

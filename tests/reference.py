@@ -41,9 +41,12 @@ that `matrix.integer_nullspace` and the skew witness's integer rank are
 checked against, and the solver behind `ref_root_height` and
 `ref_primitive_nullspace`.
 
-`term_items` decodes a polynomial's packed keys into exponent dicts, and
-`widened` rebuilds a polynomial over a layout with more names.  The other
-helpers were library code that only the tests used.
+`ref_row` reads a packed key's fields one at a time, each by its own
+shift and mask: the reference for `Layout.rows`.  `ref_degrees` takes the
+largest exponent of each name from those rows.  `term_items` decodes a
+polynomial's packed keys into exponent dicts, and `widened` rebuilds a
+polynomial over a layout with more names.  The other helpers were library
+code that only the tests used.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from math import lcm
 
 from flagsplit.charts import Chart
 from flagsplit.matrix import PolyMatrix, column_minor, exp_nilpotent, primitive
-from flagsplit.poly import Polynomial, layout_of
+from flagsplit.poly import FIELD_BITS, Polynomial, layout_of
 from flagsplit.rootdata import FAMILY_A, FAMILY_D, ConventionError
 from flagsplit.sections import generic_matrices, row_exponent_vector
 from flagsplit.splitting import ResourceGuard
@@ -66,6 +69,22 @@ def _clean(terms):
 
 def ref_of(poly):
     return {poly.layout.exponents(k): c for k, c in poly.terms.items()}
+
+
+def ref_row(layout, key):
+    """(total degree, e_1, ..., e_n) of a key over `layout`: field j of
+    n + 1, from the most significant, by its own shift and mask."""
+    n = len(layout.names)
+    mask = (1 << FIELD_BITS) - 1
+    return tuple((key >> (FIELD_BITS * (n - j))) & mask for j in range(n + 1))
+
+
+def ref_degrees(poly):
+    """The largest exponent of each name that some term of poly uses, in
+    name order, read off `ref_row`."""
+    rows = [ref_row(poly.layout, k) for k in poly.terms]
+    return {v: top for j, v in enumerate(poly.layout.names, 1)
+            if (top := max((r[j] for r in rows), default=0))}
 
 
 def widened(poly, names):

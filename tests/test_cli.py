@@ -298,6 +298,15 @@ def test_run_suite_builds_each_section_once(monkeypatch, family, n, r):
         return evaluate(self, matrix)
 
     monkeypatch.setattr(SectionProduct, "evaluate", counted_evaluate)
+    minors = Counter()
+    evaluate_factors = SectionProduct.evaluate_factors
+
+    def counted_evaluate_factors(self, matrix):
+        minors[str(matrix.to_strings())] += 1
+        return evaluate_factors(self, matrix)
+
+    monkeypatch.setattr(SectionProduct, "evaluate_factors",
+                        counted_evaluate_factors)
     report = run_suite(SuiteConfig(family, n, r=r, primes=[3, 5]))
     assert report.exit_code == 0
     for name in ("build_group_datum", "build_sigma_pair", "unipotent_factor",
@@ -309,6 +318,8 @@ def test_run_suite_builds_each_section_once(monkeypatch, family, n, r):
     # no check evaluates sigma_minus as one product: C and D multiply out
     # none, and A only rnc's f_entry, from the entry cell's minors
     assert not evaluated
+    # no matrix has its minors evaluated twice, the Levi chart's included
+    assert minors and max(minors.values()) == 1, minors
 
 
 def count_products_in_probe(monkeypatch):

@@ -11,8 +11,10 @@ another definition shares its name (as `Chart.serialize` and
 of other classes).
 
 Only `sections.py` calls the builders of a request's charts and section
-pair, so `GroupSections` is the one place that builds them.  No library
-module imports `fractions`: every exact computation runs on integers."""
+pair, so `GroupSections` is the one place that builds them.  Only `poly.py`
+knows the fields of a packed key, and `Layout.rows` decodes them.  No
+library module imports `fractions`: every exact computation runs on
+integers."""
 
 import ast
 from collections import Counter
@@ -110,6 +112,23 @@ def test_only_group_sections_builds_charts_and_sections():
                 if name in SECTION_BUILDERS:
                     calls.append(f"{path.name}:{n.lineno} {name}")
     assert not calls, calls
+
+
+# what reads a packed key's fields or knows their widths
+PACKED_FORMAT = {"iter_unpack", "to_bytes", "FIELD_BITS", "degree_shift"}
+
+
+def test_only_poly_knows_the_packed_key():
+    """A packed key's field layout stays behind `poly.py`: no other library
+    module decodes keys itself or reads their field widths.  The benchmark
+    does not count."""
+    found = []
+    for path in LIBRARY:
+        if path.name == "poly.py":
+            continue
+        names = identifiers(ast.parse(path.read_text(), str(path)))
+        found += [f"{path.name} {name}" for name in sorted(PACKED_FORMAT & set(names))]
+    assert not found, found
 
 
 def test_no_library_module_imports_fractions():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from flagsplit import poly
 from flagsplit.poly import (
+    EMPTY_LAYOUT,
     FIELD_BITS,
     MAX_DEGREE,
     DegreeOverflowError,
@@ -32,6 +33,7 @@ from reference import (
     RecordingGuard,
     power,
     ref_add,
+    ref_degrees,
     ref_divide_by_variable,
     ref_from_terms,
     ref_line_restriction,
@@ -39,6 +41,7 @@ from reference import (
     ref_neg,
     ref_of,
     ref_pow,
+    ref_row,
     ref_substitute,
     ref_window_trace,
     widened,
@@ -158,14 +161,20 @@ wide_operand = st.sampled_from(POOLS).flatmap(lambda pool: st.lists(st.tuples(
 @settings(max_examples=150, deadline=None)
 def test_degrees_match_decoded_exponents(ta):
     a, _ = build(ta)
+    rows = a.layout.rows(a.terms)
+    assert rows == [ref_row(a.layout, k) for k in a.terms]
     used = sorted({v for k in a.terms for v, _ in a.layout.exponents(k)})
     want = {v: max(dict(a.layout.exponents(k)).get(v, 0) for k in a.terms)
             for v in used}
-    got = a.degrees()
-    assert got == want
+    # the column maxima of the rows, past the total degree
+    tops = list(map(max, zip(*rows)))[1:]
+    got = {v: e for v, e in zip(a.layout.names, tops) if e}
+    assert got == want == ref_degrees(a)
     assert list(got) == used == a.variables()  # name order
     if a.is_constant():
         assert got == {}
+    if a.terms and a.is_constant():  # the constant key 0 over no names
+        assert a.layout is EMPTY_LAYOUT and rows == [(0,)]
 
 
 @given(operand, st.dictionaries(names, zero, max_size=4))
@@ -229,10 +238,12 @@ R = 2**80 - 1  # the largest reach of 80 bits
 def test_restrict_to_line_matches_substitute(tfactors, point, direction):
     factors = [Polynomial(t) for t in tfactors]
     refs = [ref_from_terms(t) for t in tfactors]
-    variables = sorted(set().union(*(m.variables() for m in factors)))
-    restrict = _line_restrictor(factors, variables)
-    # the same factors over wider layouts restrict alike
-    wide = _line_restrictor([widened(m, {"a", "q", "u"}) for m in factors], variables)
+    variables, restrict = _line_restrictor(factors)
+    assert variables == sorted(set().union(*(m.variables() for m in factors)))
+    # the same factors over wider layouts restrict alike, over f's names
+    wide_names, wide = _line_restrictor(
+        [widened(m, {"a", "q", "u"}) for m in factors])
+    assert wide_names == variables
     norm = prod(sum(map(abs, r.values())) for r in refs)
     degree = max(sum(m.degree() for m in factors), 0)
     # one restrictor serves many lines
@@ -294,7 +305,7 @@ def outcome(f, *args):
 
 def seen(p):
     """What a caller reads off p; none of it is the layout."""
-    return (ref_of(p), str(p), hash(p), p.degree(), list(p.degrees().items()),
+    return (ref_of(p), str(p), hash(p), p.degree(), list(ref_degrees(p).items()),
             p.variables(), p.is_constant(), order_at_origin(p))
 
 

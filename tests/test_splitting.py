@@ -13,6 +13,7 @@ from flagsplit.charts import big_cell_chart, sl_entry_big_cell
 from flagsplit.cli import SuiteConfig, appendix_check, load_golden_chain, run_suite
 from flagsplit.poly import (
     MAX_DEGREE,
+    Layout,
     NotDivisibleError,
     Polynomial,
     divide_by_variable,
@@ -26,6 +27,7 @@ from flagsplit.splitting import (
     ResourceGuard,
     RncCertificate,
     RncVerifyError,
+    _line_restrictor,
     is_odd_prime,
     local_splitting_coefficient,
     rnc_search,
@@ -46,6 +48,7 @@ from reference import (
     ref_splitting_coefficient,
     ref_window_trace,
     term_items,
+    widened,
 )
 
 
@@ -445,6 +448,40 @@ def test_window_matches_decoded_exponents(case, p):
     assert guard.seen == ref_window_trace(factors, variables, p)
 
 
+# a and b over the layout of a, b and z, as the minors of a chart share one
+a_, b_ = Polynomial.generators(["a", "b", "z"])[:2]
+
+
+@given(factor_lists(), st.sets(st.sampled_from(["a", "b", "y", "z"])),
+       st.sampled_from([3, 5, 7]),
+       st.lists(st.integers(-50, 50), min_size=8, max_size=8))
+# layouts holding names that no term uses: b and z in a + 1, a and z in
+# b^2 + 2, z in a*b + 1
+@example((["a"], [a_ + 1]), set(), 3, list(range(8)))
+@example((["a", "b"], [b_ * b_ + 2, a_ * b_ + 1]), set(), 5, list(range(-4, 4)))
+# z is in the window and the layout, and in no term
+@example((["a", "z"], [a_ + 1]), set(), 3, list(range(8)))
+# a zero factor and a constant factor over wider layouts
+@example((["a"], [a_ - a_, a_ + 1]), set(), 3, list(range(8)))
+@example((["a"], [poly_from_string("a + 1"), Polynomial.constant(-2)]),
+         {"b", "z"}, 3, list(range(8)))
+@settings(max_examples=100, deadline=None)
+def test_unused_layout_names_change_no_verdict(case, extra, p, line):
+    # the restriction to a line and the splitting verdict of factors over
+    # wider layouts match those of the same factors over the names they use
+    names, factors = case
+    trimmed = [Polynomial(term_items(m)) for m in factors]
+    wide = [widened(m, extra) for m in factors]
+    want = splitting_coefficient(trimmed, names, p).serialize()
+    variables, restrict = _line_restrictor(trimmed)
+    n = len(variables)
+    for given_factors in (factors, wide):
+        assert splitting_coefficient(given_factors, names, p).serialize() == want
+        got_variables, got = _line_restrictor(given_factors)
+        assert got_variables == variables
+        assert got(line[:n], line[4:4 + n]) == restrict(line[:n], line[4:4 + n])
+
+
 def test_rejects_even_p():
     with pytest.raises(ValueError):
         splitting_coefficient([poly_from_string("t")], ["t"], 4)
@@ -591,7 +628,10 @@ def test_probe_report_is_pinned_and_substitutes_nothing(source, seed, want,
 
 
 def test_probe_decodes_f_once(monkeypatch):
+    # one `Layout.rows` call per factor per probe, whether f comes whole or
+    # as its minors
     f = probe_input("A", 5, "entry")
+    minors = GroupSections(build_group_datum("A", 5)).entry_minors
     calls = Counter()
 
     def count(name, fn):
@@ -600,11 +640,13 @@ def test_probe_decodes_f_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("degrees", "degree"):
-        monkeypatch.setattr(Polynomial, name,
-                            count(name, getattr(Polynomial, name)))
-    assert squarefree_probe(f, trials=20, seed=0) == sigma_minus_report(0)
-    assert calls == {"degrees": 1, "degree": 1}
+    monkeypatch.setattr(Layout, "rows", count("rows", Layout.rows))
+    monkeypatch.setattr(Polynomial, "degree",
+                        count("degree", Polynomial.degree))
+    for factors in ([f], minors):
+        calls.clear()
+        assert squarefree_probe(*factors, trials=20, seed=0) == sigma_minus_report(0)
+        assert calls == {"rows": len(factors), "degree": len(factors)}
 
 
 @pytest.mark.parametrize("nvars", range(1, 13))
@@ -615,15 +657,17 @@ def test_probe_draws_are_randint_draws(nvars, monkeypatch):
     f = poly_from_string(" + ".join(f"x{i}" for i in range(nvars)))
     names = sorted(f.variables())
     lines = []
+    restrictor = splitting._line_restrictor
 
-    def line_restrictor(factors, variables):
+    def line_restrictor(factors):
+        variables, _ = restrictor(factors)
         assert variables == names
 
         def restrict(point, direction):
             lines.append(tuple(dict(zip(variables, v))
                                for v in (point, direction)))
             return [1, 1]
-        return restrict
+        return variables, restrict
 
     monkeypatch.setattr(splitting, "_line_restrictor", line_restrictor)
     for seed in range(50):
