@@ -150,8 +150,9 @@ class Polynomial:
 
     `terms` is the storage, a dict from packed monomials over `layout` to
     nonzero coefficients.  The constructor sums (exponents, coefficient)
-    pairs, the exponents a dict or (name, exponent) pairs.  Terms print in
-    graded pair order: total degree, then those pairs, both descending.
+    pairs, the exponents a dict or (name, exponent) pairs, over the layout
+    of exactly the names that the nonzero sums use.  Terms print in graded
+    pair order: total degree, then those pairs, both descending.
     """
 
     __slots__ = ("layout", "terms")
@@ -173,6 +174,10 @@ class Polynomial:
             packed[key] = packed.get(key, 0) + c
         if len(packed) < len(monomials):  # terms met, so some may cancel
             packed = {k: c for k, c in packed.items() if c}
+            # lay out only the names that the remaining terms use
+            used = layout_of(
+                v for v, _ in layout.exponents(reduce(or_, packed, 0)))
+            packed, layout = _repack(packed, layout, used), used
         self.layout, self.terms = layout, packed
 
     @classmethod

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import defaultdict
 from math import gcd, isqrt, prod
 from operator import lshift
 
@@ -386,6 +387,59 @@ def _is_squarefree_univariate(coeffs):
     return _gcd_degree(coeffs, deriv) == 0
 
 
+# a group of at most this many terms stays a flat leaf of a Horner scheme
+_LEAF_TERMS = 6
+
+
+def _horner(terms, at, live):
+    """The greedy Horner scheme of `terms`, rows (coefficient, e_1, ...,
+    e_n), in their exponent columns `live`, as (position, body).
+
+    A group of at most `_LEAF_TERMS` terms is a leaf: position None, and
+    body the terms as [(coefficient, [(position, e), ...]), ...].  A larger
+    one is a node on the live column whose exponents sum highest: the terms
+    are split by that exponent, and each group recurses without the column.
+    Its body holds a part (position, body, gap) per group, from the highest
+    exponent down, gap the drop to the next exponent or, last, the lowest
+    exponent itself, so the node's value is
+    ((s_0 y^gap_0 + s_1) y^gap_1 + ... + s_k) y^gap_k, y the value of the
+    node's name.  `at` maps a column to its position among f's names.  No
+    level slices a row.
+    """
+    if len(terms) <= _LEAF_TERMS:
+        return None, [(t[0], [(at[j], t[j]) for j in live if t[j]])
+                      for t in terms]
+    # distinct keys that agree on every column split so far differ in a
+    # live one, so more than one term leaves some live column a positive sum
+    columns = list(zip(*terms))
+    j = max(live, key=lambda k: sum(columns[k]))
+    groups = defaultdict(list)
+    for t in terms:
+        groups[t[j]].append(t)
+    live = [k for k in live if k != j]
+    exps = sorted(groups, reverse=True)
+    return at[j], [(*_horner(groups[e], at, live), e - below)
+                   for e, below in zip(exps, exps[1:] + [0])]
+
+
+def _scheme_value(parts, pw, powers):
+    """The value of a node's `parts`, pw the powers of the node's name and
+    powers[i][e] the e-th power of the i-th name's value.  A leaf part adds
+    its terms, each built from powers, in place."""
+    total = 0
+    for i, body, gap in parts:
+        if i is None:
+            for c, exps in body:
+                for k, e in exps:
+                    c *= powers[k][e]
+                total += c
+        else:
+            total += _scheme_value(body, powers[i], powers)
+        if gap:
+            total *= pw[gap]
+    return total
+
+
 def _line_restrictor(factors):
     """(variables, restrict): f's names, the union of the names the terms
     of its `factors` use, in name order, and a function of (point,
@@ -393,27 +447,34 @@ def _line_restrictor(factors):
     coefficients of f(point + direction*s), constant term first, without
     trailing zeros.
 
-    Each factor is decoded here, by one `Layout.rows` call, and f is never
-    multiplied out: on a line the factors' values at s = X = 2^B multiply
-    to f's (Kronecker substitution).  A factor's layout may hold names that
-    none of its terms use, which are not f's; only nonzero exponents and
-    top exponents are looked up.  No coefficient exceeds
-    ||f||_1 * max(reach, 1)^deg f in size, with reach the largest
-    |point_v| + |direction_v|, and ||f||_1 <= prod ||m_i||_1, so B below
-    puts each one strictly inside (-X/2, X/2) and the signed base-X digits
-    of the value are exactly the coefficients.
+    Each factor is decoded here, by one `Layout.rows` call, into its greedy
+    Horner scheme (`_horner`), and f is never multiplied out: on a line the
+    factors' values at s = X = 2^B multiply to f's (Kronecker
+    substitution).  A trial evaluates each scheme at y_i = point_i +
+    direction_i * X, so a node's step multiplies by one power of one y_i,
+    mostly y_i itself, where a flat sum would build every term from a
+    product of powers.  A factor's layout may hold names that none of its
+    terms use, which are not f's; their columns sum to 0 and no leaf reads
+    them.  No coefficient exceeds ||f||_1 * max(reach, 1)^deg f in size,
+    with reach the largest |point_v| + |direction_v|, and
+    ||f||_1 <= prod ||m_i||_1, so B below puts each one strictly inside
+    (-X/2, X/2) and the signed base-X digits of the value are exactly the
+    coefficients.
     """
     decoded = list(map(_decoded, factors))
     variables = sorted(set().union(*(tops for _, tops in decoded)))
     index = {v: i for i, v in enumerate(variables)}
-    # per factor: (position, top exponent) of each name it uses, and each
-    # term's coefficient with the (position, e) of its nonzero exponents
-    prepared = []
+    # the highest exponent of each name in a factor bounds every power of
+    # it that a leaf or a gap reads
+    top = [max(tops.get(v, 0) for _, tops in decoded) for v in variables]
+    schemes = []
     for m, (rows, tops) in zip(factors, decoded):
-        at = [index.get(v) for v in m.layout.names]  # None: a name no term uses
-        prepared.append(([(index[v], top) for v, top in tops.items()],
-                         [(c, [(i, e) for i, e in zip(at, row[1:]) if e])
-                          for row, c in zip(rows, m.terms.values())]))
+        # column 0, each row's total degree, gives way to its coefficient
+        at = [None] + [index.get(v) for v in m.layout.names]
+        terms = [(c,) + row[1:] for row, c in zip(rows, m.terms.values())]
+        live = [j for j, v in enumerate(m.layout.names, 1) if v in tops]
+        # the factor is the one part, with gap 0, of a node of no name
+        schemes.append([(*_horner(terms, at, live), 0)])
     degree = max(sum(m.degree() for m in factors), 0)
     norm_bits = prod(sum(map(abs, m.terms.values()))
                      for m in factors).bit_length()
@@ -422,20 +483,16 @@ def _line_restrictor(factors):
         reach = max((abs(p) + abs(d) for p, d in zip(point, direction)),
                     default=0)
         bits = norm_bits + degree * reach.bit_length() + 1
+        powers = []  # [i][e]: (point[i] + direction[i]*X)^e
+        for p, d, e in zip(point, direction, top):
+            base = p + (d << bits)
+            pw = [1, base]
+            for _ in range(e - 1):
+                pw.append(pw[-1] * base)
+            powers.append(pw)
         n = 1
-        powers = [None] * len(point)  # [i][e]: (point[i] + direction[i]*X)^e
-        for tops, terms in prepared:
-            for i, top in tops:
-                base = point[i] + (direction[i] << bits)
-                powers[i] = pw = [1]
-                for _ in range(top):
-                    pw.append(pw[-1] * base)
-            value = 0
-            for c, exps in terms:
-                for i, e in exps:
-                    c *= powers[i][e]
-                value += c
-            n *= value
+        for scheme in schemes:
+            n *= _scheme_value(scheme, None, powers)
         half = 1 << (bits - 1)
         mask = (1 << bits) - 1
         out = []
@@ -452,19 +509,21 @@ def squarefree_probe(*factors, trials=20, seed=0):
     """Restrict f, the product of `factors`, to random affine lines and test
     each restriction for squarefreeness via its gcd with the derivative.
 
-    A trial restricts f to point + direction*s, both with 7-digit entries,
-    by one big-integer evaluation of each factor (`_line_restrictor`); it
-    draws over f's names, the union of the factors'.  A constant
-    restriction is discarded and redrawn.  The trial passes when the
-    restriction is squarefree over Q: one integer gcd at a power of two
-    proves that almost always, and the gcd over Z decides every other case,
-    so each trial is exact.  The report is evidence only, not a proof.
+    `trials` is checked before any factor is decoded.  Each factor's
+    Horner scheme is built once per probe (`_line_restrictor`), and a trial
+    restricts f to point + direction*s, both with 7-digit entries, by one
+    big-integer evaluation of each scheme; it draws over f's names, the
+    union of the factors'.  A constant restriction is discarded and
+    redrawn.  The trial passes when the restriction is squarefree over Q:
+    one integer gcd at a power of two proves that almost always, and the
+    gcd over Z decides every other case, so each trial is exact.  The
+    report is evidence only, not a proof.
     """
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     variables, restrict = _line_restrictor(factors)
     if not variables or any(m.is_zero() for m in factors):
         raise ValueError("f is constant: nothing to restrict")
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     rng = random.Random(seed)
     passes = 0
     completed = 0

@@ -28,7 +28,9 @@ whole section products over N x N generic matrices.
 
 `ref_line_restriction` is the squarefree probe's restriction to a line
 without Kronecker substitution: it multiplies the factors out and restricts
-the product term by term.
+the product term by term.  `horner_schemes` records the Horner scheme that
+the probe's restrictor builds for each factor, and `scheme_products` counts
+the big-integer products one line's evaluation of a scheme takes.
 
 `ref_gcd_degree_rational` is the earlier gcd loop of the squarefree
 probe, Euclid over Fractions: the reference for both the integer-gcd proof
@@ -252,6 +254,48 @@ def ref_line_restriction(factors, point, direction):
     while want and not want[-1]:
         want.pop()
     return want
+
+
+def horner_schemes(factors):
+    """(variables, restrict, schemes) for `factors`: `_line_restrictor`'s
+    result and the Horner scheme it built for each factor, in order."""
+    from flagsplit import splitting
+
+    built, depth = [], [0]
+    original = splitting._horner
+
+    def outermost(*args):  # the recursion calls it too
+        depth[0] += 1
+        try:
+            scheme = original(*args)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            built.append(scheme)
+        return scheme
+
+    splitting._horner = outermost
+    try:
+        variables, restrict = splitting._line_restrictor(factors)
+    finally:
+        splitting._horner = original
+    return variables, restrict, built
+
+
+def scheme_products(scheme):
+    """(leaf products, Horner steps) of one line's evaluation of a scheme
+    (position, body): a leaf multiplies each term's coefficient by one
+    power per nonzero exponent, and a node's part with a nonzero gap takes
+    one step."""
+    position, body = scheme
+    if position is None:
+        return sum(len(exps) for _, exps in body), 0
+    leaf = steps = 0
+    for part_position, part_body, gap in body:
+        below = scheme_products((part_position, part_body))
+        leaf += below[0]
+        steps += below[1] + (gap > 0)
+    return leaf, steps
 
 
 def poly_of(ref):

@@ -391,11 +391,13 @@ def test_splitcoeff_never_multiplies_out_sigma_minus(monkeypatch, family, n, r):
 
 
 @pytest.mark.parametrize("family,n,r", [("C", 4, None), ("D", 5, None),
-                                         ("A", 7, 3)])
+                                         ("A", 7, 3), ("C", 5, None),
+                                         ("D", 6, None)])
 def test_squarefree_check_reaches_sp4_so5_sl7(monkeypatch, family, n, r):
     # sigma_minus has 99,435 terms on the sp4 big cell, 2,688,261 on so5's
     # and 170,436 on the sl7 entry cell; the probe restricts its minors
-    # instead, and forms no product at all
+    # instead, and forms no product at all.  sp5 and so6 take their minors'
+    # Horner schemes too: their minors hold 1,377 and 6,195 terms
     products = count_products_in_probe(monkeypatch)
     report = run_suite(SuiteConfig(family, n, r=r, checks=["squarefree"]))
     (check,) = report.checks

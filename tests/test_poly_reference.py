@@ -9,7 +9,7 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flagsplit import poly
+from flagsplit import poly, splitting
 from flagsplit.poly import (
     EMPTY_LAYOUT,
     FIELD_BITS,
@@ -31,6 +31,7 @@ from flagsplit.splitting import (
 from flagsplit.vanishing import max_multiplicity_verdict
 from reference import (
     RecordingGuard,
+    horner_schemes,
     power,
     ref_add,
     ref_degrees,
@@ -159,6 +160,8 @@ wide_operand = st.sampled_from(POOLS).flatmap(lambda pool: st.lists(st.tuples(
 @example([])  # zero
 @example([({}, -7)])  # a constant
 @settings(max_examples=150, deadline=None)
+# y^2 cancels: the constant 1, over no names
+@example([({"y": 2}, -2), ({"y": 2}, 2), ({}, 1)])
 def test_degrees_match_decoded_exponents(ta):
     a, _ = build(ta)
     rows = a.layout.rows(a.terms)
@@ -254,6 +257,58 @@ def test_restrict_to_line_matches_substitute(tfactors, point, direction):
         # the bound that sizes the digits holds
         reach = max((abs(p[v]) + abs(d[v]) for v in variables), default=0)
         assert all(abs(c) <= norm * max(reach, 1) ** degree for c in want)
+
+
+# 12 to 20 distinct terms over two or three names, exponents with gaps
+# (x^3 + x): more terms than a leaf of the restrictor's Horner scheme holds
+horner_operand = st.sampled_from(POOLS[:3]).flatmap(lambda pool: st.lists(
+    st.tuples(st.dictionaries(st.sampled_from(pool),
+                              st.sampled_from([1, 2, 3, 5]), max_size=3),
+              st.integers(-9, 9).filter(bool)),
+    min_size=12, max_size=20, unique_by=lambda t: frozenset(t[0].items())))
+
+
+def check_scheme(scheme, width):
+    """A scheme's shape: leaves of at most `_LEAF_TERMS` terms, each node's
+    exponents falling, so every gap but the last is positive.  Returns the
+    number of terms under it."""
+    position, body = scheme
+    if position is None:
+        assert len(body) <= splitting._LEAF_TERMS
+        assert all(0 <= i < width and e for _, exps in body for i, e in exps)
+        return len(body)
+    assert 0 <= position < width
+    gaps = [gap for _, _, gap in body]
+    assert all(gap > 0 for gap in gaps[:-1]) and gaps[-1] >= 0
+    terms = sum(check_scheme(part[:2], width) for part in body)
+    assert terms > splitting._LEAF_TERMS
+    return terms
+
+
+@given(horner_operand, st.lists(st.one_of(horner_operand, operand),
+                                max_size=1), line, line)
+# a gap at the top (x^8 + x^3 + x), and a name in every term (a factor x)
+@example([({"x": e, "y": k}, 1) for e in (1, 3, 8) for k in range(4)], [],
+         {"x": 2, "y": -3}, {"x": 5, "y": 7})
+@example([({"x": 1, "z": k, "y": e}, k - 4) for k in (1, 2, 3, 5)
+          for e in (1, 2, 3)], [[({"y": 1}, 1), ({}, -1)]],
+         {"x": R, "y": -R, "z": 1}, {"x": -R, "y": 0, "z": R})
+@settings(max_examples=60, deadline=None)
+def test_horner_scheme_restricts_like_the_expanded_product(first, rest, point,
+                                                           direction):
+    tfactors = [first, *rest]
+    factors = [Polynomial(t) for t in tfactors]
+    variables, restrict, schemes = horner_schemes(factors)
+    assert len(schemes) == len(factors)
+    for m, scheme in zip(factors, schemes):
+        assert check_scheme(scheme, len(variables)) == len(m.terms)
+    # the first factor keeps at least 12 terms, so its scheme has a node
+    assert schemes[0][0] is not None
+    refs = [ref_from_terms(t) for t in tfactors]
+    for p, d in ((point, direction), (direction, point)):
+        assert restrict([p[v] for v in variables],
+                        [d[v] for v in variables]) == ref_line_restriction(
+                            refs, p, d)
 
 
 @given(operand, st.dictionaries(st.sampled_from(["a", "w", "x", "y", "z", "q"]),

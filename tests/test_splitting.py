@@ -40,13 +40,16 @@ from reference import (
     RecordingGuard,
     chain_state,
     homogeneous_part,
+    horner_schemes,
     power,
     rational_matrix_rank,
     ref_of,
     ref_gcd_degree_rational,
+    ref_line_restriction,
     ref_pow,
     ref_splitting_coefficient,
     ref_window_trace,
+    scheme_products,
     term_items,
     widened,
 )
@@ -647,6 +650,106 @@ def test_probe_decodes_f_once(monkeypatch):
         calls.clear()
         assert squarefree_probe(*factors, trials=20, seed=0) == sigma_minus_report(0)
         assert calls == {"rows": len(factors), "degree": len(factors)}
+
+
+@pytest.mark.parametrize("trials", [0, 2.5])
+def test_probe_checks_trials_before_decoding(trials, monkeypatch):
+    # a bad call fails before any factor's keys are decoded
+    f = probe_input("A", 5, "entry")
+
+    def no_rows(self, keys):
+        raise AssertionError("a factor was decoded")
+
+    monkeypatch.setattr(Layout, "rows", no_rows)
+    with pytest.raises(ValueError, match=f"got {trials!r}$"):
+        squarefree_probe(f, trials=trials)
+
+
+def recording_restrictor(monkeypatch):
+    """Rebind `_line_restrictor` so that every restriction it returns is
+    recorded; the list returned holds them."""
+    seen = []
+    restrictor = splitting._line_restrictor
+
+    def line_restrictor(factors):
+        variables, restrict = restrictor(factors)
+
+        def recorded(point, direction):
+            seen.append(restrict(point, direction))
+            return seen[-1]
+        return variables, recorded
+
+    monkeypatch.setattr(splitting, "_line_restrictor", line_restrictor)
+    return seen
+
+
+@pytest.mark.parametrize("source", SIGMA_MINUS_INPUTS)
+def test_scheme_restricts_every_probe_line_as_one_flat_leaf(source,
+                                                             monkeypatch):
+    # seeds 0-9 of the line_probe inputs: the Horner scheme gives every
+    # line's coefficients, and so the byte-identical probe dict, of the
+    # flat sum over all terms, which is the scheme with one leaf per factor
+    f = probe_input(*source)
+    seen = recording_restrictor(monkeypatch)
+    runs = []
+    for leaf in (splitting._LEAF_TERMS, len(f.terms)):
+        monkeypatch.setattr(splitting, "_LEAF_TERMS", leaf)
+        seen.clear()
+        reports = [json.dumps(squarefree_probe(f, trials=20, seed=seed))
+                   for seed in range(10)]
+        runs.append((reports, list(seen)))
+    (reports, lines), flat = runs
+    assert (reports, lines) == flat
+    assert reports == [json.dumps(sigma_minus_report(seed))
+                       for seed in range(10)]
+
+
+@pytest.mark.parametrize("family, n, cell", [("A", 5, "entry"),
+                                              ("D", 4, "big")])
+def test_horner_scheme_of_expanded_sigma_minus(family, n, cell):
+    # the 80-term sl5 entry-cell f and the 1,470-term so4 big-cell f, each
+    # restricted through a scheme of many nodes, against the product
+    # restricted term by term
+    f = probe_input(family, n, cell)
+    variables, restrict, (scheme,) = horner_schemes([f])
+    assert scheme[0] is not None
+    rng = random.Random(5)
+    for _ in range(2):
+        point, direction = ({v: rng.randint(-10**6, 10**6) for v in variables}
+                            for _ in "pd")
+        assert restrict([point[v] for v in variables],
+                        [direction[v] for v in variables]) == (
+            ref_line_restriction([ref_of(f)], point, direction))
+
+
+def flat_products(factors):
+    """The products one line takes when each term is built from powers:
+    one per nonzero exponent of each term."""
+    return sum(len(m.layout.pairs(row))
+               for m in factors for row in m.layout.rows(m.terms))
+
+
+@pytest.mark.parametrize("family, n, cell, flat, leaf, steps", [
+    ("A", 5, "entry", 490, 278, 29),
+    ("D", 4, "big", 11_660, 5_813, 534),
+    ("C", 5, "minors", 8_155, 3_692, 395),
+    ("D", 6, "minors", 46_397, 17_731, 1_795),
+])
+def test_horner_scheme_products_per_line(family, n, cell, flat, leaf, steps):
+    # the big-integer products of one line, leaf products plus Horner
+    # steps, against one product per nonzero exponent of every term, on
+    # the sl5 entry-cell and so4 big-cell f and on sp5's and so6's
+    # big_minors; the powers of each name, built once per line, are not
+    # counted
+    if cell == "minors":
+        factors = GroupSections(build_group_datum(family, n)).big_minors
+    else:
+        factors = [probe_input(family, n, cell)]
+    _, _, schemes = horner_schemes(factors)
+    assert flat_products(factors) == flat
+    counts = [scheme_products(s) for s in schemes]
+    assert (sum(c[0] for c in counts), sum(c[1] for c in counts)) == (leaf,
+                                                                      steps)
 
 
 @pytest.mark.parametrize("nvars", range(1, 13))
