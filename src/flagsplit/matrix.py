@@ -257,8 +257,10 @@ def integer_nullspace(rows, ncols):
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
+        for pivot in range(rank, len(m)):
+            if m[pivot][col]:
+                break
+        else:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         top, p = m[rank], m[rank][col]

@@ -9,14 +9,18 @@ Here k* = N + 1 - k with N the matrix size.
 Root data is computed, not hardcoded: the Lie algebra is cut out by
 X^T J + J X = 0 (trace zero for A), weight-decomposed under the diagonal
 torus, and the resulting roots are checked against the expected lists.
-Heights come from one walk up from the simple roots.  Constant matrices (the
-form, the root generators and the Weyl representatives) are lists of integer
-rows; the form and the representatives are signed permutations, which act on
-a chart's `PolyMatrix` through `signed_rows`.
+Heights come from one walk up from the simple roots.  The construction and
+its checks run on canonical doubled tuples and on each root space's nonzero
+entries ((i, j), c), with one integer nullspace solve per weight class of C
+and D.  Constant matrices (the form, the root generators and the Weyl
+representatives) are lists of integer rows, each generator's built once at
+the end; the form and the representatives are signed permutations, which act
+on a chart's `PolyMatrix` through `signed_rows`.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add, sub
 
 from .matrix import (
@@ -47,7 +51,7 @@ class Weight:
     sum to zero on the SL torus); the canonical representative has last
     coordinate zero and every coordinate even.  The constructor raises
     ValueError on an unknown family, a non-integral coordinate or an odd
-    family-A one; +, - and `scale` keep weights canonical with no checks.
+    family-A one; + and - keep weights canonical with no checks.
     """
 
     __slots__ = ("family", "doubled")
@@ -85,13 +89,6 @@ class Weight:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, m):
-        """m times this weight; ValueError unless m is an integer."""
-        if m != int(m):
-            raise ValueError(f"{m} is not an integer")
-        m = int(m)
-        return Weight._canonical(self.family, tuple(m * a for a in self.doubled))
-
     def __eq__(self, other):
         return (
             isinstance(other, Weight)
@@ -104,10 +101,6 @@ class Weight:
 
     def __repr__(self):
         return f"Weight({self.family}, doubled={self.doubled})"
-
-    @classmethod
-    def zero(cls, family, rank):
-        return cls(family, [0] * rank)
 
 
 class WeylWord:
@@ -138,7 +131,6 @@ class GroupDatum:
         self.size = n if family == FAMILY_A else 2 * n
         self.form = self._form_rows()
         self._build_root_data()
-        self._verify_invariants()
 
     # -- construction -----------------------------------------------------
 
@@ -158,12 +150,12 @@ class GroupDatum:
     def star(self, k):
         return self.size + 1 - k
 
-    def chi(self, a):
-        """chi_a folded into rank-length doubled coordinates."""
-        return self.fold_sum([(1, a)])
-
     def fold_sum(self, signed_indices):
         """Weight of a formal sum of +-chi_a terms given as (sign, a) pairs."""
+        return Weight(self.family, self._folded(signed_indices))
+
+    def _folded(self, signed_indices):
+        """`fold_sum`'s canonical doubled coordinates, as a tuple."""
         coords = [0] * self.n
         for sign, a in signed_indices:
             c = 2 if sign > 0 else -2
@@ -171,149 +163,144 @@ class GroupDatum:
                 coords[a - 1] += c
             else:
                 coords[self.star(a) - 1] -= c
-        return Weight(self.family, coords)
-
-    def _lie_constraint_ok(self, X):
-        """Trace zero for A; X^T F + F X = 0 for C and D, from X's nonzero
-        entries.  F is one +-1 per row, s_c at (c, c*), so X[i][j] adds
-        s_i X[i][j] to entry (j, i*) and s_{i*} X[i][j] to entry (i*, j),
-        and no other entry is nonzero."""
         if self.family == FAMILY_A:
-            return sum(X[i][i] for i in range(self.size)) == 0
+            return tuple(x - coords[-1] for x in coords)
+        return tuple(coords)
+
+    def _lie_constraint_ok(self, entries):
+        """Trace zero for A; X^T F + F X = 0 for C and D, from X's nonzero
+        entries ((i, j), c), 1-based.  F is one +-1 per row, s_c at (c, c*),
+        so X[i][j] adds s_i X[i][j] to entry (j, i*) and s_{i*} X[i][j] to
+        entry (i*, j), and no other entry is nonzero."""
+        if self.family == FAMILY_A:
+            return sum(c for (i, j), c in entries if i == j) == 0
         last = self.size - 1  # c* = last - c, 0-based
-        sign = [row[last - c] for c, row in enumerate(self.form)]
         sums = {}
-        for i, row in enumerate(X):
-            for j, x in enumerate(row):
-                if x:
-                    for pos, s in (((j, last - i), sign[i]),
-                                   ((last - i, j), sign[last - i])):
-                        sums[pos] = sums.get(pos, 0) + s * x
+        for (i, j), c in entries:
+            i, j = i - 1, j - 1
+            for pos, s in (((j, last - i), self.form[i][last - i]),
+                           ((last - i, j), self.form[last - i][i])):
+                sums[pos] = sums.get(pos, 0) + s * c
         return not any(sums.values())
 
     def _build_root_data(self):
-        # positions by E_ij's weight chi_i - chi_j, a canonical tuple
-        N = self.size
-        chis = [self.chi(a).doubled for a in range(1, N + 1)]
-        groups = {}
+        """Every check runs on canonical doubled tuples and on each root
+        space's nonzero entries ((i, j), c); the public Weights and each
+        generator's dense rows are made once, before the last checks."""
+        family, N = self.family, self.size
+        chis = [self._folded([(1, a)]) for a in range(1, N + 1)]
+        # positions by E_ij's weight chi_i - chi_j
+        classes = {}
         for i, x in enumerate(chis, start=1):
             for j, y in enumerate(chis, start=1):
                 if i != j:
-                    groups.setdefault(tuple(map(sub, x, y)), []).append((i, j))
-        classes = sorted(((Weight(self.family, raw), group)
-                          for raw, group in groups.items() if any(raw)),
-                         key=lambda kv: (kv[0].doubled, kv[1]))
-
-        self.lie_basis = []
-        root_generator = {}
-        for weight, group in classes:
-            basis = self._root_space_basis(group)
+                    classes.setdefault(tuple(map(sub, x, y)), []).append((i, j))
+        generators, positive, negative = {}, [], []
+        for weight in sorted(w for w in classes if any(w)):
+            basis = self._root_space_basis(classes[weight])
             if not basis:
                 continue
             if len(basis) != 1:
                 raise ConventionError(
-                    f"root space for {weight} has dimension {len(basis)}"
-                )
-            X = basis[0]
-            self.lie_basis.append((X, weight))
-            root_generator[weight] = X
-
-        self.root_generator = root_generator
-        self.positive_roots = []
-        self.negative_roots = []
-        for X, weight in self.lie_basis:
-            if _is_strictly_upper(X):
-                self.positive_roots.append(weight)
-            elif _is_strictly_lower(X):
-                self.negative_roots.append(weight)
+                    f"root space for {Weight._canonical(family, weight)} has "
+                    f"dimension {len(basis)}")
+            entries = basis[0]
+            sides = {(i > j) - (i < j) for (i, j), _ in entries}
+            if sides == {-1}:
+                positive.append(weight)
+            elif sides == {1}:
+                negative.append(weight)
             else:
                 raise ConventionError("root generator is neither upper nor lower")
+            generators[weight] = entries
 
-        self.simple_roots = self._expected_simple_roots()
-        self.fundamental_weights = self._fundamental_weights()
-        self.rho = Weight.zero(self.family, self.n)
-        for w in self.fundamental_weights:
-            self.rho = self.rho + w
-        self._height = self._walk_heights()
+        simple = self._expected_simple_roots(chis)
+        self._height = self._walk_heights(positive, simple)
+
+        def weights(tuples):
+            return [Weight._canonical(family, w) for w in tuples]
+
+        self.root_generator = {Weight._canonical(family, w): self._unit_matrix(e)
+                               for w, e in generators.items()}
+        self.positive_roots = weights(positive)
+        self.negative_roots = weights(negative)
+        self.simple_roots = weights(simple)
+        self.fundamental_weights = weights(self._fundamental_weights(chis))
+        self.rho = sum(self.fundamental_weights[1:], self.fundamental_weights[0])
+        self._verify_invariants(positive, simple, generators.values())
 
     def _root_space_basis(self, group):
-        """Solve the Lie-algebra membership constraints on one weight class."""
+        """Solve the Lie-algebra membership constraints on one weight class;
+        each basis vector as its nonzero entries ((i, j), c)."""
         if self.family == FAMILY_A:
-            return [self._unit_matrix({pos: 1}) for pos in group]
-        # constraint: s_{b*} X[b*,a] + s_a X[a*,b] = 0 for all (a,b),
-        # where J[c,c*] = s_c.  Restricted to the unknowns in this class,
-        # only the rows (a,b) = (j,i*) and (i*,j) of a position (i,j) of the
-        # class are nonzero; they are taken in the order of the full loop.
-        index = {pos: i for i, pos in enumerate(group)}
-        star = self.star
-        sign = {c: 1 if (self.family == FAMILY_D or c < star(c)) else -1
-                for c in range(1, self.size + 1)}
+            return [[(pos, 1)] for pos in group]
+        # constraint (a, b): s_{b*} X[b*,a] + s_a X[a*,b] = 0, where
+        # J[c,c*] = s_c, 1 for D and for c < c*, else -1.  X^T J + J X is
+        # symmetric (D) or skew (C), so the rows a <= b decide; a position
+        # (i, j) of the class meets one of them, (j, i*) or (i*, j), and its
+        # other unknown lies in the class too.  Row order leaves the
+        # primitive basis as it is.
+        M = self.size + 1  # c* = M - c
+        symmetric = self.family == FAMILY_D
+        index = {pos: k for k, pos in enumerate(group)}
         rows = []
-        for a, b in sorted({ab for i, j in group
-                            for ab in ((j, star(i)), (star(i), j))}):
+        for a, b in {(j, M - i) if j <= M - i else (M - i, j) for i, j in group}:
             row = [0] * len(group)
-            for pos, s in (((star(b), a), sign[star(b)]),
-                           ((star(a), b), sign[a])):
-                if pos in index:
-                    row[index[pos]] += s
+            row[index[M - b, a]] += 1 if symmetric or 2 * b > M else -1
+            row[index[M - a, b]] += 1 if symmetric or 2 * a < M else -1
             rows.append(row)
-        return [self._unit_matrix({pos: c for pos, c in zip(group, vec) if c})
+        return [[(pos, c) for pos, c in zip(group, vec) if c]
                 for vec in integer_nullspace(rows, len(group))]
 
-    def _unit_matrix(self, coeffs):
+    def _unit_matrix(self, entries):
         N = self.size
-        entries = [[0] * N for _ in range(N)]
-        for (i, j), c in coeffs.items():
-            entries[i - 1][j - 1] = c
-        return entries
+        rows = [[0] * N for _ in range(N)]
+        for (i, j), c in entries:
+            rows[i - 1][j - 1] = c
+        return rows
 
-    def _walk_heights(self):
+    def _walk_heights(self, positive, simple):
         """Height h of every positive root and -h of its negative, keyed by
         doubled coordinates.  A positive root that is not simple is a positive
         root plus a simple root (Humphreys, Introduction to Lie Algebras and
         Representation Theory, 10.2), so one walk up from the simple roots,
         staying inside the positive roots, reaches them all."""
-        positive = set(self.positive_roots)
-        heights = dict.fromkeys(self.simple_roots, 1)
-        level = self.simple_roots
+        positive = set(positive)
+        heights = dict.fromkeys(simple, 1)
+        level = simple
         while level:
             above = []
             for beta in level:
-                for alpha in self.simple_roots:
-                    gamma = beta + alpha
+                for alpha in simple:
+                    gamma = tuple(map(add, beta, alpha))
                     if gamma in positive and gamma not in heights:
                         heights[gamma] = heights[beta] + 1
                         above.append(gamma)
             level = above
         unreached = positive.difference(heights)
         if unreached:
+            unreached = {Weight._canonical(self.family, w) for w in unreached}
             raise ConventionError(f"{unreached} not reached from the simple roots")
-        heights = {beta.doubled: h for beta, h in heights.items()}
         return heights | {tuple(-x for x in b): -h for b, h in heights.items()}
 
-    def _expected_simple_roots(self):
+    def _expected_simple_roots(self, chis):
         n = self.n
-        roots = [self.chi(i) - self.chi(i + 1) for i in range(1, n)]
+        roots = [tuple(map(sub, chis[i - 1], chis[i])) for i in range(1, n)]
         if self.family == FAMILY_C:
-            roots.append(self.chi(n).scale(2))
+            roots.append(tuple(2 * x for x in chis[n - 1]))
         elif self.family == FAMILY_D:
-            roots.append(self.chi(n - 1) + self.chi(n))
+            roots.append(tuple(map(add, chis[n - 2], chis[n - 1])))
         return roots
 
-    def _fundamental_weights(self):
+    def _fundamental_weights(self, chis):
         """chi_1+...+chi_k for k up to n-1 (A), n (C) or n-2 (D); then, for
         D, the two spin weights."""
         n = self.n
         count = {FAMILY_A: n - 1, FAMILY_C: n, FAMILY_D: n - 2}[self.family]
-        out = []
-        w = Weight.zero(self.family, n)
-        for k in range(1, count + 1):
-            w = w + self.chi(k)
-            out.append(w)
+        out = list(accumulate(chis[:count], lambda a, b: tuple(map(add, a, b))))
         if self.family == FAMILY_D:
             # (chi_1+...+chi_{n-1} -+ chi_n)/2, doubled stays integral
-            out.append(Weight(FAMILY_D, [1] * (n - 1) + [-1]))
-            out.append(Weight(FAMILY_D, [1] * n))
+            out += [(1,) * (n - 1) + (-1,), (1,) * n]
         return out
 
     # -- invariant checks --------------------------------------------------
@@ -326,7 +313,9 @@ class GroupDatum:
             return n * n
         return n * (n - 1)
 
-    def _verify_invariants(self):
+    def _verify_invariants(self, positive, simple, generators):
+        """The counts, the simple roots and rho, on the doubled tuples of
+        the roots, and the Lie constraint on each generator's entries."""
         if len(self.positive_roots) != self.dim_flag_variety():
             raise ConventionError(
                 f"{len(self.positive_roots)} positive roots, expected "
@@ -334,18 +323,14 @@ class GroupDatum:
             )
         if len(self.negative_roots) != len(self.positive_roots):
             raise ConventionError("positive/negative root count mismatch")
-        pos = set(self.positive_roots)
-        for alpha in self.simple_roots:
-            if alpha not in pos:
-                raise ConventionError(f"simple root {alpha} is not a positive root")
-        for X, _ in self.lie_basis:
-            if not self._lie_constraint_ok(X):
-                raise ConventionError("Lie-algebra constraint violated")
-        # rho is also half the sum of positive roots
-        total = Weight.zero(self.family, self.n)
-        for w in self.positive_roots:
-            total = total + w
-        if total != self.rho.scale(2):
+        for alpha in simple:
+            if alpha not in positive:
+                raise ConventionError(
+                    f"simple root {Weight._canonical(self.family, alpha)} is "
+                    f"not a positive root")
+        if not all(map(self._lie_constraint_ok, generators)):
+            raise ConventionError("Lie-algebra constraint violated")
+        if list(map(sum, zip(*positive))) != [2 * x for x in self.rho.doubled]:
             raise ConventionError("sum of positive roots != 2*rho")
 
     def root_height(self, root):
@@ -474,14 +459,6 @@ def _identity_plus(X, sign):
     for k, j, c in square_zero_entries(X):
         out[k][j] += sign * c
     return out
-
-
-def _is_strictly_upper(X):
-    return not any(any(row[:i + 1]) for i, row in enumerate(X))
-
-
-def _is_strictly_lower(X):
-    return not any(any(row[i:]) for i, row in enumerate(X))
 
 
 def _is_sign_monomial(M):

@@ -10,7 +10,8 @@ The `ref_*` functions on group data are the earlier implementation of
 simple-root coordinates, root spaces from the Lie-algebra constraint of
 every (a, b) solved by the Fraction `rational_nullspace`, and exp of a
 nilpotent matrix from powers of a `PolyMatrix`, with t set to 1 by
-`ref_substitute` for the Weyl representatives.  Their
+`ref_substitute` for the Weyl representatives; `ref_chi` gives chi_a
+through the validating `Weight` constructor.  Their
 identity, product, sum and scalar multiple of matrices are the
 `ref_matrix_*` helpers here; `ref_matrix_product` forms every product,
 zeros included, so these references never use the sparse
@@ -60,7 +61,7 @@ from math import lcm
 from flagsplit.charts import Chart
 from flagsplit.matrix import PolyMatrix, column_minor, exp_nilpotent, primitive
 from flagsplit.poly import FIELD_BITS, Polynomial, layout_of
-from flagsplit.rootdata import FAMILY_A, FAMILY_D, ConventionError
+from flagsplit.rootdata import FAMILY_A, FAMILY_D, ConventionError, Weight
 from flagsplit.sections import generic_matrices, row_exponent_vector
 from flagsplit.splitting import ResourceGuard
 
@@ -673,6 +674,17 @@ def ref_primitive_nullspace(rows, ncols):
     return out
 
 
+def ref_chi(group, a):
+    """chi_a as a validated Weight: 2e_a for a <= n, and -2e_{a*} past n,
+    a* = N + 1 - a."""
+    coords = [0] * group.n
+    if a <= group.n:
+        coords[a - 1] = 2
+    else:
+        coords[group.size - a] = -2
+    return Weight(group.family, coords)
+
+
 def ref_lie_basis(group):
     """(root generator, weight) per root, weight classes in sorted order,
     each class's basis from ref_root_space_basis."""
@@ -681,7 +693,8 @@ def ref_lie_basis(group):
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             if i != j:
-                classes.setdefault(group.chi(i) - group.chi(j), []).append((i, j))
+                classes.setdefault(ref_chi(group, i) - ref_chi(group, j),
+                                   []).append((i, j))
     out = []
     for weight, positions in sorted(classes.items(),
                                     key=lambda kv: (kv[0].doubled, kv[1])):

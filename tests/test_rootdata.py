@@ -1,11 +1,13 @@
 import pytest
 
+from flagsplit import rootdata
 from flagsplit.matrix import PolyMatrix, square_zero_entries
 from flagsplit.rootdata import (
     FAMILY_A,
     FAMILY_C,
     FAMILY_D,
     ConventionError,
+    GroupDatum,
     Weight,
     build_group_datum,
 )
@@ -78,9 +80,8 @@ def test_sl_weights_mod_all_ones():
     lambda: Weight(FAMILY_A, [1, 0, 0]),
     lambda: Weight(FAMILY_A, [2, 3, 0]),
     lambda: Weight("X", [1]),
-    lambda: Weight(FAMILY_A, [2, 0, 0]).scale(0.5),
 ], ids=["non-integral", "non-integral-D", "odd-A", "odd-A-middle",
-        "unknown-family", "non-integral-scale"])
+        "unknown-family"])
 def test_weight_rejects_what_its_docstring_forbids(make):
     with pytest.raises(ValueError):
         make()
@@ -89,7 +90,7 @@ def test_weight_rejects_what_its_docstring_forbids(make):
 def test_weight_accepts_odd_spin_weights_and_integral_values():
     assert Weight(FAMILY_D, [1, 1, -1]).doubled == (1, 1, -1)
     assert Weight(FAMILY_A, [2.0, 0, 4]).doubled == (-2, -4, 0)
-    assert Weight(FAMILY_D, [1, -1]).scale(3.0).doubled == (3, -3)
+    assert Weight(FAMILY_D, [3.0, -3]).doubled == (3, -3)
 
 
 def test_rho_values(groups):
@@ -202,7 +203,8 @@ def test_root_heights_positive(groups):
 
 def test_root_height_rejects_non_roots(groups):
     g = groups[("A", 3)]
-    for weight in (Weight.zero(FAMILY_A, g.n), g.simple_roots[0].scale(2)):
+    alpha = g.simple_roots[0]
+    for weight in (Weight(FAMILY_A, [0] * g.n), alpha + alpha):
         with pytest.raises(ConventionError):
             g.root_height(weight)
 
@@ -210,3 +212,141 @@ def test_root_height_rejects_non_roots(groups):
 def test_bad_family_rejected():
     with pytest.raises(Exception):
         build_group_datum("B", 3)
+
+
+def nullspace_calls(monkeypatch, edit=lambda call, basis: basis):
+    """Count the integer nullspace solves of a build, handing each call's
+    index and basis to `edit`, whose return value the build then gets."""
+    solve = rootdata.integer_nullspace
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return edit(len(calls) - 1, solve(rows, ncols))
+
+    monkeypatch.setattr(rootdata, "integer_nullspace", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,n,solves,roots", [
+    ("D", 4, 32, 24), ("D", 3, 18, 12), ("C", 3, 18, 18), ("C", 2, 8, 8),
+    ("A", 6, 0, 30),
+])
+def test_each_weight_class_is_solved_once(monkeypatch, family, n, solves, roots):
+    """Sp and SO solve the constraints of every weight class, the empty ones
+    too (2chi_i of D); the roots of SL need no solve."""
+    calls = nullspace_calls(monkeypatch)
+    g = build_group_datum(family, n)
+    assert len(calls) == solves
+    assert len(g.root_generator) == roots
+
+
+def drop_class(monkeypatch, positions):
+    """Make the weight class of `positions` solve to no root."""
+    basis = GroupDatum._root_space_basis
+    monkeypatch.setattr(GroupDatum, "_root_space_basis", lambda self, group: (
+        [] if group == positions else basis(self, group)))
+
+
+def test_a_second_basis_vector_is_rejected(monkeypatch):
+    nullspace_calls(monkeypatch,
+                    lambda call, basis: basis * 2 if call == 1 else basis)
+    with pytest.raises(ConventionError, match="has dimension 2"):
+        build_group_datum("C", 2)
+
+
+def test_a_generator_on_both_sides_of_the_diagonal_is_rejected(monkeypatch):
+    """E_12 + E_21 is neither strictly upper nor strictly lower."""
+    basis = GroupDatum._root_space_basis
+
+    def mixed(self, group):
+        out = basis(self, group)
+        if group == [(1, 2)]:
+            out[0].append(((2, 1), 1))
+        return out
+
+    monkeypatch.setattr(GroupDatum, "_root_space_basis", mixed)
+    with pytest.raises(ConventionError, match="neither upper nor lower"):
+        build_group_datum("A", 3)
+
+
+@pytest.mark.parametrize("family,n", [("C", 2), ("D", 3)])
+def test_a_flipped_form_sign_breaks_the_lie_constraint(monkeypatch, family, n):
+    """The solve takes its signs from the family, the check from the form,
+    so a form with one sign flipped fails the check."""
+    form = GroupDatum._form_rows
+
+    def flipped(self):
+        rows = form(self)
+        rows[0][-1] = -rows[0][-1]
+        return rows
+
+    monkeypatch.setattr(GroupDatum, "_form_rows", flipped)
+    with pytest.raises(ConventionError, match="Lie-algebra constraint violated"):
+        build_group_datum(family, n)
+
+
+def test_a_wrong_nullspace_vector_breaks_the_lie_constraint(monkeypatch):
+    def flip_last(call, basis):
+        return [vec[:-1] + [-vec[-1]] for vec in basis]
+
+    nullspace_calls(monkeypatch, flip_last)
+    with pytest.raises(ConventionError, match="Lie-algebra constraint violated"):
+        build_group_datum("D", 3)
+
+
+@pytest.mark.parametrize("family,n,positions,count", [
+    ("A", 4, [(1, 4)], "5 positive roots, expected 6"),
+    ("C", 2, [(1, 4)], "3 positive roots, expected 4"),
+    ("D", 3, [(1, 5), (2, 6)], "5 positive roots, expected 6"),
+])
+def test_a_dropped_highest_root_is_counted(monkeypatch, family, n, positions,
+                                           count):
+    """Without the highest root the walk still reaches every positive root
+    left, and only the count fails."""
+    drop_class(monkeypatch, positions)
+    with pytest.raises(ConventionError, match=count):
+        build_group_datum(family, n)
+
+
+@pytest.mark.parametrize("family,n,positions", [
+    ("A", 4, [(4, 1)]), ("C", 2, [(4, 1)]), ("D", 3, [(5, 1), (6, 2)]),
+])
+def test_a_dropped_negative_root_is_counted(monkeypatch, family, n, positions):
+    drop_class(monkeypatch, positions)
+    with pytest.raises(ConventionError, match="positive/negative root count"):
+        build_group_datum(family, n)
+
+
+@pytest.mark.parametrize("family,n", [("A", 3), ("C", 2), ("D", 3)])
+def test_a_simple_root_that_is_not_positive_is_rejected(monkeypatch, family, n):
+    """A negative root among the simple ones leaves the walk and the counts
+    as they were; only the positivity check sees it."""
+    simple = GroupDatum._expected_simple_roots
+
+    def with_a_negative(self, chis):
+        roots = simple(self, chis)
+        return roots + [tuple(-x for x in roots[0])]
+
+    monkeypatch.setattr(GroupDatum, "_expected_simple_roots", with_a_negative)
+    with pytest.raises(ConventionError, match="is not a positive root"):
+        build_group_datum(family, n)
+
+
+@pytest.mark.parametrize("family,n", [("A", 3), ("C", 2), ("D", 3)])
+def test_an_unreached_height_is_rejected(monkeypatch, family, n):
+    """Without the last simple root the walk reaches no root that holds it."""
+    simple = GroupDatum._expected_simple_roots
+    monkeypatch.setattr(GroupDatum, "_expected_simple_roots",
+                        lambda self, chis: simple(self, chis)[:-1])
+    with pytest.raises(ConventionError, match="not reached from the simple roots"):
+        build_group_datum(family, n)
+
+
+@pytest.mark.parametrize("family,n", [("A", 3), ("C", 2), ("D", 3)])
+def test_a_wrong_rho_is_rejected(monkeypatch, family, n):
+    fundamental = GroupDatum._fundamental_weights
+    monkeypatch.setattr(GroupDatum, "_fundamental_weights",
+                        lambda self, chis: fundamental(self, chis)[:-1])
+    with pytest.raises(ConventionError, match=r"sum of positive roots != 2\*rho"):
+        build_group_datum(family, n)

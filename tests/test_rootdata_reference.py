@@ -24,6 +24,7 @@ from reference import (
     is_zero_rows,
     ref_form_residual,
     ref_exp_nilpotent,
+    ref_chi,
     ref_levi_longest_representative,
     ref_lie_basis,
     ref_lie_constraint_ok,
@@ -41,6 +42,10 @@ T = Polynomial.variable("t")  # the variable of exp(tX)
 GRID = ([("A", n) for n in range(2, 7)] + [("C", n) for n in range(2, 5)]
         + [("D", n) for n in range(2, 6)])
 FORM_GRID = [key for key in GRID if key[0] != FAMILY_A]
+# the root data itself, on the groups whose generators
+# test_every_root_generator_squares_to_zero covers
+ROOT_GRID = ([("A", n) for n in range(2, 9)] + [("C", n) for n in range(2, 7)]
+             + [("D", n) for n in range(2, 7)])
 
 
 @pytest.fixture(scope="module", params=GRID, ids=lambda key: f"{key[0]}{key[1]}")
@@ -48,20 +53,38 @@ def group(request):
     return build_group_datum(*request.param)
 
 
+@pytest.fixture(scope="module", params=ROOT_GRID,
+                ids=lambda key: f"{key[0]}{key[1]}")
+def root_group(request):
+    return build_group_datum(*request.param)
+
+
+def nonzero_entries(X):
+    """X's nonzero entries ((i, j), c), 1-based, as the library holds a
+    root space."""
+    return [((i + 1, j + 1), c) for i, row in enumerate(X)
+            for j, c in enumerate(row) if c]
+
+
 def levi_parabolics(group):
     return range(1, group.n) if group.family == FAMILY_A else [None]
 
 
-def test_root_heights_match_reference(group):
+def test_root_heights_match_reference(root_group):
+    group = root_group
     for root in group.positive_roots + group.negative_roots:
         assert group.root_height(root) == ref_root_height(group, root)
 
 
-def test_lie_basis_matches_reference(group):
-    assert group.lie_basis == ref_lie_basis(group)
+def test_lie_basis_matches_reference(root_group):
+    """Every root generator and its weight, in the order of the sorted
+    weight classes."""
+    assert ([(X, weight) for weight, X in root_group.root_generator.items()]
+            == ref_lie_basis(root_group))
 
 
-def test_negative_root_generators_match_reference(group):
+def test_negative_root_generators_match_reference(root_group):
+    group = root_group
     gens = group.negative_root_generators()
     assert [root for root, _ in gens] == ref_negative_roots(group)
     for root, X in gens:
@@ -76,7 +99,7 @@ def test_negative_root_generators_match_reference(group):
         assert support == {
             (i, j) for i in range(1, group.size + 1)
             for j in range(1, group.size + 1)
-            if i != j and group.chi(i) - group.chi(j) == root
+            if i != j and ref_chi(group, i) - ref_chi(group, j) == root
         }
 
 
@@ -102,7 +125,7 @@ def test_exp_nilpotent_matches_reference(group):
                             rng.randint(-3, 3)), ({}, rng.randint(-3, 3))])
 
     poly_left = PolyMatrix([[entry() for _ in range(size)] for _ in range(size)])
-    for X, _ in group.lie_basis:
+    for X in group.root_generator.values():
         want = ref_exp_nilpotent(PolyMatrix(X), "t")
         assert exp_nilpotent(X, T).entries == want.entries
         for left in (ref_matrix_identity(size), poly_left):
@@ -160,26 +183,28 @@ def test_preserves_form_matches_reference(key):
 
 @pytest.mark.parametrize("key", FORM_GRID, ids=lambda key: f"{key[0]}{key[1]}")
 def test_lie_constraint_matches_dense_reference(key):
-    """The sparse X^T F + F X = 0 check agrees with the dense one on every
-    root generator, on each copy with one entry's sign flipped, and on every
-    lone E_ij; a flip of one of two or more entries and a lone E_ij other
-    than a long-root E_{i,i*} of C are rejected."""
+    """The X^T F + F X = 0 check on a generator's nonzero entries agrees
+    with the dense one on every root generator, on each copy with one
+    entry's sign flipped, and on every lone E_ij; a flip of one of two or
+    more entries and a lone E_ij other than a long-root E_{i,i*} of C are
+    rejected."""
     group = build_group_datum(*key)
     size = group.size
-    for X, _ in group.lie_basis:
-        assert group._lie_constraint_ok(X) and ref_lie_constraint_ok(group, X)
+    for X in group.root_generator.values():
+        assert (group._lie_constraint_ok(nonzero_entries(X))
+                and ref_lie_constraint_ok(group, X))
         support = [(i, j) for i in range(size) for j in range(size) if X[i][j]]
         for i, j in support:
             flipped = [list(row) for row in X]
             flipped[i][j] = -flipped[i][j]
-            holds = group._lie_constraint_ok(flipped)
+            holds = group._lie_constraint_ok(nonzero_entries(flipped))
             assert holds == ref_lie_constraint_ok(group, flipped)
             assert holds == (len(support) == 1)
     for i in range(size):
         for j in range(size):
             unit = [[int((a, b) == (i, j)) for b in range(size)]
                     for a in range(size)]
-            holds = group._lie_constraint_ok(unit)
+            holds = group._lie_constraint_ok(nonzero_entries(unit))
             assert holds == ref_lie_constraint_ok(group, unit)
             assert holds == (group.family == FAMILY_C and j == size - 1 - i)
 
@@ -206,19 +231,18 @@ coordinates = st.lists(st.integers(-6, 6), min_size=3, max_size=3)
 
 
 @given(st.sampled_from([FAMILY_A, FAMILY_C, FAMILY_D]), coordinates,
-       coordinates, st.integers(-3, 3))
+       coordinates)
 @settings(max_examples=200, deadline=None)
-@example(FAMILY_A, [1, 0, 1], [0, 1, 2], 3)  # raw sum ends in 6, not 0
-def test_weight_arithmetic_matches_constructor(family, x, y, m):
-    """a + b, -a, a - b and a.scale(m) equal the Weight built from the raw
+@example(FAMILY_A, [1, 0, 1], [0, 1, 2])  # raw sum ends in 6, not 0
+def test_weight_arithmetic_matches_constructor(family, x, y):
+    """a + b, -a and a - b equal the Weight built from the raw
     coordinates, which for A end in a nonzero coordinate unless it is
     normalised away."""
     if family == FAMILY_A:  # doubled coordinates of A are even
         x, y = [2 * v for v in x], [2 * v for v in y]
     a, b = Weight(family, x), Weight(family, y)
     for fast, raw in ((a + b, list(map(add, x, y))), (-a, [-v for v in x]),
-                      (a - b, [u - v for u, v in zip(x, y)]),
-                      (a.scale(m), [m * v for v in x])):
+                      (a - b, [u - v for u, v in zip(x, y)])):
         want = Weight(family, raw)
         assert fast == want
         assert hash(fast) == hash(want)
